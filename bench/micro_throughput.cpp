@@ -28,7 +28,6 @@
 
 #include "ir/bytecode.hpp"
 #include "ir/interp.hpp"
-#include "ir/verify.hpp"
 #include "ir/vm.hpp"
 #include "obs/metrics.hpp"
 #include "platform/campaign.hpp"
@@ -262,54 +261,33 @@ struct InterpCase {
   std::string kernel;
   std::size_t trace_accesses = 0;
   std::uint64_t leaf_steps = 0;
-  std::size_t elided_ops = 0;  ///< element accesses the verifier proved
-  std::size_t elem_ops = 0;    ///< total element-access ops
   double tree_eps = 0;  ///< executions per second
   double vm_eps = 0;
-  double vm_elided_eps = 0;  ///< VM on verifier-elided (unchecked) bytecode
   double speedup = 0;
-  double elision_speedup = 0;  ///< elided VM over checked VM
 };
 
 InterpCase time_interp_case(const std::string& kernel, std::size_t execs) {
   const auto b = suite::make_benchmark(kernel);
   const ir::Linked linked = ir::lower(b.program);
   // Compilation is hoisted out of the timed loop, exactly as the analyzer
-  // amortizes it across a study's executions. The elided variant is the
-  // same bytecode after the static verifier (ir/verify) rewrote every
-  // provably-in-bounds element access to its unchecked opcode.
+  // amortizes it across a study's executions.
   const ir::BytecodeProgram bytecode = ir::compile(b.program, linked);
-  ir::BytecodeProgram elided = bytecode;
-  const ir::VerifyResult facts = ir::verify(elided);
-  if (!facts.ok()) {
-    std::fprintf(stderr, "verifier rejected kernel %s:\n%s", kernel.c_str(),
-                 facts.describe().c_str());
-    std::abort();
-  }
-  const std::size_t elided_ops = ir::apply_elision(elided, facts);
 
-  // Equivalence guard: tree, checked VM and elided VM must agree.
+  // Equivalence guard: the VM must agree with the tree-walker.
   const ir::ExecResult tree =
       ir::execute_tree(b.program, linked, b.default_input);
-  const ir::BytecodeProgram* variants[] = {&bytecode, &elided};
-  for (const ir::BytecodeProgram* bc : variants) {
-    const ir::ExecResult vm = ir::vm::run(*bc, b.default_input);
-    if (vm.trace.accesses != tree.trace.accesses || vm.tokens != tree.tokens ||
-        !(vm.path == tree.path) || vm.leaf_steps != tree.leaf_steps ||
-        vm.env.scalars != tree.env.scalars ||
-        vm.env.arrays != tree.env.arrays) {
-      std::fprintf(stderr, "vm/tree mismatch on kernel %s (%s)\n",
-                   kernel.c_str(), bc == &elided ? "elided" : "checked");
-      std::abort();
-    }
+  const ir::ExecResult vm = ir::vm::run(bytecode, b.default_input);
+  if (vm.trace.accesses != tree.trace.accesses || vm.tokens != tree.tokens ||
+      !(vm.path == tree.path) || vm.leaf_steps != tree.leaf_steps ||
+      vm.env.scalars != tree.env.scalars || vm.env.arrays != tree.env.arrays) {
+    std::fprintf(stderr, "vm/tree mismatch on kernel %s\n", kernel.c_str());
+    std::abort();
   }
 
   InterpCase out;
   out.kernel = kernel;
   out.trace_accesses = tree.trace.accesses.size();
   out.leaf_steps = tree.leaf_steps;
-  out.elided_ops = elided_ops;
-  out.elem_ops = facts.elem_ops;
 
   std::uint64_t sink = 0;
   {
@@ -326,21 +304,9 @@ InterpCase time_interp_case(const std::string& kernel, std::size_t execs) {
     }
     out.vm_eps = static_cast<double>(execs) / seconds_since(start);
   }
-  if (out.elided_ops > 0) {
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < execs; ++i) {
-      sink ^= ir::vm::run(elided, b.default_input).leaf_steps;
-    }
-    out.vm_elided_eps = static_cast<double>(execs) / seconds_since(start);
-  } else {
-    // Nothing elided: the bytecode is byte-identical, so timing it again
-    // would only sample the machine's noise floor.
-    out.vm_elided_eps = out.vm_eps;
-  }
   if (sink == 0xdeadbeef) std::fprintf(stderr, "...");  // keep `sink` live
 
   out.speedup = out.vm_eps / out.tree_eps;
-  out.elision_speedup = out.vm_elided_eps / out.vm_eps;
   return out;
 }
 
@@ -350,32 +316,25 @@ int run_interp_report(const std::string& json_path, std::size_t execs) {
   json::Array cases;
   std::printf("interpreter throughput (%s dispatch), %zu execs/case\n",
               ir::vm::dispatch_kind(), execs);
-  std::printf("%-8s %10s %12s %8s %12s %12s %12s %8s %8s\n", "kernel",
-              "accesses", "leaf_steps", "elided", "tree e/s", "vm e/s",
-              "elided e/s", "speedup", "elision");
+  std::printf("%-8s %10s %12s %12s %12s %8s\n", "kernel", "accesses",
+              "leaf_steps", "tree e/s", "vm e/s", "speedup");
   for (const std::string& kernel : kernels) {
     const InterpCase c = time_interp_case(kernel, execs);
-    std::printf("%-8s %10zu %12llu %5zu/%-2zu %12.1f %12.1f %12.1f %7.2fx "
-                "%7.2fx\n",
-                c.kernel.c_str(), c.trace_accesses,
-                static_cast<unsigned long long>(c.leaf_steps), c.elided_ops,
-                c.elem_ops, c.tree_eps, c.vm_eps, c.vm_elided_eps, c.speedup,
-                c.elision_speedup);
+    std::printf("%-8s %10zu %12llu %12.1f %12.1f %7.2fx\n", c.kernel.c_str(),
+                c.trace_accesses,
+                static_cast<unsigned long long>(c.leaf_steps), c.tree_eps,
+                c.vm_eps, c.speedup);
     json::Object o;
     o.emplace_back("kernel", c.kernel);
     o.emplace_back("trace_accesses", c.trace_accesses);
     o.emplace_back("leaf_steps", c.leaf_steps);
-    o.emplace_back("elided_ops", c.elided_ops);
-    o.emplace_back("elem_ops", c.elem_ops);
     o.emplace_back("tree_execs_per_sec", c.tree_eps);
     o.emplace_back("vm_execs_per_sec", c.vm_eps);
-    o.emplace_back("vm_elided_execs_per_sec", c.vm_elided_eps);
     o.emplace_back("speedup", c.speedup);
-    o.emplace_back("elision_speedup", c.elision_speedup);
     cases.emplace_back(std::move(o));
   }
   json::Object doc;
-  doc.emplace_back("schema", "mbcr-bench-interp-v2");
+  doc.emplace_back("schema", "mbcr-bench-interp-v3");
   doc.emplace_back("dispatch", ir::vm::dispatch_kind());
   doc.emplace_back("execs_per_case", execs);
   doc.emplace_back("cases", std::move(cases));

@@ -49,25 +49,4 @@ bool vm_fault_enabled();
 /// Runtime toggle (no effect on builds without the hook).
 void set_vm_fault_enabled(bool enabled);
 
-/// True iff this binary was built with MBCR_VERIFY_FAULT: the static-
-/// verifier analogue of the hooks above. The compiled-in bug
-/// (ir/verify.cpp, apply_elision) shrinks the first elision proof's
-/// claimed interval to a single point — a miscompiled bounds proof the
-/// "verify" oracle must catch (re-verification of the elided program
-/// rejects the too-narrow claim; the VM's validating mode traps any
-/// execution that escapes it), shrink, and corpus-commit.
-constexpr bool verify_fault_compiled_in() {
-#ifdef MBCR_VERIFY_FAULT
-  return true;
-#else
-  return false;
-#endif
-}
-
-/// Armed by default when compiled in; always false otherwise.
-bool verify_fault_enabled();
-
-/// Runtime toggle (no effect on builds without the hook).
-void set_verify_fault_enabled(bool enabled);
-
 }  // namespace mbcr::fuzz

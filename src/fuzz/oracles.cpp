@@ -404,59 +404,26 @@ OracleOutcome oracle_vm(const FuzzCaseData& data, bool) {
   return {};
 }
 
-// --- oracle 8: verifier verdicts + proof-audited elided execution ---------
+// --- oracle 8: the verifier accepts every compiled program ---------------
 
 OracleOutcome oracle_verify(const FuzzCaseData& data, bool) {
   const ir::Program pubbed = pub::apply_pub(data.program);
   const std::pair<const char*, const ir::Program*> variants[] = {
       {"original", &data.program}, {"pubbed", &pubbed}};
   for (const auto& [which, prog] : variants) {
-    const ir::Linked linked = ir::lower(*prog);
-    ir::BytecodeProgram bytecode = ir::compile(*prog, linked);
+    const ir::BytecodeProgram bytecode = ir::compile(*prog, ir::lower(*prog));
     const std::string where = std::string("(") + which + " program): ";
-
-    // Every compiled program must verify clean — randprog and the PUB
-    // transform emit only well-formed bytecode.
+    // randprog and the PUB transform emit only well-formed bytecode, and
+    // the walk's exact high-water mark must match the compiler's.
     const ir::VerifyResult facts = ir::verify(bytecode);
     if (!facts.ok()) {
       return fail(where + "verifier rejected compiled bytecode: " +
                   facts.describe());
     }
-
-    // Elide the proven accesses, then re-verify: the recorded proofs must
-    // themselves pass the analysis (this is the static net that catches a
-    // miscompiled proof, e.g. the MBCR_VERIFY_FAULT hook).
-    ir::apply_elision(bytecode, facts);
-    const ir::VerifyResult elided_facts = ir::verify(bytecode);
-    if (!elided_facts.ok()) {
-      return fail(where + "re-verification of the elided bytecode failed: " +
-                  elided_facts.describe());
-    }
-
-    // Dynamic net: validating-mode execution audits every elided access
-    // against its proof and must stay bit-identical to the tree-walker.
-    for (const ir::InputVector& in : data.inputs) {
-      const EngineRun tree =
-          observe([&] { return ir::execute_tree(*prog, linked, in); });
-      const EngineRun vm =
-          observe([&] { return ir::vm::run_validating(bytecode, in); });
-      const std::string at = "input " + in.label + " " + where;
-      if (tree.threw != vm.threw) {
-        return fail(at + (vm.threw
-                              ? "validating vm threw ExecError \"" + vm.error +
-                                    "\" but the tree-walker succeeded"
-                              : "tree-walker threw ExecError \"" + tree.error +
-                                    "\" but the validating vm succeeded"));
-      }
-      if (tree.threw) {
-        if (tree.error != vm.error) {
-          return fail(at + "ExecError texts differ (tree \"" + tree.error +
-                      "\", validating vm \"" + vm.error + "\")");
-        }
-        continue;
-      }
-      const std::string detail = diff_exec(tree.result, vm.result);
-      if (!detail.empty()) return fail(at + "elided execution: " + detail);
+    if (facts.computed_max_stack != bytecode.max_stack) {
+      return fail(where + "computed max_stack " +
+                  std::to_string(facts.computed_max_stack) + " != declared " +
+                  std::to_string(bytecode.max_stack));
     }
   }
   return {};
@@ -495,45 +462,42 @@ OracleOutcome oracle_evt(const FuzzCaseData& data, bool) {
     camp.master_seed = data.case_seed;
 
     platform::CampaignSampler stream(machine, t.compact, camp);
+    std::vector<std::size_t> grown_to;  // sample size after each growth
     const mbpta::ConvergenceResult inc = mbpta::converge_stream(
         [&](std::vector<double>& sample, std::size_t count) {
           stream.append_to(sample, count);
+          grown_to.push_back(sample.size());
         },
         cc);
     if (inc.sample.empty() || inc.estimates.empty()) {
       return fail(at + "convergence produced an empty sample or estimate "
                        "stream");
     }
-
-    // The legacy chunked protocol is the same estimator, refit for refit.
-    platform::CampaignSampler chunks(machine, t.compact, camp);
-    const mbpta::ConvergenceResult legacy = mbpta::converge(
-        [&](std::size_t count) { return chunks(count); }, cc);
-    if (legacy.runs != inc.runs || legacy.converged != inc.converged ||
-        legacy.sample.size() != inc.sample.size() ||
-        legacy.estimates.size() != inc.estimates.size()) {
-      return fail(at + "converge() and converge_stream() disagree on shape");
+    if (grown_to.size() != inc.estimates.size()) {
+      return fail(at + std::to_string(inc.estimates.size()) +
+                  " refits for " + std::to_string(grown_to.size()) +
+                  " sample growths");
     }
+
+    // Every incremental (sorted-mirror) refit must equal a from-scratch fit
+    // on the prefix of the sample it saw.
     for (std::size_t i = 0; i < inc.estimates.size(); ++i) {
-      if (!bits_equal(legacy.estimates[i], inc.estimates[i])) {
+      const std::vector<double> prefix(
+          inc.sample.begin(),
+          inc.sample.begin() + static_cast<std::ptrdiff_t>(grown_to[i]));
+      const double want =
+          mbpta::PwcetCurve(prefix, cc.evt).at(cc.probability);
+      if (!bits_equal(want, inc.estimates[i])) {
         std::ostringstream ss;
-        ss << at << "chunked refit " << i << " = " << legacy.estimates[i]
-           << " != streamed " << inc.estimates[i];
+        ss << at << "incremental refit " << i << " = " << inc.estimates[i]
+           << " != from-scratch fit " << want << " on " << grown_to[i]
+           << " runs";
         return fail(ss.str());
       }
     }
-
-    // The final incremental (sorted-mirror) estimate must equal a
-    // from-scratch fit on the sample the driver collected.
-    const double scratch =
-        mbpta::PwcetCurve(inc.sample, cc.evt).at(cc.probability);
-    if (!bits_equal(scratch, inc.estimates.back())) {
-      std::ostringstream ss;
-      ss << at << "incremental refit " << inc.estimates.back()
-         << " != from-scratch fit " << scratch << " on " << inc.sample.size()
-         << " runs";
-      return fail(ss.str());
-    }
+    // The last growth left the whole sample, so the last refit is pinned
+    // to the from-scratch fit on all of it.
+    const double scratch = inc.estimates.back();
 
     // Sorted-span entry points are bit-identical to their unsorted twins,
     // field by field.
@@ -579,12 +543,11 @@ constexpr Oracle kOracles[] = {
     {"vm", "bytecode VM bit-identical to the tree-walking interpreter on "
            "the original and pubbed programs",
      oracle_vm},
-    {"verify", "static verifier accepts compiled and elided bytecode; "
-               "proof-audited elided execution bit-identical to the "
-               "tree-walker",
+    {"verify", "static verifier accepts the compiled original and pubbed "
+               "bytecode with an exact max_stack",
      oracle_verify},
-    {"evt", "EVT/convergence estimator identities: incremental refit == "
-            "from-scratch fit, chunked == streamed, sorted-span == unsorted",
+    {"evt", "EVT/convergence estimator identities: every incremental refit "
+            "== from-scratch fit on its prefix, sorted-span == unsorted",
      oracle_evt},
 };
 

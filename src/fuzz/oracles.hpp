@@ -21,12 +21,11 @@
 //               tree-walking interpreter — trace, env, tokens, path,
 //               leaf_steps and ExecError texts — on both the original and
 //               the pubbed program, for every input
-//   verify      static verifier accepts compiled and elided bytecode;
-//               proof-audited elided execution bit-identical to the
-//               tree-walker
+//   verify      static verifier accepts the compiled original and pubbed
+//               bytecode, and its computed max_stack equals the declared one
 //   evt         EVT/convergence estimator identities on campaign samples:
-//               incremental (sorted-mirror) refit == from-scratch fit,
-//               chunked protocol == streamed, sorted-span fit == unsorted
+//               every incremental (sorted-mirror) refit == a from-scratch
+//               fit on the sample prefix it saw, sorted-span fit == unsorted
 //
 // Oracles are pure: they never mutate the case and are deterministic in
 // it, which is what lets the shrinker re-evaluate candidates cheaply.

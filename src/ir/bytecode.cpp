@@ -38,7 +38,6 @@ int stack_delta(OpCode code) {
     case OpCode::kLoopNext:
       return -1;
     case OpCode::kStoreElem:
-    case OpCode::kStoreElemU:
     case OpCode::kSelect:
       return -2;
     case OpCode::kAdd:
@@ -372,14 +371,6 @@ std::string BytecodeProgram::disassemble() const {
       case OpCode::kLoadElem:
       case OpCode::kStoreElem:
         out << " " << arrays[op.a].name;
-        break;
-      case OpCode::kLoadElemU:
-      case OpCode::kStoreElemU:
-        out << " " << arrays[op.a].name;
-        if (op.b < proofs.size()) {
-          out << " (proven [" << proofs[op.b].lo << ", " << proofs[op.b].hi
-              << "])";
-        }
         break;
       case OpCode::kStepFetch:
       case OpCode::kFetch:

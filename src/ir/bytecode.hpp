@@ -61,9 +61,7 @@ namespace mbcr::ir {
   X(kPadEnter)    /* trips>=max -> ip = b; else push ghost frame */          \
   X(kPadNext)     /* ++trips; trips<max -> ip = b; else fall through */      \
   X(kGhostEnter)  /* push ghost frame (shadow copy of scalars+heap) */       \
-  X(kGhostExit)   /* pop ghost frame (discard shadow state) */               \
-  X(kLoadElemU)   /* kLoadElem, bounds branch elided (proofs[b]) */          \
-  X(kStoreElemU)  /* kStoreElem, bounds branch elided (proofs[b]) */
+  X(kGhostExit)   /* pop ghost frame (discard shadow state) */
 
 enum class OpCode : std::uint8_t {
 #define MBCR_VM_ENUM(name) name,
@@ -113,16 +111,6 @@ struct LoopSlot {
   std::string bound_error;
 };
 
-/// The verifier's in-bounds proof backing one elided element access: the
-/// index of op it covers and the interval its index provably lies in. The
-/// VM's validating mode audits executions against the claim; re-running
-/// the verifier on elided bytecode audits the claim against the analysis.
-struct ElisionProof {
-  std::uint32_t op = 0;
-  Value lo = 0;  ///< proven minimum index, inclusive
-  Value hi = 0;  ///< proven maximum index, inclusive (< array size)
-};
-
 struct BytecodeProgram {
   std::string name;
   std::vector<Op> ops;
@@ -130,10 +118,6 @@ struct BytecodeProgram {
   std::vector<FetchSite> sites;
   std::vector<LoopSlot> loops;
   std::vector<std::uint64_t> branch_ids;  ///< kBranch path-event stmt ids
-  /// In-bounds proofs for elided (kLoadElemU/kStoreElemU) ops, filled by
-  /// ir::apply_elision; those ops' `b` field indexes this table. Empty on
-  /// freshly-compiled (all-checked) programs.
-  std::vector<ElisionProof> proofs;
 
   /// Scalar slot i holds the scalar named scalar_names[i] (declaration
   /// order); arrays live concatenated in one flat heap seeded from

@@ -319,7 +319,7 @@ ExecResult execute(const Program& program, const Linked& linked,
   obs::Span span("execute");
   if (options.executor == Executor::kVm) {
     // Fail-closed pipeline: the verifier gates every program before the VM
-    // sees it, and its in-bounds proofs elide the per-access bounds branch.
+    // sees it, which keeps the VM's unchecked operand stack safe.
     return vm::run(compile_verified(program, linked), input, options);
   }
   return execute_tree(program, linked, input, options);

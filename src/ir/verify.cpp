@@ -1,11 +1,7 @@
 #include "ir/verify.hpp"
 
-#include <algorithm>
-#include <deque>
-#include <limits>
 #include <sstream>
 
-#include "fuzz/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -13,419 +9,50 @@ namespace mbcr::ir {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Interval domain: literal int64 ranges, with the type's extrema doubling
-// as the +/-infinity sentinels. That conflation is sound — a bound AT the
-// extremum claims nothing a 64-bit Value doesn't already satisfy — and it
-// keeps every bound representable in a plain Value.
-//
-// IR arithmetic wraps modulo 2^64 (ir::wrap_add and friends, shared by
-// both engines), so a transfer may only return a finite range when NO
-// input pair can wrap. Each transfer computes the exact wrap-free result
-// range in 128 bits and falls back to top() the moment that range escapes
-// int64 — an overflowed value can land anywhere, and any narrower answer
-// could certify a bogus bounds proof.
-// ---------------------------------------------------------------------------
-
-constexpr Value kNegInf = std::numeric_limits<Value>::min();
-constexpr Value kPosInf = std::numeric_limits<Value>::max();
-
-struct Interval {
-  Value lo = kNegInf;
-  Value hi = kPosInf;
+/// How many operand-stack values an op pops and pushes. No op pushes more
+/// than one, so the depth after each op is an exact running high-water
+/// mark (the compiler's accounting in bytecode.cpp rests on the same fact).
+struct StackEffect {
+  int pops = 0;
+  int pushes = 0;
 };
 
-constexpr Interval top() { return {kNegInf, kPosInf}; }
-constexpr Interval cst(Value v) { return {v, v}; }
-
-bool finite(Value v) { return v != kNegInf && v != kPosInf; }
-
-Value dec(Value v) { return finite(v) ? v - 1 : v; }
-Value inc(Value v) { return finite(v) ? v + 1 : v; }
-
-/// The exact wrap-free range [lo, hi], or top() when it escapes int64
-/// (some input pair wraps, so the concrete result can be anything).
-/// Results exactly AT the extrema are representable and conflate soundly.
-Interval iv_exact(__int128 lo, __int128 hi) {
-  if (lo < static_cast<__int128>(kNegInf) ||
-      hi > static_cast<__int128>(kPosInf)) {
-    return top();
-  }
-  return {static_cast<Value>(lo), static_cast<Value>(hi)};
-}
-
-Interval iv_add(Interval a, Interval b) {
-  return iv_exact(static_cast<__int128>(a.lo) + b.lo,
-                  static_cast<__int128>(a.hi) + b.hi);
-}
-
-Interval iv_sub(Interval a, Interval b) {
-  return iv_exact(static_cast<__int128>(a.lo) - b.hi,
-                  static_cast<__int128>(a.hi) - b.lo);
-}
-
-Interval iv_mul(Interval a, Interval b) {
-  const __int128 c[4] = {static_cast<__int128>(a.lo) * b.lo,
-                         static_cast<__int128>(a.lo) * b.hi,
-                         static_cast<__int128>(a.hi) * b.lo,
-                         static_cast<__int128>(a.hi) * b.hi};
-  __int128 lo = c[0], hi = c[0];
-  for (const __int128 v : c) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  return iv_exact(lo, hi);
-}
-
-Interval iv_div(Interval a, Interval b) {
-  // Only the positive-divisor, finite case is worth modelling; C++ division
-  // truncates toward zero, so corner quotients bound the result.
-  if (b.lo < 1 || !finite(b.hi) || !finite(a.lo) || !finite(a.hi)) {
-    return top();
-  }
-  const Value c[4] = {a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi};
-  return {*std::min_element(c, c + 4), *std::max_element(c, c + 4)};
-}
-
-Interval iv_mod(Interval a, Interval b) {
-  // C++ % takes the dividend's sign and |result| < divisor.
-  if (b.lo < 1 || !finite(b.hi)) return top();
-  const Value m = b.hi - 1;
-  if (a.lo >= 0) return {0, m};
-  return {-m, m};
-}
-
-Interval iv_shr(Interval a, Interval) {
-  // The VM masks the shift count to [0, 63]; a non-negative value can only
-  // shrink toward zero.
-  if (a.lo >= 0) return {0, a.hi};
-  return top();
-}
-
-Interval iv_bitand(Interval a, Interval b) {
-  // For y >= 0, x & y keeps only bits of y: the result is in [0, y]
-  // whatever x is. This is the transfer that proves randprog's
-  // `expr & (size-1)` index masks in-bounds.
-  Value hi = kPosInf;
-  if (b.lo >= 0) hi = std::min(hi, b.hi);
-  if (a.lo >= 0) hi = std::min(hi, a.hi);
-  if (hi == kPosInf) return top();
-  return {0, hi};
-}
-
-/// Smallest 2^k - 1 >= v (v >= 0); the shared upper bound of x|y and x^y
-/// for non-negative operands below 2^k.
-Value bits_ceil(Value v) {
-  Value m = 1;
-  while (m - 1 < v) {
-    if (m > (kPosInf >> 1)) return kPosInf;
-    m <<= 1;
-  }
-  return m - 1;
-}
-
-Interval iv_bitor(Interval a, Interval b) {
-  if (a.lo < 0 || b.lo < 0 || !finite(a.hi) || !finite(b.hi)) return top();
-  return {std::max(a.lo, b.lo), bits_ceil(std::max(a.hi, b.hi))};
-}
-
-Interval iv_bitxor(Interval a, Interval b) {
-  if (a.lo < 0 || b.lo < 0 || !finite(a.hi) || !finite(b.hi)) return top();
-  return {0, bits_ceil(std::max(a.hi, b.hi))};
-}
-
-Interval iv_neg(Interval a) {
-  // Only -INT64_MIN wraps; iv_exact turns that single case into top().
-  return iv_exact(-static_cast<__int128>(a.hi), -static_cast<__int128>(a.lo));
-}
-
-Interval iv_bitnot(Interval a) {
-  // ~x == -x - 1, monotone decreasing and total on int64: never wraps.
-  return {~a.hi, ~a.lo};
-}
-
-/// Joined-in facts only ever widen an interval; returns whether it moved.
-bool join_interval(Interval& into, const Interval& from, bool widen) {
-  bool changed = false;
-  if (from.lo < into.lo) {
-    into.lo = widen ? kNegInf : from.lo;
-    changed = true;
-  }
-  if (from.hi > into.hi) {
-    into.hi = widen ? kPosInf : from.hi;
-    changed = true;
-  }
-  return changed;
-}
-
-// ---------------------------------------------------------------------------
-// Abstract machine state
-// ---------------------------------------------------------------------------
-
-/// One fact a branch edge may assume: scalars[scalar] lies in `iv`.
-struct Refine {
-  std::uint32_t scalar = 0;
-  Interval iv;
-};
-
-bool operator==(const Refine& a, const Refine& b) {
-  return a.scalar == b.scalar && a.iv.lo == b.iv.lo && a.iv.hi == b.iv.hi;
-}
-
-/// One abstract operand-stack slot: its value interval, an optional
-/// provenance link ("this is a direct copy of scalars[scalar]", which lets
-/// comparisons mint Refines), and — for comparison/logical results — the
-/// refinements each branch edge may apply when this value decides it.
-struct AbsVal {
-  Interval iv;
-  std::int32_t scalar = -1;
-  std::vector<Refine> if_true;
-  std::vector<Refine> if_false;
-};
-
-struct AbsState {
-  bool reachable = false;
-  std::int32_t depth = 0;
-  std::int32_t ghost = 0;
-  std::vector<Interval> scalars;
-  /// Scalar-interval snapshots pushed at kGhostEnter/kPadEnter, restored
-  /// at kGhostExit — mirroring the VM's shadow-frame discard exactly.
-  std::vector<std::vector<Interval>> snapshots;
-  std::vector<AbsVal> stack;
-};
-
-void drop_refines(std::vector<Refine>& rs, std::uint32_t slot) {
-  rs.erase(std::remove_if(rs.begin(), rs.end(),
-                          [&](const Refine& r) { return r.scalar == slot; }),
-           rs.end());
-}
-
-/// A write to scalars[slot] stales every live provenance link and pending
-/// refinement naming it — facts about the old value must not constrain the
-/// new one.
-void invalidate_scalar(AbsState& s, std::uint32_t slot) {
-  for (AbsVal& v : s.stack) {
-    if (v.scalar == static_cast<std::int32_t>(slot)) v.scalar = -1;
-    drop_refines(v.if_true, slot);
-    drop_refines(v.if_false, slot);
-  }
-}
-
-/// Ghost boundaries restore scalars wholesale; every provenance link and
-/// pending refinement is conservatively staled.
-void invalidate_all(AbsState& s) {
-  for (AbsVal& v : s.stack) {
-    v.scalar = -1;
-    v.if_true.clear();
-    v.if_false.clear();
-  }
-}
-
-void apply_refines(AbsState& s, const std::vector<Refine>& rs) {
-  for (const Refine& r : rs) {
-    Interval& cur = s.scalars[r.scalar];
-    const Value lo = std::max(cur.lo, r.iv.lo);
-    const Value hi = std::min(cur.hi, r.iv.hi);
-    // An empty intersection means the edge is infeasible; keeping the
-    // unrefined interval stays sound without pruning the edge (pruning
-    // would desync the computed stack high-water from the compiler's).
-    if (lo <= hi) cur = {lo, hi};
-  }
-}
-
-bool join_val(AbsVal& into, const AbsVal& from, bool widen) {
-  bool changed = join_interval(into.iv, from.iv, widen);
-  if (into.scalar != from.scalar && into.scalar != -1) {
-    into.scalar = -1;
-    changed = true;
-  }
-  if (!(into.if_true == from.if_true) && !into.if_true.empty()) {
-    into.if_true.clear();
-    changed = true;
-  }
-  if (!(into.if_false == from.if_false) && !into.if_false.empty()) {
-    into.if_false.clear();
-    changed = true;
-  }
-  return changed;
-}
-
-// ---------------------------------------------------------------------------
-// The verifier proper
-// ---------------------------------------------------------------------------
-
-/// Operand-stack slots an op consumes (reads below the current depth).
-int stack_inputs(OpCode code) {
-  switch (code) {
-    case OpCode::kStoreScalar:
-    case OpCode::kPop:
-    case OpCode::kBranch:
-    case OpCode::kLoopNext:
-    case OpCode::kLoadElem:
-    case OpCode::kLoadElemU:
-    case OpCode::kNeg:
-    case OpCode::kLNot:
-    case OpCode::kBitNot:
-      return 1;
-    case OpCode::kStoreElem:
-    case OpCode::kStoreElemU:
-    case OpCode::kAdd:
-    case OpCode::kSub:
-    case OpCode::kMul:
-    case OpCode::kDiv:
-    case OpCode::kMod:
-    case OpCode::kShl:
-    case OpCode::kShr:
-    case OpCode::kBitAnd:
-    case OpCode::kBitOr:
-    case OpCode::kBitXor:
-    case OpCode::kLt:
-    case OpCode::kLe:
-    case OpCode::kGt:
-    case OpCode::kGe:
-    case OpCode::kEq:
-    case OpCode::kNe:
-    case OpCode::kLAnd:
-    case OpCode::kLOr:
-      return 2;
-    case OpCode::kSelect:
-      return 3;
-    default:
-      return 0;
-  }
-}
-
-/// Net stack effect (mirrors the compiler's accounting in bytecode.cpp).
-int stack_delta_of(OpCode code) {
+StackEffect stack_effect(OpCode code) {
+  if (code >= OpCode::kAdd && code <= OpCode::kLOr) return {2, 1};
+  if (code >= OpCode::kNeg && code <= OpCode::kBitNot) return {1, 1};
   switch (code) {
     case OpCode::kPushConst:
     case OpCode::kLoadScalar:
-      return 1;
+      return {0, 1};
+    case OpCode::kLoadElem:
+      return {1, 1};
     case OpCode::kStoreScalar:
     case OpCode::kPop:
     case OpCode::kBranch:
     case OpCode::kLoopNext:
-      return -1;
+      return {1, 0};
     case OpCode::kStoreElem:
-    case OpCode::kStoreElemU:
+      return {2, 0};
     case OpCode::kSelect:
-      return -2;
+      return {3, 1};
     default:
-      break;
-  }
-  if (code >= OpCode::kAdd && code <= OpCode::kLOr) return -1;
-  return 0;
-}
-
-bool is_comparison(OpCode code) {
-  return code >= OpCode::kLt && code <= OpCode::kNe;
-}
-
-/// Interval result of a binary op (comparison/logical results are handled
-/// by the caller, which also mints Refines).
-Interval binary_interval(OpCode code, Interval a, Interval b) {
-  switch (code) {
-    case OpCode::kAdd:
-      return iv_add(a, b);
-    case OpCode::kSub:
-      return iv_sub(a, b);
-    case OpCode::kMul:
-      return iv_mul(a, b);
-    case OpCode::kDiv:
-      return iv_div(a, b);
-    case OpCode::kMod:
-      return iv_mod(a, b);
-    case OpCode::kShl:
-      return top();
-    case OpCode::kShr:
-      return iv_shr(a, b);
-    case OpCode::kBitAnd:
-      return iv_bitand(a, b);
-    case OpCode::kBitOr:
-      return iv_bitor(a, b);
-    case OpCode::kBitXor:
-      return iv_bitxor(a, b);
-    default:
-      return {0, 1};  // comparisons and logicals
+      return {0, 0};
   }
 }
 
-/// Builds the comparison result slot: interval [0,1] plus the Refines each
-/// branch edge may assume about directly-compared scalars.
-AbsVal compare_transfer(OpCode code, const AbsVal& l, const AbsVal& r) {
-  AbsVal out;
-  out.iv = {0, 1};
-  const auto add_t = [&](std::int32_t s, Interval iv) {
-    out.if_true.push_back({static_cast<std::uint32_t>(s), iv});
-  };
-  const auto add_f = [&](std::int32_t s, Interval iv) {
-    out.if_false.push_back({static_cast<std::uint32_t>(s), iv});
-  };
-  if (l.scalar >= 0) {
-    switch (code) {
-      case OpCode::kLt:
-        add_t(l.scalar, {kNegInf, dec(r.iv.hi)});
-        add_f(l.scalar, {r.iv.lo, kPosInf});
-        break;
-      case OpCode::kLe:
-        add_t(l.scalar, {kNegInf, r.iv.hi});
-        add_f(l.scalar, {inc(r.iv.lo), kPosInf});
-        break;
-      case OpCode::kGt:
-        add_t(l.scalar, {inc(r.iv.lo), kPosInf});
-        add_f(l.scalar, {kNegInf, r.iv.hi});
-        break;
-      case OpCode::kGe:
-        add_t(l.scalar, {r.iv.lo, kPosInf});
-        add_f(l.scalar, {kNegInf, dec(r.iv.hi)});
-        break;
-      case OpCode::kEq:
-        add_t(l.scalar, r.iv);
-        break;
-      case OpCode::kNe:
-        add_f(l.scalar, r.iv);
-        break;
-      default:
-        break;
-    }
-  }
-  if (r.scalar >= 0) {
-    switch (code) {
-      case OpCode::kLt:
-        add_t(r.scalar, {inc(l.iv.lo), kPosInf});
-        add_f(r.scalar, {kNegInf, l.iv.hi});
-        break;
-      case OpCode::kLe:
-        add_t(r.scalar, {l.iv.lo, kPosInf});
-        add_f(r.scalar, {kNegInf, dec(l.iv.hi)});
-        break;
-      case OpCode::kGt:
-        add_t(r.scalar, {kNegInf, dec(l.iv.hi)});
-        add_f(r.scalar, {l.iv.lo, kPosInf});
-        break;
-      case OpCode::kGe:
-        add_t(r.scalar, {kNegInf, l.iv.hi});
-        add_f(r.scalar, {inc(l.iv.lo), kPosInf});
-        break;
-      case OpCode::kEq:
-        add_t(r.scalar, l.iv);
-        break;
-      case OpCode::kNe:
-        add_f(r.scalar, l.iv);
-        break;
-      default:
-        break;
-    }
-  }
-  return out;
-}
+/// What the walk knows at one op: the exact operand-stack depth and the
+/// number of open ghost frames. `stack < 0` marks an op not reached yet.
+struct Depths {
+  std::int32_t stack = -1;
+  std::int32_t ghost = 0;
+};
 
 class Checker {
 public:
   Checker(const BytecodeProgram& bc, VerifyResult& out) : bc_(bc), out_(out) {}
 
   void structural();
-  void dataflow();
+  void walk();
 
 private:
   void err(std::uint32_t op, std::string message) {
@@ -434,232 +61,16 @@ private:
 
   void check_operands(std::uint32_t i, const Op& op);
 
-  /// Computes the successor edges of executing `op` on `in`; records
-  /// transfer errors. Returns false when propagation must stop at this op.
-  bool transfer(std::uint32_t i, const AbsState& in,
-                std::vector<std::pair<std::uint32_t, AbsState>>& out_edges);
-
-  /// What the join at a merge point may widen. Widening fires only on
-  /// back edges (target index <= source index) past the visit threshold,
-  /// and only for the scalar slots actually written inside the cycle's op
-  /// range — a loop counter of an OUTER loop flowing through an inner
-  /// loop head must keep its bound, or no refinement can ever recover it.
-  /// Stack slots and ghost snapshots widen with their scalar's filter
-  /// (snapshots) or unconditionally (stack) when active.
-  struct WidenPolicy {
-    bool active = false;
-    const std::vector<bool>* written = nullptr;  ///< per-scalar-slot filter
-  };
-
-  /// Joins `from` into `into`; reports depth/ghost mismatches at op `t`.
-  /// Returns whether `into` changed; sets `bad` on mismatch.
-  bool join_state(std::uint32_t t, AbsState& into, const AbsState& from,
-                  const WidenPolicy& wp, bool& bad);
-
-  /// Scalar slots written by any op in [t, p] — the body range of the
-  /// back edge p -> t in compiler-structured bytecode. (Adversarial
-  /// bytecode can hide cycle writes outside the range; the global
-  /// iteration cap keeps the verifier total and fail-closed there.)
-  const std::vector<bool>& written_in_cycle(std::uint32_t t, std::uint32_t p);
-
-  /// One descending (narrowing) sweep: recompute every reachable op's
-  /// incoming join from scratch. Starting from the widened post-fixpoint
-  /// this only tightens intervals, recovering the precision the widening
-  /// overshot (a loop counter widened to +inf at the body entry narrows
-  /// back to its refined bound).
-  void narrow(const AbsState& entry);
+  /// Control reaches op `t` with depths `d`: the first arrival records
+  /// them and queues `t`; every later one must agree (one report per op).
+  void reach(std::uint32_t t, Depths d);
 
   const BytecodeProgram& bc_;
   VerifyResult& out_;
-  std::vector<AbsState> st_;
-  std::vector<bool> errored_;
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<bool>>
-      written_cache_;
+  std::vector<Depths> at_;
+  std::vector<bool> mismatched_;
+  std::vector<std::uint32_t> work_;
 };
-
-const std::vector<bool>& Checker::written_in_cycle(std::uint32_t t,
-                                                   std::uint32_t p) {
-  const auto key = std::pair(t, p);
-  const auto it = written_cache_.find(key);
-  if (it != written_cache_.end()) return it->second;
-  std::vector<bool> written(bc_.scalar_names.size(), false);
-  for (std::uint32_t i = t; i <= p && i < bc_.ops.size(); ++i) {
-    const Op& op = bc_.ops[i];
-    if (op.code == OpCode::kStoreScalar || op.code == OpCode::kAddScalarImm) {
-      if (op.a < written.size()) written[op.a] = true;
-    }
-  }
-  return written_cache_.emplace(key, std::move(written)).first->second;
-}
-
-bool Checker::join_state(std::uint32_t t, AbsState& into, const AbsState& from,
-                         const WidenPolicy& wp, bool& bad) {
-  if (!into.reachable) {
-    into = from;
-    into.reachable = true;
-    return true;
-  }
-  if (into.depth != from.depth) {
-    err(t, "operand stack depth mismatch at merge: " +
-               std::to_string(into.depth) + " vs " +
-               std::to_string(from.depth));
-    bad = true;
-    return false;
-  }
-  if (into.ghost != from.ghost) {
-    err(t, "ghost nesting depth mismatch at merge: " +
-               std::to_string(into.ghost) + " vs " +
-               std::to_string(from.ghost));
-    bad = true;
-    return false;
-  }
-  const auto widen_scalar = [&](std::size_t k) {
-    return wp.active && wp.written != nullptr && (*wp.written)[k];
-  };
-  bool changed = false;
-  for (std::size_t k = 0; k < into.scalars.size(); ++k) {
-    changed |= join_interval(into.scalars[k], from.scalars[k],
-                             widen_scalar(k));
-  }
-  for (std::size_t g = 0; g < into.snapshots.size(); ++g) {
-    for (std::size_t k = 0; k < into.snapshots[g].size(); ++k) {
-      changed |= join_interval(into.snapshots[g][k], from.snapshots[g][k],
-                               widen_scalar(k));
-    }
-  }
-  for (std::size_t k = 0; k < into.stack.size(); ++k) {
-    changed |= join_val(into.stack[k], from.stack[k], wp.active);
-  }
-  return changed;
-}
-
-bool same_interval(const Interval& a, const Interval& b) {
-  return a.lo == b.lo && a.hi == b.hi;
-}
-
-bool same_state(const AbsState& a, const AbsState& b) {
-  if (a.depth != b.depth || a.ghost != b.ghost) return false;
-  for (std::size_t k = 0; k < a.scalars.size(); ++k) {
-    if (!same_interval(a.scalars[k], b.scalars[k])) return false;
-  }
-  for (std::size_t g = 0; g < a.snapshots.size(); ++g) {
-    for (std::size_t k = 0; k < a.snapshots[g].size(); ++k) {
-      if (!same_interval(a.snapshots[g][k], b.snapshots[g][k])) return false;
-    }
-  }
-  for (std::size_t k = 0; k < a.stack.size(); ++k) {
-    const AbsVal& x = a.stack[k];
-    const AbsVal& y = b.stack[k];
-    if (!same_interval(x.iv, y.iv) || x.scalar != y.scalar ||
-        !(x.if_true == y.if_true) || !(x.if_false == y.if_false)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Static successor targets of op i (mirrors `transfer`'s edges).
-void static_succs(const BytecodeProgram& bc, std::uint32_t i,
-                  std::vector<std::uint32_t>& out) {
-  out.clear();
-  const Op& op = bc.ops[i];
-  switch (op.code) {
-    case OpCode::kHalt:
-      return;
-    case OpCode::kJump:
-      out.push_back(op.a);
-      return;
-    case OpCode::kBranch:
-      out.push_back(i + 1);
-      out.push_back(op.a);
-      return;
-    case OpCode::kLoopNext:
-    case OpCode::kPadEnter:
-    case OpCode::kPadNext:
-      out.push_back(i + 1);
-      out.push_back(op.b);
-      return;
-    default:
-      out.push_back(i + 1);
-      return;
-  }
-}
-
-void Checker::narrow(const AbsState& entry) {
-  const auto n = static_cast<std::uint32_t>(bc_.ops.size());
-  std::vector<std::vector<std::uint32_t>> preds(n);
-  std::vector<std::uint32_t> succs;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!st_[i].reachable || errored_[i]) continue;
-    static_succs(bc_, i, succs);
-    for (const std::uint32_t t : succs) preds[t].push_back(i);
-  }
-
-  std::vector<bool> queued(n, false);
-  std::deque<std::uint32_t> work;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (st_[i].reachable && !errored_[i]) {
-      work.push_back(i);
-      queued[i] = true;
-    }
-  }
-
-  // Replacement semantics: each op's state becomes the join of its
-  // predecessors' freshly-computed out-edges, which lets intervals shrink.
-  // Every iterate remains a sound over-approximation, so the cap can stop
-  // the loop anywhere without losing soundness — only precision.
-  const std::uint64_t cap = static_cast<std::uint64_t>(n) * 64 + 2048;
-  std::uint64_t iters = 0;
-  std::vector<std::pair<std::uint32_t, AbsState>> edges;
-
-  while (!work.empty() && ++iters <= cap) {
-    const std::uint32_t t = work.front();
-    work.pop_front();
-    queued[t] = false;
-    if (errored_[t]) continue;
-
-    AbsState fresh;
-    bool have = false;
-    if (t == 0) {
-      fresh = entry;
-      have = true;
-    }
-    bool bad = false;
-    for (const std::uint32_t p : preds[t]) {
-      if (errored_[p] || !st_[p].reachable) continue;
-      edges.clear();
-      if (!transfer(p, st_[p], edges)) {
-        errored_[p] = true;
-        continue;
-      }
-      for (auto& [tt, s] : edges) {
-        if (tt != t) continue;
-        if (!have) {
-          fresh = std::move(s);
-          fresh.reachable = true;
-          have = true;
-        } else {
-          join_state(t, fresh, s, WidenPolicy{}, bad);
-        }
-      }
-    }
-    if (bad) {
-      errored_[t] = true;
-      continue;
-    }
-    // An op fed only through errored predecessors keeps its widened state
-    // rather than going dark (accepted programs never hit this).
-    if (!have || same_state(fresh, st_[t])) continue;
-    st_[t] = std::move(fresh);
-    static_succs(bc_, t, succs);
-    for (const std::uint32_t s : succs) {
-      if (!queued[s] && st_[s].reachable && !errored_[s]) {
-        work.push_back(s);
-        queued[s] = true;
-      }
-    }
-  }
-}
 
 void Checker::check_operands(std::uint32_t i, const Op& op) {
   const auto n = static_cast<std::uint32_t>(bc_.ops.size());
@@ -692,26 +103,6 @@ void Checker::check_operands(std::uint32_t i, const Op& op) {
     case OpCode::kStoreElem:
       in_range("array slot", op.a, bc_.arrays.size());
       break;
-    case OpCode::kLoadElemU:
-    case OpCode::kStoreElemU: {
-      in_range("array slot", op.a, bc_.arrays.size());
-      in_range("elision proof", op.b, bc_.proofs.size());
-      if (op.a < bc_.arrays.size() && op.b < bc_.proofs.size()) {
-        const ElisionProof& p = bc_.proofs[op.b];
-        if (p.op != i) {
-          err(i, "elision proof " + std::to_string(op.b) + " covers op " +
-                     std::to_string(p.op) + ", not this op");
-        }
-        if (p.lo < 0 || p.lo > p.hi ||
-            p.hi >= static_cast<Value>(bc_.arrays[op.a].size)) {
-          err(i, "elision proof claims [" + std::to_string(p.lo) + ", " +
-                     std::to_string(p.hi) + "] outside array '" +
-                     bc_.arrays[op.a].name + "' bounds [0, " +
-                     std::to_string(bc_.arrays[op.a].size) + ")");
-        }
-      }
-      break;
-    }
     case OpCode::kStepFetch:
     case OpCode::kFetch:
       in_range("fetch site", op.a, bc_.sites.size());
@@ -770,302 +161,99 @@ void Checker::structural() {
   }
 }
 
-bool Checker::transfer(
-    std::uint32_t i, const AbsState& in,
-    std::vector<std::pair<std::uint32_t, AbsState>>& out_edges) {
-  const Op& op = bc_.ops[i];
-  const int need = stack_inputs(op.code);
-  if (in.depth < need) {
-    err(i, std::string("operand stack underflow: ") + to_string(op.code) +
-               " needs " + std::to_string(need) + " value(s), depth is " +
-               std::to_string(in.depth));
-    return false;
+void Checker::reach(std::uint32_t t, Depths d) {
+  Depths& seen = at_[t];
+  if (seen.stack < 0) {
+    seen = d;
+    work_.push_back(t);
+    return;
   }
-
-  AbsState s = in;
-  const auto push = [&](AbsVal v) {
-    s.stack.push_back(std::move(v));
-    ++s.depth;
-  };
-  const auto pop = [&]() {
-    AbsVal v = std::move(s.stack.back());
-    s.stack.pop_back();
-    --s.depth;
-    return v;
-  };
-  const auto fallthrough = [&]() {
-    out_edges.emplace_back(i + 1, std::move(s));
-  };
-
-  switch (op.code) {
-    case OpCode::kHalt:
-      if (in.ghost != 0) {
-        err(i, "halt inside " + std::to_string(in.ghost) +
-                   " open ghost frame(s)");
-        return false;
-      }
-      return true;  // no successors
-    case OpCode::kPushConst:
-      push({cst(bc_.consts[op.a]), -1, {}, {}});
-      fallthrough();
-      return true;
-    case OpCode::kLoadScalar:
-      push({s.scalars[op.a], static_cast<std::int32_t>(op.a), {}, {}});
-      fallthrough();
-      return true;
-    case OpCode::kStoreScalar: {
-      const AbsVal v = pop();
-      s.scalars[op.a] = v.iv;
-      invalidate_scalar(s, op.a);
-      fallthrough();
-      return true;
-    }
-    case OpCode::kAddScalarImm:
-      s.scalars[op.a] = iv_add(s.scalars[op.a], cst(bc_.consts[op.b]));
-      invalidate_scalar(s, op.a);
-      fallthrough();
-      return true;
-    case OpCode::kLoadElem:
-    case OpCode::kLoadElemU:
-      s.stack.back() = {top(), -1, {}, {}};  // heap contents are arbitrary
-      fallthrough();
-      return true;
-    case OpCode::kStoreElem:
-    case OpCode::kStoreElemU:
-      pop();
-      pop();
-      fallthrough();
-      return true;
-    case OpCode::kSelect: {
-      const AbsVal else_v = pop();
-      const AbsVal then_v = pop();
-      pop();  // cond
-      AbsVal r{then_v.iv, -1, {}, {}};
-      join_interval(r.iv, else_v.iv, /*widen=*/false);
-      push(std::move(r));
-      fallthrough();
-      return true;
-    }
-    case OpCode::kPop:
-      pop();
-      fallthrough();
-      return true;
-    case OpCode::kNeg: {
-      AbsVal& v = s.stack.back();
-      v = {iv_neg(v.iv), -1, {}, {}};
-      fallthrough();
-      return true;
-    }
-    case OpCode::kLNot: {
-      AbsVal& v = s.stack.back();
-      v.iv = {0, 1};
-      v.scalar = -1;
-      std::swap(v.if_true, v.if_false);
-      fallthrough();
-      return true;
-    }
-    case OpCode::kBitNot: {
-      AbsVal& v = s.stack.back();
-      v = {iv_bitnot(v.iv), -1, {}, {}};
-      fallthrough();
-      return true;
-    }
-    case OpCode::kStepFetch:
-    case OpCode::kFetch:
-    case OpCode::kResetTrips:
-    case OpCode::kPathLoop:
-      fallthrough();
-      return true;
-    case OpCode::kJump:
-      out_edges.emplace_back(op.a, std::move(s));
-      return true;
-    case OpCode::kBranch:
-    case OpCode::kLoopNext: {
-      const AbsVal cond = pop();
-      const std::uint32_t not_taken =
-          op.code == OpCode::kBranch ? op.a : op.b;
-      AbsState taken = s;
-      apply_refines(taken, cond.if_true);
-      apply_refines(s, cond.if_false);
-      out_edges.emplace_back(i + 1, std::move(taken));
-      out_edges.emplace_back(not_taken, std::move(s));
-      return true;
-    }
-    case OpCode::kPadEnter: {
-      AbsState entered = s;
-      entered.snapshots.push_back(entered.scalars);
-      ++entered.ghost;
-      invalidate_all(entered);
-      out_edges.emplace_back(i + 1, std::move(entered));
-      out_edges.emplace_back(op.b, std::move(s));
-      return true;
-    }
-    case OpCode::kPadNext:
-      out_edges.emplace_back(op.b, s);
-      fallthrough();
-      return true;
-    case OpCode::kGhostEnter:
-      s.snapshots.push_back(s.scalars);
-      ++s.ghost;
-      invalidate_all(s);
-      fallthrough();
-      return true;
-    case OpCode::kGhostExit:
-      if (s.ghost == 0) {
-        err(i, "ghost exit with no open ghost frame");
-        return false;
-      }
-      s.scalars = std::move(s.snapshots.back());
-      s.snapshots.pop_back();
-      --s.ghost;
-      invalidate_all(s);
-      fallthrough();
-      return true;
-    default:
-      break;
+  if (mismatched_[t]) return;
+  if (seen.stack != d.stack) {
+    err(t, "operand stack depth mismatch at merge: " +
+               std::to_string(seen.stack) + " vs " + std::to_string(d.stack));
+    mismatched_[t] = true;
+  } else if (seen.ghost != d.ghost) {
+    err(t, "ghost nesting depth mismatch at merge: " +
+               std::to_string(seen.ghost) + " vs " + std::to_string(d.ghost));
+    mismatched_[t] = true;
   }
-
-  // Binary block (arithmetic, bitwise, comparisons, logicals).
-  const AbsVal r = pop();
-  AbsVal l = pop();
-  AbsVal result;
-  if (is_comparison(op.code)) {
-    result = compare_transfer(op.code, l, r);
-  } else if (op.code == OpCode::kLAnd) {
-    // Non-short-circuit: nonzero iff both nonzero, so both operands'
-    // true-edge facts hold together; nothing is known on the false edge.
-    result.iv = {0, 1};
-    result.if_true = l.if_true;
-    result.if_true.insert(result.if_true.end(), r.if_true.begin(),
-                          r.if_true.end());
-  } else if (op.code == OpCode::kLOr) {
-    result.iv = {0, 1};
-    result.if_false = l.if_false;
-    result.if_false.insert(result.if_false.end(), r.if_false.begin(),
-                           r.if_false.end());
-  } else {
-    result.iv = binary_interval(op.code, l.iv, r.iv);
-  }
-  push(std::move(result));
-  fallthrough();
-  return true;
 }
 
-void Checker::dataflow() {
+void Checker::walk() {
   const auto n = static_cast<std::uint32_t>(bc_.ops.size());
-  st_.assign(n, {});
-  errored_.assign(n, false);
-  std::vector<std::uint32_t> visits(n, 0);
-  std::vector<bool> queued(n, false);
-  std::deque<std::uint32_t> work;
+  at_.assign(n, {});
+  mismatched_.assign(n, false);
+  work_.clear();
+  reach(0, {0, 0});
 
-  AbsState entry;
-  entry.reachable = true;
-  // Input vectors may set any declared scalar to any value; entry is top.
-  entry.scalars.assign(bc_.scalar_names.size(), top());
-  st_[0] = entry;
-  work.push_back(0);
-  queued[0] = true;
-
-  constexpr std::uint32_t kWidenAfter = 4;
-  const std::uint64_t cap = static_cast<std::uint64_t>(n) * 1024 + 16384;
-  std::uint64_t iters = 0;
-  std::vector<std::pair<std::uint32_t, AbsState>> edges;
-
-  while (!work.empty()) {
-    if (++iters > cap) {
-      err(0, "abstract interpretation did not converge");
-      return;
-    }
-    const std::uint32_t i = work.front();
-    work.pop_front();
-    queued[i] = false;
-    if (errored_[i]) continue;
-
-    edges.clear();
-    if (!transfer(i, st_[i], edges)) {
-      errored_[i] = true;
+  // Depths are plain integers that merges must match exactly, so there is
+  // no fixpoint: each reachable op is visited once, from its first arrival.
+  std::int32_t high = 0;
+  std::uint32_t high_op = 0;
+  while (!work_.empty()) {
+    const std::uint32_t i = work_.back();
+    work_.pop_back();
+    const Op& op = bc_.ops[i];
+    const Depths in = at_[i];
+    const StackEffect effect = stack_effect(op.code);
+    if (in.stack < effect.pops) {
+      err(i, std::string("operand stack underflow: ") + to_string(op.code) +
+                 " needs " + std::to_string(effect.pops) +
+                 " value(s), depth is " + std::to_string(in.stack));
       continue;
     }
-    for (auto& [t, s] : edges) {
-      if (errored_[t]) continue;
-      WidenPolicy wp;
-      if (t <= i && visits[t] > kWidenAfter) {
-        wp.active = true;
-        wp.written = &written_in_cycle(t, i);
-      }
-      bool bad = false;
-      const bool changed = join_state(t, st_[t], s, wp, bad);
-      if (bad) {
-        errored_[t] = true;
-        continue;
-      }
-      if (changed && !queued[t]) {
-        work.push_back(t);
-        queued[t] = true;
-        ++visits[t];
-      }
+    Depths next{in.stack - effect.pops + effect.pushes, in.ghost};
+    if (next.stack > high) {
+      high = next.stack;
+      high_op = i;
+    }
+    // The structural pass guarantees every target and every fallthrough
+    // (i + 1 for any op but a final kHalt/kJump) is inside the stream.
+    switch (op.code) {
+      case OpCode::kHalt:
+        if (in.ghost != 0) {
+          err(i, "halt inside " + std::to_string(in.ghost) +
+                     " open ghost frame(s)");
+        }
+        break;
+      case OpCode::kJump:
+        reach(op.a, next);
+        break;
+      case OpCode::kBranch:
+        reach(i + 1, next);
+        reach(op.a, next);
+        break;
+      case OpCode::kLoopNext:
+      case OpCode::kPadNext:
+        reach(i + 1, next);
+        reach(op.b, next);
+        break;
+      case OpCode::kPadEnter:
+        reach(op.b, next);
+        ++next.ghost;  // the pad section runs inside a fresh ghost frame
+        reach(i + 1, next);
+        break;
+      case OpCode::kGhostEnter:
+        ++next.ghost;
+        reach(i + 1, next);
+        break;
+      case OpCode::kGhostExit:
+        if (in.ghost == 0) {
+          err(i, "ghost exit with no open ghost frame");
+          break;
+        }
+        --next.ghost;
+        reach(i + 1, next);
+        break;
+      default:
+        reach(i + 1, next);
+        break;
     }
   }
 
-  // A descending pass recovers the precision the widening overshot.
-  narrow(entry);
-
-  // Post-pass over the fixpoint: high-water mark, dead ops, element-access
-  // proofs, and audits of recorded elision proofs.
-  std::int32_t high = 0;
-  std::uint32_t high_op = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
-    const AbsState& s = st_[i];
-    if (!s.reachable) {
-      out_.dead_ops.push_back(i);
-      continue;
-    }
-    if (errored_[i]) continue;
-    const Op& op = bc_.ops[i];
-    const int after = s.depth + stack_delta_of(op.code);
-    if (after > high) {
-      high = after;
-      high_op = i;
-    }
-    switch (op.code) {
-      case OpCode::kLoadElem:
-      case OpCode::kStoreElem: {
-        ++out_.elem_ops;
-        const int idx_slot =
-            op.code == OpCode::kLoadElem ? s.depth - 1 : s.depth - 2;
-        if (idx_slot < 0) break;  // underflow already reported
-        const Interval idx = s.stack[static_cast<std::size_t>(idx_slot)].iv;
-        const auto size = static_cast<Value>(bc_.arrays[op.a].size);
-        // In bounds on every path: the elision candidate. The proof also
-        // holds in ghost regions — an index inside [0, size) makes the
-        // ghost wrap the identity.
-        if (idx.lo >= 0 && idx.hi < size) {
-          out_.provable.push_back({i, idx.lo, idx.hi});
-        }
-        break;
-      }
-      case OpCode::kLoadElemU:
-      case OpCode::kStoreElemU: {
-        ++out_.elem_ops;
-        if (op.b >= bc_.proofs.size()) break;  // structural already failed
-        const int idx_slot =
-            op.code == OpCode::kLoadElemU ? s.depth - 1 : s.depth - 2;
-        if (idx_slot < 0) break;
-        const Interval idx = s.stack[static_cast<std::size_t>(idx_slot)].iv;
-        const ElisionProof& p = bc_.proofs[op.b];
-        if (idx.lo < p.lo || idx.hi > p.hi) {
-          err(i, "computed index interval [" + std::to_string(idx.lo) + ", " +
-                     std::to_string(idx.hi) +
-                     "] escapes the recorded elision proof [" +
-                     std::to_string(p.lo) + ", " + std::to_string(p.hi) +
-                     "] for array '" + bc_.arrays[op.a].name + "'");
-        }
-        break;
-      }
-      default:
-        break;
-    }
+    if (at_[i].stack < 0) out_.dead_ops.push_back(i);
   }
   out_.computed_max_stack = static_cast<std::uint32_t>(high);
   if (out_.errors.empty() && out_.computed_max_stack != bc_.max_stack) {
@@ -1089,36 +277,9 @@ VerifyResult verify(const BytecodeProgram& bc) {
   VerifyResult out;
   Checker checker(bc, out);
   checker.structural();
-  if (!out.errors.empty()) return out;  // fail closed before dataflow
-  checker.dataflow();
+  if (!out.errors.empty()) return out;  // fail closed before the walk
+  checker.walk();
   return out;
-}
-
-std::size_t apply_elision(BytecodeProgram& bc, const VerifyResult& facts) {
-  std::size_t rewritten = 0;
-  bool faulted = false;
-  for (const ElisionProof& p : facts.provable) {
-    Op& op = bc.ops[p.op];
-    if (op.code != OpCode::kLoadElem && op.code != OpCode::kStoreElem) {
-      continue;
-    }
-    ElisionProof rec = p;
-    if constexpr (fuzz::verify_fault_compiled_in()) {
-      // MBCR_VERIFY_FAULT self-test bug: the first proof of a program is
-      // recorded too narrow (hi = lo). Re-verification of the elided
-      // program and the VM's validating mode must both catch this.
-      if (fuzz::verify_fault_enabled() && !faulted) {
-        rec.hi = rec.lo;
-        faulted = true;
-      }
-    }
-    op.code = op.code == OpCode::kLoadElem ? OpCode::kLoadElemU
-                                           : OpCode::kStoreElemU;
-    op.b = static_cast<std::uint32_t>(bc.proofs.size());
-    bc.proofs.push_back(rec);
-    ++rewritten;
-  }
-  return rewritten;
 }
 
 BytecodeProgram compile_verified(const Program& program, const Linked& linked) {
@@ -1132,14 +293,10 @@ BytecodeProgram compile_verified(const Program& program, const Linked& linked) {
     throw VerifyError(bc.name + ": verifier rejected compiled bytecode:\n" +
                       facts.describe());
   }
-  const std::size_t elided = apply_elision(bc, facts);
   if (obs::enabled()) {
-    // Verifier path tallies (deterministic per program — coverage signal
-    // for the guided fuzzer).
+    // Deterministic per program — coverage signal for the guided fuzzer.
     static const obs::Counter c_programs = obs::counter("verify.programs");
-    static const obs::Counter c_elisions = obs::counter("verify.elisions");
     c_programs.add();
-    c_elisions.add(elided);
   }
   return bc;
 }

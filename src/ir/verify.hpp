@@ -5,33 +5,21 @@
 //
 //   pass 1 (structural): every jump/branch target lands on an op boundary
 //   inside the program, every operand index (constant, scalar, array,
-//   fetch-site, loop, branch-id, proof) is in range, array heap windows
-//   tile the flat heap exactly, ghost/pad enter/exit ops are properly
-//   nested (a consistent ghost depth at every op, zero at kHalt), and no
-//   op can fall through off the end of the op stream.
+//   fetch-site, loop, branch-id) is in range, array heap windows tile the
+//   flat heap exactly, and no op can fall through off the end of the op
+//   stream.
 //
-//   pass 2 (abstract interpretation): a worklist fixpoint over the op-level
-//   CFG computes the *exact* operand-stack depth at every reachable op
-//   (merge points must agree, no underflow, and the high-water mark must
-//   equal the compiler's declared `max_stack`), propagates constant/
-//   interval facts for scalars and stack slots (with branch-condition
-//   refinement, so `for i = 0; i < N` proves i in [0, N-1] inside the
-//   body), proves a subset of kLoadElem/kStoreElem sites in-bounds, and
-//   flags statically-dead (unreachable) ops.
+//   pass 2 (reachability walk): one visit per reachable op computes the
+//   *exact* operand-stack depth and ghost-frame depth there. Merge points
+//   must agree on both, no op may underflow the stack, every kGhostExit
+//   must close an open frame, kHalt must see none open, and the stack
+//   high-water mark must equal the compiler's declared `max_stack`.
+//   Unreachable ops are flagged, not rejected.
 //
-// Proven element accesses feed back into execution: `apply_elision`
-// rewrites them to the unchecked kLoadElemU/kStoreElemU opcode variants
-// (recording the proven index interval as an `ElisionProof` the VM's
-// validating mode and any re-verification can audit), and the VM drops
-// the per-access bounds branch for them. `compile_verified` is the
-// pipeline the default executor uses: compile, verify (throwing
-// VerifyError on any diagnostic — fail closed), elide.
-//
-// The elision contract: an op is rewritten only when its index is proven
-// inside [0, size) on every path, which also makes the ghost-mode index
-// wrap the identity — elided execution is bit-identical to checked
-// execution, enforced by tests/ir/verify_test.cpp and the "verify" fuzz
-// oracle.
+// Together the two passes are what make the VM's unchecked operand-stack
+// pointer and its `frames_.back()` on ghost exit safe. `compile_verified`
+// is the pipeline the default executor uses: compile, then verify,
+// throwing VerifyError on any diagnostic (fail closed).
 #pragma once
 
 #include <cstdint>
@@ -50,19 +38,15 @@ struct VerifyIssue {
 };
 
 /// Everything `verify` learned about a program. `ok()` is the verdict;
-/// the rest are facts callers may feed back (elision) or report (lint).
+/// the rest are facts callers may report (lint).
 struct VerifyResult {
   std::vector<VerifyIssue> errors;
 
-  /// Exact operand-stack high-water mark from the dataflow (equals the
+  /// Exact operand-stack high-water mark from the walk (equals the
   /// declared max_stack on accepted programs).
   std::uint32_t computed_max_stack = 0;
   /// Statically-unreachable op indices (flagged, not rejected).
   std::vector<std::uint32_t> dead_ops;
-  /// Element-access ops whose index interval is proven inside bounds.
-  std::vector<ElisionProof> provable;
-  /// Total kLoadElem/kStoreElem/kLoadElemU/kStoreElemU ops seen.
-  std::size_t elem_ops = 0;
 
   bool ok() const { return errors.empty(); }
   /// "op 12: jump target 99 out of range [0, 40)" — one line per error.
@@ -76,20 +60,12 @@ public:
   using ExecError::ExecError;
 };
 
-/// Static analysis of `bc`; never executes it. Accepts both checked and
-/// already-elided programs — unchecked ops are verified against their
-/// recorded proof (claimed interval must contain the computed one and lie
-/// inside the array bounds).
+/// Static analysis of `bc`; never executes it.
 VerifyResult verify(const BytecodeProgram& bc);
 
-/// Rewrites every op in `facts.provable` to its unchecked variant and
-/// records the proofs in `bc.proofs` (op.b indexes the proof row).
-/// Returns the number of ops rewritten.
-std::size_t apply_elision(BytecodeProgram& bc, const VerifyResult& facts);
-
-/// The fail-closed compile pipeline of the default executor: compile,
+/// The fail-closed compile pipeline of the default executor: compile, then
 /// verify (throws VerifyError listing every diagnostic when the verifier
-/// rejects), apply elision.
+/// rejects).
 BytecodeProgram compile_verified(const Program& program, const Linked& linked);
 
 }  // namespace mbcr::ir

@@ -50,7 +50,7 @@ const obs::Counter* op_counters() {
 }
 #endif
 
-template <bool RecordTrace, bool ValidateElision = false, bool Tally = false>
+template <bool RecordTrace, bool Tally = false>
 class Machine {
 public:
   Machine(const BytecodeProgram& bc, const ExecOptions& options)
@@ -145,24 +145,6 @@ private:
                     std::to_string(arr.size) + ")");
   }
 
-  /// Validating mode only: an elided access whose index escapes the
-  /// recorded proof (or the real bounds) is a broken verifier, reported
-  /// with a distinctive text no checked execution can produce.
-  void audit_proof(const Op& op, const ArraySlot& arr, Value idx) const {
-    const ElisionProof& proof = bc_.proofs[op.b];
-    if (idx < proof.lo || idx > proof.hi || idx < 0 ||
-        static_cast<std::size_t>(idx) >= arr.size) {
-      throw ExecError(bc_.name + ": verify: index " + std::to_string(idx) +
-                      " escapes the proven range [" +
-                      std::to_string(proof.lo) + ", " +
-                      std::to_string(proof.hi) + "] of array '" + arr.name +
-                      "' (op " +
-                      std::to_string(static_cast<std::size_t>(
-                          &op - bc_.ops.data())) +
-                      ")");
-    }
-  }
-
   void ghost_enter() {
     frames_.push_back({scalars_, heap_});
     ++ghost_depth_;
@@ -212,8 +194,8 @@ private:
 #define VM_NEXT() goto vm_dispatch
 #endif
 
-template <bool RecordTrace, bool ValidateElision, bool Tally>
-void Machine<RecordTrace, ValidateElision, Tally>::exec_loop() {
+template <bool RecordTrace, bool Tally>
+void Machine<RecordTrace, Tally>::exec_loop() {
   const Op* const base = bc_.ops.data();
   const Op* ip = base;
   Value* sp = stack_.data();
@@ -520,40 +502,6 @@ vm_dispatch:
     VM_NEXT();
   }
 
-  // The elided element accesses: no bounds branch, no ghost index wrap —
-  // the verifier proved the index inside [0, size) on every path, which
-  // makes the wrap the identity. Everything else (trace, tokens, the
-  // ghost store->load demotion) is byte-for-byte the checked handler.
-  VM_CASE(kLoadElemU) {
-    const ArraySlot& arr = bc_.arrays[ip->a];
-    const Value idx = sp[-1];
-    if constexpr (ValidateElision) audit_proof(*ip, arr, idx);
-    if constexpr (RecordTrace) emit_data(arr, idx, AccessKind::kLoad);
-    Value v = heap_[arr.offset + static_cast<std::size_t>(idx)];
-    if constexpr (fuzz::vm_fault_compiled_in()) {
-      if (vm_fault_pending_) {
-        vm_fault_pending_ = false;
-        v += 1;
-      }
-    }
-    sp[-1] = v;
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kStoreElemU) {
-    const ArraySlot& arr = bc_.arrays[ip->a];
-    const Value value = *--sp;
-    const Value idx = *--sp;
-    if constexpr (ValidateElision) audit_proof(*ip, arr, idx);
-    if constexpr (RecordTrace) {
-      emit_data(arr, idx,
-                ghost_depth_ > 0 ? AccessKind::kLoad : AccessKind::kStore);
-    }
-    heap_[arr.offset + static_cast<std::size_t>(idx)] = value;
-    ++ip;
-    VM_NEXT();
-  }
-
 #if !MBCR_VM_USE_COMPUTED_GOTO
   }
 #endif
@@ -571,10 +519,10 @@ ExecResult run(const BytecodeProgram& bytecode, const InputVector& input,
   // loops carry zero instrumentation; selected only while obs is on.
   if (obs::enabled()) {
     if (options.record_trace) {
-      Machine<true, false, true> machine(bytecode, options);
+      Machine<true, true> machine(bytecode, options);
       return machine.run(input);
     }
-    Machine<false, false, true> machine(bytecode, options);
+    Machine<false, true> machine(bytecode, options);
     return machine.run(input);
   }
 #endif
@@ -583,27 +531,6 @@ ExecResult run(const BytecodeProgram& bytecode, const InputVector& input,
     return machine.run(input);
   }
   Machine<false> machine(bytecode, options);
-  return machine.run(input);
-}
-
-ExecResult run_validating(const BytecodeProgram& bytecode,
-                          const InputVector& input,
-                          const ExecOptions& options) {
-#if !defined(MBCR_OBS_DISABLED)
-  if (obs::enabled()) {
-    if (options.record_trace) {
-      Machine<true, true, true> machine(bytecode, options);
-      return machine.run(input);
-    }
-    Machine<false, true, true> machine(bytecode, options);
-    return machine.run(input);
-  }
-#endif
-  if (options.record_trace) {
-    Machine<true, true> machine(bytecode, options);
-    return machine.run(input);
-  }
-  Machine<false, true> machine(bytecode, options);
   return machine.run(input);
 }
 

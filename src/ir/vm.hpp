@@ -23,20 +23,9 @@ namespace mbcr::ir::vm {
 
 /// Executes compiled bytecode on `input`. `options.executor` is ignored
 /// (this IS the VM); record_trace and max_leaf_steps behave exactly as in
-/// the tree-walker. Unchecked (elided) element accesses run without any
-/// bounds branch — the verifier's proof (ir/verify.hpp) is what makes
-/// that sound.
+/// the tree-walker.
 ExecResult run(const BytecodeProgram& bytecode, const InputVector& input,
                const ExecOptions& options = {});
-
-/// Like `run`, but every elided element access is audited against its
-/// recorded ElisionProof (and the real array bounds) and throws a
-/// distinctive ExecError when the index escapes the proven range. This is
-/// the mode the "verify" fuzz oracle and the verifier tests execute in:
-/// a wrong proof becomes a deterministic trap instead of silent UB.
-ExecResult run_validating(const BytecodeProgram& bytecode,
-                          const InputVector& input,
-                          const ExecOptions& options = {});
 
 /// "computed-goto" or "switch" — the dispatch strategy of this build.
 const char* dispatch_kind();

@@ -120,14 +120,4 @@ ConvergenceResult converge_stream(const StreamSampler& sampler,
   return result;
 }
 
-ConvergenceResult converge(const Sampler& sampler,
-                           const ConvergenceConfig& config) {
-  return converge_stream(
-      [&sampler](std::vector<double>& sample, std::size_t count) {
-        const std::vector<double> chunk = sampler(count);
-        sample.insert(sample.end(), chunk.begin(), chunk.end());
-      },
-      config);
-}
-
 }  // namespace mbcr::mbpta

@@ -38,10 +38,6 @@ struct ConvergenceResult {
   std::vector<double> sample;       ///< all execution times collected
 };
 
-/// `sampler(k)` must append `k` fresh execution times and return them
-/// (it is called repeatedly; the campaign owns run numbering).
-using Sampler = std::function<std::vector<double>(std::size_t)>;
-
 /// Streaming sampler (campaign engine v2): `sampler(sample, k)` appends
 /// `k` fresh execution times directly onto `sample` — the growing sample
 /// IS the campaign sink, so extending the campaign never copies what was
@@ -52,10 +48,5 @@ using StreamSampler =
 
 ConvergenceResult converge_stream(const StreamSampler& sampler,
                                   const ConvergenceConfig& config = {});
-
-/// Legacy chunk protocol, adapted onto `converge_stream` (each chunk is
-/// copied once into the sample).
-ConvergenceResult converge(const Sampler& sampler,
-                           const ConvergenceConfig& config = {});
 
 }  // namespace mbcr::mbpta

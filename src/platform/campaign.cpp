@@ -199,10 +199,4 @@ void CampaignSampler::append_to(std::vector<double>& sample,
   next_run_ += count;
 }
 
-std::vector<double> CampaignSampler::operator()(std::size_t count) {
-  std::vector<double> chunk;
-  append_to(chunk, count);
-  return chunk;
-}
-
 }  // namespace mbcr::platform

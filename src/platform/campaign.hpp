@@ -82,7 +82,7 @@ std::vector<double> run_campaign_spawn(const Machine& machine,
                                        std::size_t first_run = 0);
 
 /// Stateful incremental sampler over the same deterministic run sequence;
-/// adapts a campaign to mbpta::converge().
+/// adapts a campaign to mbpta::converge_stream().
 class CampaignSampler {
 public:
   CampaignSampler(const Machine& machine, const CompactTrace& trace,
@@ -92,9 +92,6 @@ public:
   /// onto `sample` (runs are numbered consecutively across calls). One
   /// buffer growth, no intermediate chunk vector.
   void append_to(std::vector<double>& sample, std::size_t count);
-
-  /// Produces the next `count` execution times (legacy chunk protocol).
-  std::vector<double> operator()(std::size_t count);
 
   std::size_t runs_done() const { return next_run_; }
 

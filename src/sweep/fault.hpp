@@ -1,6 +1,5 @@
 // Compile-time-gated fault injection for the sweep's recovery paths —
-// the sharded-sweep analogue of MBCR_FUZZ_FAULT / MBCR_VM_FAULT /
-// MBCR_VERIFY_FAULT.
+// the sharded-sweep analogue of MBCR_FUZZ_FAULT / MBCR_VM_FAULT.
 //
 // A build configured with -DMBCR_SWEEP_FAULT=ON lets the environment
 // variable MBCR_SWEEP_FAULT arm one deliberate worker malfunction:

@@ -42,6 +42,8 @@ struct ConflictConfig {
 
 /// Enumerates cluster multisets of the configured sizes and estimates
 /// their impact. Returns groups sorted by extra_misses descending.
+/// Both enumerators poll the shutdown flag once per candidate group and
+/// throw util::ShutdownRequested after a SIGINT/SIGTERM.
 std::vector<ConflictGroup> enumerate_conflict_groups(
     const ReuseProfile& profile, const CacheConfig& cache,
     const ConflictConfig& config = {});

@@ -1,8 +1,8 @@
 // The differential fuzzing harness, tested as a subsystem: deterministic
 // case generation, all nine oracles green on the healthy build, failure
 // detection + shrinking + repro emission via the synthetic fault switch,
-// and the repro JSON round trip. The compile-time MBCR_FUZZ_FAULT,
-// MBCR_VM_FAULT and MBCR_VERIFY_FAULT hooks have gated tests at the bottom.
+// and the repro JSON round trip. The compile-time MBCR_FUZZ_FAULT and
+// MBCR_VM_FAULT hooks have gated tests at the bottom.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -304,54 +304,6 @@ TEST(FuzzVmFault, HookIsCompiledOutOfRegularBuilds) {
   EXPECT_FALSE(vm_fault_enabled());
   set_vm_fault_enabled(true);  // must stay inert without the macro
   EXPECT_FALSE(vm_fault_enabled());
-}
-#endif
-
-// --- the compile-time verifier miscompile hook ----------------------------
-
-#ifdef MBCR_VERIFY_FAULT
-TEST(FuzzVerifyFault, CompiledProofFaultIsCaughtShrunkAndEmitted) {
-  // In a -DMBCR_VERIFY_FAULT=ON build apply_elision records the first
-  // elision proof of each program too narrow (hi clamped to lo). The
-  // verify oracle must catch it: re-verification of the elided program
-  // sees the computed index interval escape the recorded proof, so the
-  // failure is STATIC — no execution divergence is needed. The shrunk
-  // case must still carry an array (proofs only exist for element
-  // accesses), and the repro must target the verify oracle.
-  ASSERT_TRUE(verify_fault_compiled_in());
-  set_verify_fault_enabled(true);
-  FuzzConfig cfg;
-  cfg.programs = 10;
-  cfg.seeds = 2;
-  cfg.rng_seed = 1;
-  cfg.oracle = "verify";
-  cfg.corpus_dir = ::testing::TempDir();
-  const FuzzReport report = run_fuzz(cfg);
-  ASSERT_FALSE(report.ok());
-  const FuzzFailure& failure = report.failures.front();
-  EXPECT_EQ(failure.oracle, "verify");
-  EXPECT_FALSE(failure.shrunk.program.arrays.empty());
-
-  ASSERT_FALSE(failure.repro_path.empty());
-  const Repro repro = load_repro(failure.repro_path);
-  EXPECT_EQ(repro.oracle, "verify");
-  EXPECT_EQ(ir::to_string(repro.data.program),
-            ir::to_string(failure.shrunk.program));
-
-  // Disarmed, the proofs are honest again and the repro replays green —
-  // the corpus contract the regular builds keep checking.
-  set_verify_fault_enabled(false);
-  const OracleOutcome replay = run_repro(repro);
-  EXPECT_TRUE(replay.ok) << replay.detail;
-  set_verify_fault_enabled(true);
-  std::remove(failure.repro_path.c_str());
-}
-#else
-TEST(FuzzVerifyFault, HookIsCompiledOutOfRegularBuilds) {
-  EXPECT_FALSE(verify_fault_compiled_in());
-  EXPECT_FALSE(verify_fault_enabled());
-  set_verify_fault_enabled(true);  // must stay inert without the macro
-  EXPECT_FALSE(verify_fault_enabled());
 }
 #endif
 

@@ -4,21 +4,19 @@
 // operand indices, stack underflow, a lying max_stack, unbalanced ghost
 // frames, broken heap tiling — must be refused with a diagnostic that
 // names the op and the reason. Acceptance: every suite kernel (original
-// and pubbed) and 500 randprog seeds verify clean, before and after
-// elision. Feedback: elided (unchecked) execution stays bit-identical to
-// checked execution and to the tree-walker, and the validating VM traps a
-// deliberately-narrowed proof at the exact access that escapes it.
+// and pubbed) and 500 randprog seeds verify clean, with the computed
+// high-water mark equal to the compiler's max_stack.
 #include "ir/verify.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 
 #include "ir/bytecode.hpp"
 #include "ir/interp.hpp"
 #include "ir/lower.hpp"
 #include "ir/randprog.hpp"
-#include "ir/vm.hpp"
 #include "pub/pub_transform.hpp"
 #include "suite/malardalen.hpp"
 #include "util/rng.hpp"
@@ -70,8 +68,6 @@ TEST(VerifyStructural, AcceptsTheHealthyProgram) {
   const VerifyResult result = verify(compile_sum());
   EXPECT_TRUE(result.ok()) << result.describe();
   EXPECT_TRUE(result.dead_ops.empty());
-  EXPECT_EQ(result.elem_ops, 1u);
-  EXPECT_EQ(result.provable.size(), 1u);
 }
 
 TEST(VerifyStructural, RejectsTheEmptyOpStream) {
@@ -123,7 +119,7 @@ TEST(VerifyStructural, RejectsABrokenHeapTiling) {
   expect_rejected(shrunk, "array windows cover 4 heap cells, heap_init has 3");
 }
 
-// --- pass 2: dataflow rejection -------------------------------------------
+// --- pass 2: reachability-walk rejection -------------------------------------------
 
 TEST(VerifyDataflow, RejectsStackUnderflow) {
   BytecodeProgram bc = compile_sum();
@@ -152,6 +148,22 @@ TEST(VerifyDataflow, RejectsUnbalancedGhostFrames) {
     bc.ops.insert(bc.ops.end() - 1, Op{OpCode::kGhostEnter, 0, 0});
     expect_rejected(bc, "halt inside 1 open ghost frame(s)");
   }
+}
+
+TEST(VerifyDataflow, RejectsDisagreeingDepthsAtAMerge) {
+  // Both edges of the branch reach the halt at op 3; op 2 sits on one of
+  // them only and changes a depth the merge then sees two values of.
+  BytecodeProgram bc;
+  bc.name = "merge";
+  bc.consts = {1};
+  bc.branch_ids = {0};
+  bc.max_stack = 1;
+  bc.ops = {Op{OpCode::kPushConst, 0, 0}, Op{OpCode::kBranch, 3, 0},
+            Op{OpCode::kPushConst, 0, 0}, Op{OpCode::kHalt, 0, 0}};
+  expect_rejected(bc, "op 3: operand stack depth mismatch at merge");
+
+  bc.ops[2] = Op{OpCode::kGhostEnter, 0, 0};
+  expect_rejected(bc, "op 3: ghost nesting depth mismatch at merge");
 }
 
 TEST(VerifyDataflow, FlagsStaticallyDeadOpsWithoutRejecting) {
@@ -184,7 +196,7 @@ TEST(VerifyDataflow, FlagsStaticallyDeadOpsWithoutRejecting) {
 
 // --- acceptance: the suite and the generator ------------------------------
 
-TEST(VerifyAcceptance, EverySuiteKernelVerifiesCleanCheckedAndElided) {
+TEST(VerifyAcceptance, EverySuiteKernelVerifiesClean) {
   for (const suite::SuiteEntry& entry : suite::all()) {
     const suite::SuiteBenchmark bench = entry.make();
     for (const bool pub : {false, true}) {
@@ -192,15 +204,10 @@ TEST(VerifyAcceptance, EverySuiteKernelVerifiesCleanCheckedAndElided) {
           pub ? pub::apply_pub(bench.program) : bench.program;
       const std::string where =
           std::string(entry.name) + (pub ? " pubbed" : " original");
-      BytecodeProgram bc = compile(program, lower(program));
+      const BytecodeProgram bc = compile(program, lower(program));
       const VerifyResult facts = verify(bc);
       EXPECT_TRUE(facts.ok()) << where << ":\n" << facts.describe();
       EXPECT_EQ(facts.computed_max_stack, bc.max_stack) << where;
-
-      apply_elision(bc, facts);
-      const VerifyResult audit = verify(bc);
-      EXPECT_TRUE(audit.ok())
-          << where << " after elision:\n" << audit.describe();
     }
   }
 }
@@ -208,155 +215,29 @@ TEST(VerifyAcceptance, EverySuiteKernelVerifiesCleanCheckedAndElided) {
 TEST(VerifyAcceptance, FiveHundredRandprogSeedsVerifyClean) {
   RandProgConfig cfg;
   cfg.scalar_alias_prob = 0.25;  // counters double as data registers
-  std::size_t proven = 0;
   for (std::uint64_t seed = 0; seed < 500; ++seed) {
     Xoshiro256 rng(mix64(0x5eed, seed));
     const Program program = random_program(rng, cfg);
     const Program pubbed = pub::apply_pub(program);
     for (const Program* p : {&program, &pubbed}) {
-      BytecodeProgram bc = compile(*p, lower(*p));
+      const BytecodeProgram bc = compile(*p, lower(*p));
       const VerifyResult facts = verify(bc);
       ASSERT_TRUE(facts.ok())
           << "seed " << seed << (p == &pubbed ? " pubbed" : " original")
           << ":\n"
           << facts.describe();
-      proven += facts.provable.size();
-      apply_elision(bc, facts);
-      const VerifyResult audit = verify(bc);
-      ASSERT_TRUE(audit.ok())
-          << "seed " << seed << (p == &pubbed ? " pubbed" : " original")
-          << " after elision:\n"
-          << audit.describe();
-    }
-  }
-  // randprog masks every element index, so the interval analysis must be
-  // proving accesses in bulk — elision over the generator is not vacuous.
-  EXPECT_GT(proven, 500u);
-}
-
-// --- feedback: elision is a no-op on observable behaviour ------------------
-
-/// One engine's observation: result or ExecError text.
-struct Observed {
-  bool threw = false;
-  std::string error;
-  ExecResult result;
-};
-
-template <typename Fn>
-Observed observe(Fn&& fn) {
-  Observed o;
-  try {
-    o.result = fn();
-  } catch (const ExecError& e) {
-    o.threw = true;
-    o.error = e.what();
-  }
-  return o;
-}
-
-void expect_same(const Observed& a, const Observed& b,
-                 const std::string& where) {
-  ASSERT_EQ(a.threw, b.threw)
-      << where << ": engines disagree on whether the run throws (\""
-      << a.error << "\" vs \"" << b.error << "\")";
-  if (a.threw) {
-    EXPECT_EQ(a.error, b.error) << where;
-    return;
-  }
-  EXPECT_EQ(a.result.trace.accesses, b.result.trace.accesses) << where;
-  EXPECT_EQ(a.result.tokens, b.result.tokens) << where;
-  EXPECT_EQ(a.result.path, b.result.path) << where;
-  EXPECT_EQ(a.result.leaf_steps, b.result.leaf_steps) << where;
-  EXPECT_EQ(a.result.env.scalars, b.result.env.scalars) << where;
-  EXPECT_EQ(a.result.env.arrays, b.result.env.arrays) << where;
-}
-
-/// Checked VM, elided VM, elided validating VM and the tree-walker must
-/// all observe the same run.
-void expect_elision_is_identity(const Program& program,
-                                const InputVector& input,
-                                const std::string& where) {
-  const Linked linked = lower(program);
-  const BytecodeProgram checked = compile(program, linked);
-  BytecodeProgram elided = checked;
-  const VerifyResult facts = verify(elided);
-  ASSERT_TRUE(facts.ok()) << where << ":\n" << facts.describe();
-  apply_elision(elided, facts);
-
-  const Observed tree =
-      observe([&] { return execute_tree(program, linked, input, {}); });
-  expect_same(tree, observe([&] { return vm::run(checked, input, {}); }),
-              where + " [checked vm]");
-  expect_same(tree, observe([&] { return vm::run(elided, input, {}); }),
-              where + " [elided vm]");
-  expect_same(tree,
-              observe([&] { return vm::run_validating(elided, input, {}); }),
-              where + " [validating vm]");
-}
-
-TEST(VerifyElision, SuiteKernelsRunBitIdenticalAfterElision) {
-  for (const suite::SuiteEntry& entry : suite::all()) {
-    const suite::SuiteBenchmark bench = entry.make();
-    const Program pubbed = pub::apply_pub(bench.program);
-    std::vector<InputVector> inputs = bench.path_inputs;
-    inputs.push_back(bench.default_input);
-    for (const InputVector& in : inputs) {
-      expect_elision_is_identity(bench.program, in,
-                                 bench.name + " [" + in.label +
-                                     "] original");
-      expect_elision_is_identity(pubbed, in,
-                                 bench.name + " [" + in.label + "] pubbed");
+      ASSERT_EQ(facts.computed_max_stack, bc.max_stack) << "seed " << seed;
     }
   }
 }
 
-TEST(VerifyElision, RandprogSeedsRunBitIdenticalAfterElision) {
-  RandProgConfig cfg;
-  cfg.scalar_alias_prob = 0.25;
-  for (std::uint64_t seed = 0; seed < 100; ++seed) {
-    Xoshiro256 rng(mix64(0xe11de, seed));
-    const Program program = random_program(rng, cfg);
-    const InputVector in = random_input(program, rng, cfg);
-    expect_elision_is_identity(program, in,
-                               "seed " + std::to_string(seed));
-  }
-}
-
-TEST(VerifyElision, ValidatingVmTrapsADeliberatelyNarrowedProof) {
-  // Narrow the sum kernel's single proof to [0, 0]: re-verification must
-  // reject the claim statically, and the validating VM must trap at the
-  // first access outside it (index 1) while the plain VM — which trusts
-  // proofs by design — still runs.
-  const Program p = sum_program();
-  BytecodeProgram bc = compile(p, lower(p));
-  const VerifyResult facts = verify(bc);
-  ASSERT_EQ(facts.provable.size(), 1u);
-  ASSERT_EQ(apply_elision(bc, facts), 1u);
-  ASSERT_EQ(bc.proofs.size(), 1u);
-  bc.proofs[0].hi = 0;
-
-  expect_rejected(bc, "escapes the recorded elision proof [0, 0]");
-  EXPECT_NO_THROW(vm::run(bc, {}));
-  try {
-    vm::run_validating(bc, {});
-    FAIL() << "expected the proof audit to trap";
-  } catch (const ExecError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("verify: index 1 escapes the proven range [0, 0]"),
-              std::string::npos)
-        << what;
-  }
-}
-
-TEST(VerifyElision, CompileVerifiedThrowsVerifyErrorOnRejectedBytecode) {
-  // compile_verified on a healthy program succeeds and elides...
+TEST(VerifyAcceptance, CompileVerifiedReturnsTheCompiledProgram) {
   const Program p = sum_program();
   const BytecodeProgram bc = compile_verified(p, lower(p));
-  EXPECT_EQ(bc.count_ops(OpCode::kLoadElemU), 1u);
-  EXPECT_EQ(bc.count_ops(OpCode::kLoadElem), 0u);
-  // ...and the error type exists for callers that gate on it (the actual
-  // throw path needs a miscompile, pinned by the MBCR_VERIFY_FAULT build).
+  EXPECT_EQ(bc.ops.size(), compile_sum().ops.size());
+  EXPECT_EQ(bc.count_ops(OpCode::kLoadElem), 1u);
+  // Rejections surface as VerifyError, which fail-closed callers may catch
+  // as ExecError.
   static_assert(std::is_base_of_v<ExecError, VerifyError>);
 }
 

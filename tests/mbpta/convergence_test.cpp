@@ -13,22 +13,27 @@
 namespace mbcr::mbpta {
 namespace {
 
-Sampler exponential_sampler(double rate, std::uint64_t seed) {
+StreamSampler exponential_sampler(double rate, std::uint64_t seed) {
   auto rng = std::make_shared<Xoshiro256>(seed);
-  return [rng, rate](std::size_t k) {
-    std::vector<double> out;
-    out.reserve(k);
+  return [rng, rate](std::vector<double>& sample, std::size_t k) {
     for (std::size_t i = 0; i < k; ++i) {
-      out.push_back(1000.0 - std::log(1.0 - rng->uniform01()) / rate);
+      sample.push_back(1000.0 - std::log(1.0 - rng->uniform01()) / rate);
     }
-    return out;
+  };
+}
+
+/// Appends `k` copies of `value`: a degenerate (constant) distribution.
+StreamSampler constant_sampler(double value) {
+  return [value](std::vector<double>& sample, std::size_t k) {
+    sample.resize(sample.size() + k, value);
   };
 }
 
 TEST(Convergence, ConvergesOnStationaryDistribution) {
   ConvergenceConfig cfg;
   cfg.max_runs = 100000;
-  const ConvergenceResult res = converge(exponential_sampler(0.05, 1), cfg);
+  const ConvergenceResult res =
+      converge_stream(exponential_sampler(0.05, 1), cfg);
   EXPECT_TRUE(res.converged);
   EXPECT_GE(res.runs, cfg.min_runs);
   EXPECT_LE(res.runs, cfg.max_runs);
@@ -40,7 +45,8 @@ TEST(Convergence, EstimateNearAnalyticQuantile) {
   cfg.max_runs = 200000;
   cfg.probability = 1e-9;
   const double rate = 0.05;
-  const ConvergenceResult res = converge(exponential_sampler(rate, 2), cfg);
+  const ConvergenceResult res =
+      converge_stream(exponential_sampler(rate, 2), cfg);
   ASSERT_TRUE(res.converged);
   const double truth = 1000.0 - std::log(1e-9) / rate;
   EXPECT_NEAR(res.estimates.back(), truth, 0.15 * truth);
@@ -49,7 +55,8 @@ TEST(Convergence, EstimateNearAnalyticQuantile) {
 TEST(Convergence, RespectsMinRuns) {
   ConvergenceConfig cfg;
   cfg.min_runs = 1000;
-  const ConvergenceResult res = converge(exponential_sampler(0.1, 3), cfg);
+  const ConvergenceResult res =
+      converge_stream(exponential_sampler(0.1, 3), cfg);
   EXPECT_GE(res.runs, 1000u);
 }
 
@@ -57,8 +64,7 @@ TEST(Convergence, DegenerateDistributionConvergesAtWindowFill) {
   // A constant distribution converges as soon as the stability window has
   // its `window` estimates (min_runs plus a few growth steps).
   ConvergenceConfig cfg;
-  const ConvergenceResult res = converge(
-      [](std::size_t k) { return std::vector<double>(k, 500.0); }, cfg);
+  const ConvergenceResult res = converge_stream(constant_sampler(500.0), cfg);
   EXPECT_TRUE(res.converged);
   EXPECT_GE(res.runs, cfg.min_runs);
   EXPECT_LE(res.runs, 1000u);
@@ -70,14 +76,12 @@ TEST(Convergence, NonStationarySamplerDoesNotConverge) {
   auto rng = std::make_shared<Xoshiro256>(4);
   ConvergenceConfig cfg;
   cfg.max_runs = 5000;
-  const ConvergenceResult res = converge(
-      [state, rng](std::size_t k) {
-        std::vector<double> out;
+  const ConvergenceResult res = converge_stream(
+      [state, rng](std::vector<double>& sample, std::size_t k) {
         for (std::size_t i = 0; i < k; ++i) {
           *state += 1.0;
-          out.push_back(*state + rng->uniform01());
+          sample.push_back(*state + rng->uniform01());
         }
-        return out;
       },
       cfg);
   EXPECT_FALSE(res.converged);
@@ -86,29 +90,12 @@ TEST(Convergence, NonStationarySamplerDoesNotConverge) {
 
 TEST(Convergence, DeterministicGivenSampler) {
   ConvergenceConfig cfg;
-  const ConvergenceResult r1 = converge(exponential_sampler(0.05, 9), cfg);
-  const ConvergenceResult r2 = converge(exponential_sampler(0.05, 9), cfg);
+  const ConvergenceResult r1 =
+      converge_stream(exponential_sampler(0.05, 9), cfg);
+  const ConvergenceResult r2 =
+      converge_stream(exponential_sampler(0.05, 9), cfg);
   EXPECT_EQ(r1.runs, r2.runs);
   EXPECT_EQ(r1.estimates, r2.estimates);
-}
-
-TEST(Convergence, StreamSamplerMatchesChunkSampler) {
-  // The streaming protocol (engine v2) must walk the identical
-  // delta/stability schedule as the legacy chunk protocol.
-  ConvergenceConfig cfg;
-  cfg.max_runs = 100000;
-  const ConvergenceResult chunked = converge(exponential_sampler(0.05, 7), cfg);
-  Sampler legacy = exponential_sampler(0.05, 7);
-  const ConvergenceResult streamed = converge_stream(
-      [&legacy](std::vector<double>& sample, std::size_t k) {
-        const std::vector<double> chunk = legacy(k);
-        sample.insert(sample.end(), chunk.begin(), chunk.end());
-      },
-      cfg);
-  EXPECT_EQ(chunked.converged, streamed.converged);
-  EXPECT_EQ(chunked.runs, streamed.runs);
-  EXPECT_EQ(chunked.estimates, streamed.estimates);
-  EXPECT_EQ(chunked.sample, streamed.sample);
 }
 
 TEST(Convergence, StreamSamplerExhaustionStops) {
@@ -150,14 +137,12 @@ TEST(Convergence, MaxRunsBoundaryIsInclusive) {
   auto state = std::make_shared<double>(0.0);
   ConvergenceConfig cfg;
   cfg.max_runs = 400;  // min 300, first step +100 lands exactly on it
-  const ConvergenceResult res = converge(
-      [state](std::size_t k) {
-        std::vector<double> out;
+  const ConvergenceResult res = converge_stream(
+      [state](std::vector<double>& sample, std::size_t k) {
         for (std::size_t i = 0; i < k; ++i) {
           *state += 1.0;
-          out.push_back(*state);
+          sample.push_back(*state);
         }
-        return out;
       },
       cfg);
   EXPECT_FALSE(res.converged);
@@ -171,8 +156,7 @@ TEST(Convergence, NoConvergenceBeforeWindowFills) {
   // not filled: with window = 8, at least 8 probes must happen.
   ConvergenceConfig cfg;
   cfg.window = 8;
-  const ConvergenceResult res = converge(
-      [](std::size_t k) { return std::vector<double>(k, 500.0); }, cfg);
+  const ConvergenceResult res = converge_stream(constant_sampler(500.0), cfg);
   EXPECT_TRUE(res.converged);
   EXPECT_GE(res.estimates.size(), 8u);
   EXPECT_EQ(res.runs, res.sample.size());
@@ -187,8 +171,10 @@ TEST(Convergence, WindowToleranceGovernsStability) {
   ConvergenceConfig zero;
   zero.tolerance = 1e-12;
   zero.max_runs = 5000;
-  const ConvergenceResult rl = converge(exponential_sampler(0.05, 21), loose);
-  const ConvergenceResult rz = converge(exponential_sampler(0.05, 21), zero);
+  const ConvergenceResult rl =
+      converge_stream(exponential_sampler(0.05, 21), loose);
+  const ConvergenceResult rz =
+      converge_stream(exponential_sampler(0.05, 21), zero);
   EXPECT_TRUE(rl.converged);
   EXPECT_EQ(rl.estimates.size(), loose.window);  // stable at first chance
   EXPECT_FALSE(rz.converged);
@@ -198,7 +184,8 @@ TEST(Convergence, FinalEstimateMatchesFromScratchRefit) {
   // The incremental sorted-merge probe must equal a full PwcetCurve fit
   // of the final sample, bit for bit.
   ConvergenceConfig cfg;
-  const ConvergenceResult res = converge(exponential_sampler(0.05, 33), cfg);
+  const ConvergenceResult res =
+      converge_stream(exponential_sampler(0.05, 33), cfg);
   ASSERT_TRUE(res.converged);
   ASSERT_FALSE(res.estimates.empty());
   const PwcetCurve full(res.sample, cfg.evt);
@@ -243,8 +230,8 @@ TEST(Convergence, TighterToleranceNeedsMoreRuns) {
   ConvergenceConfig tight;
   tight.tolerance = 0.005;
   tight.max_runs = 300000;
-  const auto rl = converge(exponential_sampler(0.02, 5), loose);
-  const auto rt = converge(exponential_sampler(0.02, 5), tight);
+  const auto rl = converge_stream(exponential_sampler(0.02, 5), loose);
+  const auto rt = converge_stream(exponential_sampler(0.02, 5), tight);
   EXPECT_LE(rl.runs, rt.runs);
 }
 

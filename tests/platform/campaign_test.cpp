@@ -77,10 +77,7 @@ TEST(CampaignSampler, ChunksMatchOneShotCampaign) {
   const CampaignConfig cfg;
   CampaignSampler sampler(machine, trace, cfg);
   std::vector<double> collected;
-  for (std::size_t chunk : {100, 250, 50}) {
-    const auto c = sampler(chunk);
-    collected.insert(collected.end(), c.begin(), c.end());
-  }
+  for (std::size_t chunk : {100, 250, 50}) sampler.append_to(collected, chunk);
   EXPECT_EQ(sampler.runs_done(), 400u);
   EXPECT_EQ(collected, run_campaign(machine, trace, 400, cfg));
 }

@@ -7,10 +7,12 @@
 //   - crash-safe resume: damage the newest shard file, --resume re-runs
 //     exactly the damaged shard and reproduces the identical document;
 //   - fail-closed loaders: torn --spec files and fuzz repros exit 2;
-//   - graceful interruption: SIGINT/SIGTERM mid-run exit 130/143.
+//   - graceful interruption: SIGINT/SIGTERM mid-run exit 130/143 (fuzz,
+//     sweep, and TAC's conflict-group enumeration).
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -181,18 +183,25 @@ TEST(CliSweep, TornSpecAndReproFilesFailClosedWithExitTwo) {
 }
 
 /// Sends `sig` to a spawned CLI once it has had `delay_ms` to get going,
-/// then returns its exit status (guarding against hangs).
+/// then returns its exit status (guarding against hangs). `exit_after_ns`,
+/// when given, receives how long the child took to end once signalled.
 util::ExitStatus interrupt_cli(const std::vector<std::string>& argv, int sig,
-                               int delay_ms) {
+                               int delay_ms,
+                               std::uint64_t* exit_after_ns = nullptr) {
+  util::SystemClock& clock = util::SystemClock::instance();
   util::Child child = util::Child::spawn(argv);
   for (int waited = 0; waited < delay_ms; waited += 20) {
-    util::SystemClock::instance().sleep_ns(20'000'000);
+    clock.sleep_ns(20'000'000);
     if (child.poll().has_value()) break;  // finished before the signal
   }
   child.kill(sig);
+  const std::uint64_t signalled = clock.now_ns();
   for (int waited = 0; waited < 20'000; waited += 50) {
-    if (const auto status = child.poll(); status.has_value()) return *status;
-    util::SystemClock::instance().sleep_ns(50'000'000);
+    if (const auto status = child.poll(); status.has_value()) {
+      if (exit_after_ns != nullptr) *exit_after_ns = clock.now_ns() - signalled;
+      return *status;
+    }
+    clock.sleep_ns(50'000'000);
   }
   child.kill(SIGKILL);
   return child.wait();
@@ -205,6 +214,19 @@ TEST(CliSweep, FuzzInterruptedMidRunExits130) {
       interrupt_cli({kBin, "fuzz", "--time-budget", "30"}, SIGINT, 400);
   EXPECT_TRUE(status.exited);
   EXPECT_EQ(status.exit_code, 130);
+}
+
+TEST(CliSweep, TacInterruptedMidEnumerationExits143Promptly) {
+  // An 8-way TAC analysis enumerates conflict groups for minutes; the
+  // enumeration polls the shutdown flag once per candidate group, so a
+  // SIGTERM must end it within 2 s.
+  std::uint64_t exit_after_ns = 0;
+  const util::ExitStatus status = interrupt_cli(
+      {kBin, "tac", "--suite", "matmult", "--ways", "8", "--sets", "16"},
+      SIGTERM, 1000, &exit_after_ns);
+  EXPECT_TRUE(status.exited);
+  EXPECT_EQ(status.exit_code, 143);
+  EXPECT_LT(exit_after_ns, 2'000'000'000u);
 }
 
 TEST(CliSweep, SweepInterruptedMidRunExits143AndResumeFinishes) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <vector>
+
+#include "util/signal.hpp"
 
 namespace mbcr::tac {
 namespace {
@@ -153,6 +156,20 @@ TEST(ConflictGroups, ExtraGroupSizes) {
   }
   EXPECT_TRUE(saw_k5);
   EXPECT_TRUE(saw_k6);
+}
+
+TEST(ConflictGroups, EnumerationStopsOnShutdownRequest) {
+  const ReuseProfile profile = profile_sequence(round_robin(6, 100));
+  const CacheConfig cache = CacheConfig::example_s8w4();
+  util::install_shutdown_handlers();
+  util::reset_shutdown();
+  std::raise(SIGTERM);
+  EXPECT_THROW(enumerate_conflict_groups(profile, cache),
+               util::ShutdownRequested);
+  EXPECT_THROW(enumerate_conflict_groups_exhaustive(profile, cache, 5),
+               util::ShutdownRequested);
+  util::reset_shutdown();
+  EXPECT_FALSE(enumerate_conflict_groups(profile, cache).empty());
 }
 
 }  // namespace

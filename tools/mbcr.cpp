@@ -484,55 +484,40 @@ int cmd_fuzz(const SubcommandCli::Parsed& cmd) {
 }
 
 int cmd_lint(const SubcommandCli::Parsed& cmd) {
-  // Compile every suite kernel, run the static verifier over the checked
-  // bytecode, then elide the proven accesses and re-verify the elided
-  // program against its recorded proofs. One verdict row per kernel; any
-  // diagnostic is printed in full below the table. --fatal turns a
-  // rejection into exit 1 (the CI smoke uses it).
+  // Compile every suite kernel and run the static verifier over its
+  // bytecode. One verdict row per kernel; any diagnostic is printed in full
+  // below the table. --fatal turns a rejection into exit 1 (the CI smoke
+  // uses it).
   const std::string& only = cmd.str("suite");
   const bool fatal = parse_bool("fatal", cmd.str("fatal"));
   if (!only.empty() && suite::find(only) == nullptr) {
     throw std::invalid_argument("unknown --suite " + only);
   }
 
-  AsciiTable table({"kernel", "ops", "max stack", "dead ops", "elem proven",
-                    "elided", "verdict"});
+  AsciiTable table({"kernel", "ops", "max stack", "dead ops", "verdict"});
   std::size_t rejected = 0;
   std::ostringstream diagnostics;
   for (const suite::SuiteEntry& entry : suite::all()) {
     if (!only.empty() && only != entry.name) continue;
     const suite::SuiteBenchmark bench = entry.make();
-    const ir::Linked linked = ir::lower(bench.program);
-    ir::BytecodeProgram bc = ir::compile(bench.program, linked);
+    const ir::BytecodeProgram bc =
+        ir::compile(bench.program, ir::lower(bench.program));
     const ir::VerifyResult facts = ir::verify(bc);
-
-    std::string verdict = "ok";
-    std::size_t elided = 0;
     if (!facts.ok()) {
-      verdict = "REJECTED";
       ++rejected;
       diagnostics << entry.name << ":\n" << facts.describe();
-    } else {
-      elided = ir::apply_elision(bc, facts);
-      if (const ir::VerifyResult audit = ir::verify(bc); !audit.ok()) {
-        verdict = "REJECTED (elided)";
-        ++rejected;
-        diagnostics << entry.name << " (after elision):\n" << audit.describe();
-      }
     }
     table.add_row({std::string(entry.name), std::to_string(bc.ops.size()),
                    std::to_string(facts.computed_max_stack),
                    std::to_string(facts.dead_ops.size()),
-                   std::to_string(facts.provable.size()) + "/" +
-                       std::to_string(facts.elem_ops),
-                   std::to_string(elided), verdict});
+                   facts.ok() ? "ok" : "REJECTED"});
   }
   table.print(std::cout);
   if (rejected > 0) {
     std::cout << "\n" << diagnostics.str();
     std::cout << rejected << " kernel(s) rejected by the verifier\n";
   } else {
-    std::cout << "\nall kernels verify clean (checked and elided)\n";
+    std::cout << "\nall kernels verify clean\n";
   }
   return (fatal && rejected > 0) ? 1 : 0;
 }
