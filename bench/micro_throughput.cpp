@@ -6,12 +6,11 @@
 //  * default — the google-benchmark suites (available only when the
 //    binary was built with google-benchmark; all --benchmark_* flags work)
 //  * `--json FILE` — the replay-throughput report: runs/sec of
-//    `Machine::run_once` vs the trace-major `Machine::run_batch` per
-//    kernel and hierarchy flavor, timed with plain std::chrono (no
-//    google-benchmark needed) and written as JSON. This is the
-//    `BENCH_replay.json` CI artifact that tracks the perf trajectory.
-//    `--replay-runs N` caps the runs per timed case (CI smoke),
-//    `--batch W` overrides the batch width under test.
+//    `Machine::run_once` per kernel and hierarchy flavor, with each
+//    trace's full access count and folded replay entries, timed with plain
+//    std::chrono (no google-benchmark needed) and written as JSON. This is
+//    the `BENCH_replay.json` CI artifact that tracks the perf trajectory.
+//    `--replay-runs N` caps the runs per timed case (CI smoke).
 //  * `--interp-json FILE` — the interpreter-throughput report: complete
 //    functional executions/sec of the tree-walking interpreter vs the
 //    bytecode VM per kernel, equivalence re-verified bit-for-bit before
@@ -49,16 +48,19 @@ namespace {
 
 using namespace mbcr;
 
-CompactTrace kernel_trace(const std::string& name) {
+MemTrace kernel_mem_trace(const std::string& name) {
   const auto b = suite::make_benchmark(name);
-  return CompactTrace::from(
-      ir::lower_and_execute(b.program, b.default_input).trace);
+  return ir::lower_and_execute(b.program, b.default_input).trace;
+}
+
+CompactTrace kernel_trace(const std::string& name) {
+  return CompactTrace::from(kernel_mem_trace(name));
 }
 
 // ---------------------------------------------------------------------------
-// Replay-throughput report (--json): run_once vs run_batch, per kernel and
-// hierarchy flavor. Timed with steady_clock so the mode works in builds
-// without google-benchmark; each case first pins run_batch == run_once
+// Replay-throughput report (--json): run_once per kernel and hierarchy
+// flavor. Timed with steady_clock so the mode works in builds without
+// google-benchmark; each case first pins run_once == run_once_reference
 // bit-for-bit on its exact configuration.
 
 struct ReplayFlavor {
@@ -86,105 +88,66 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 struct ReplayCase {
   std::string kernel;
   std::string flavor;
-  std::size_t trace_accesses = 0;
+  std::size_t trace_accesses = 0;  ///< full trace
+  std::size_t entries = 0;         ///< replayed after folding
   double run_once_rps = 0;
-  double run_batch_rps = 0;
-  double speedup = 0;
 };
 
 ReplayCase time_replay_case(const std::string& kernel,
-                            const ReplayFlavor& flavor,
-                            const CompactTrace& trace, std::size_t runs,
-                            std::size_t batch) {
+                            const ReplayFlavor& flavor, const MemTrace& mem,
+                            const CompactTrace& trace, std::size_t runs) {
   const platform::Machine machine(flavor.config);
   platform::RunWorkspace ws;
   constexpr std::uint64_t kMasterSeed = 42;
 
-  // Bit-identity guard before timing: the same `batch`-wide slicing the
-  // timed loop uses, over the head of the same seed sequence.
-  {
-    const std::size_t guard_runs = std::min<std::size_t>(runs, 3 * batch);
-    std::vector<std::uint64_t> seeds;
-    std::vector<std::uint64_t> batched(guard_runs);
-    for (std::size_t i = 0; i < guard_runs;) {
-      const std::size_t width = std::min(batch, guard_runs - i);
-      seeds.resize(width);
-      for (std::size_t j = 0; j < width; ++j) {
-        seeds[j] = mix64(i + j, kMasterSeed);
-      }
-      machine.run_batch(trace, seeds, ws, batched.data() + i);
-      i += width;
-    }
-    for (std::size_t i = 0; i < guard_runs; ++i) {
-      if (batched[i] != machine.run_once(trace, mix64(i, kMasterSeed), ws)) {
-        std::fprintf(stderr,
-                     "run_batch mismatch: kernel %s flavor %s run %zu\n",
-                     kernel.c_str(), flavor.name, i);
-        std::abort();
-      }
+  // Bit-identity guard before timing: the folded fast replay against the
+  // generic-cache reference on the full trace, over the head of the timed
+  // seed sequence.
+  for (std::size_t i = 0; i < std::min<std::size_t>(runs, 8); ++i) {
+    const std::uint64_t seed = mix64(i, kMasterSeed);
+    if (machine.run_once(trace, seed, ws) !=
+        machine.run_once_reference(mem, seed)) {
+      std::fprintf(stderr, "run_once mismatch: kernel %s flavor %s run %zu\n",
+                   kernel.c_str(), flavor.name, i);
+      std::abort();
     }
   }
 
   ReplayCase out;
   out.kernel = kernel;
   out.flavor = flavor.name;
-  out.trace_accesses = trace.size();
+  out.trace_accesses = trace.accesses;
+  out.entries = trace.size();
 
-  // run_once, workspace overload: the per-run engine hot path.
   std::uint64_t sink = 0;
-  {
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < runs; ++i) {
-      sink ^= machine.run_once(trace, mix64(i, kMasterSeed), ws);
-    }
-    out.run_once_rps = static_cast<double>(runs) / seconds_since(start);
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < runs; ++i) {
+    sink ^= machine.run_once(trace, mix64(i, kMasterSeed), ws);
   }
-
-  // run_batch over the identical seed sequence, `batch`-wide slices.
-  std::vector<std::uint64_t> seeds(batch);
-  std::vector<std::uint64_t> cycles(batch);
-  {
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < runs;) {
-      const std::size_t width = std::min(batch, runs - i);
-      seeds.resize(width);
-      cycles.resize(width);
-      for (std::size_t j = 0; j < width; ++j) {
-        seeds[j] = mix64(i + j, kMasterSeed);
-      }
-      machine.run_batch(trace, seeds, ws, cycles.data());
-      sink ^= cycles[0];
-      i += width;
-    }
-    out.run_batch_rps = static_cast<double>(runs) / seconds_since(start);
-  }
+  out.run_once_rps = static_cast<double>(runs) / seconds_since(start);
   if (sink == 0xdeadbeef) std::fprintf(stderr, "...");  // keep `sink` live
-
-  out.speedup = out.run_batch_rps / out.run_once_rps;
   return out;
 }
 
-int run_replay_report(const std::string& json_path, std::size_t runs,
-                      std::size_t batch) {
+int run_replay_report(const std::string& json_path, std::size_t runs) {
   const std::vector<std::string> kernels = {"bs", "crc", "matmult"};
   json::Array cases;
-  std::printf("%-8s %-10s %10s %14s %14s %8s\n", "kernel", "flavor",
-              "accesses", "run_once r/s", "run_batch r/s", "speedup");
+  std::printf("%-8s %-10s %10s %10s %14s\n", "kernel", "flavor", "accesses",
+              "entries", "run_once r/s");
   for (const std::string& kernel : kernels) {
-    const CompactTrace trace = kernel_trace(kernel);
+    const MemTrace mem = kernel_mem_trace(kernel);
+    const CompactTrace trace = CompactTrace::from(mem);
     for (const ReplayFlavor& flavor : replay_flavors()) {
-      const ReplayCase c = time_replay_case(kernel, flavor, trace, runs,
-                                            batch);
-      std::printf("%-8s %-10s %10zu %14.0f %14.0f %7.2fx\n",
-                  c.kernel.c_str(), c.flavor.c_str(), c.trace_accesses,
-                  c.run_once_rps, c.run_batch_rps, c.speedup);
+      const ReplayCase c = time_replay_case(kernel, flavor, mem, trace, runs);
+      std::printf("%-8s %-10s %10zu %10zu %14.0f\n", c.kernel.c_str(),
+                  c.flavor.c_str(), c.trace_accesses, c.entries,
+                  c.run_once_rps);
       json::Object o;
       o.emplace_back("kernel", c.kernel);
       o.emplace_back("flavor", c.flavor);
       o.emplace_back("trace_accesses", c.trace_accesses);
+      o.emplace_back("entries", c.entries);
       o.emplace_back("run_once_runs_per_sec", c.run_once_rps);
-      o.emplace_back("run_batch_runs_per_sec", c.run_batch_rps);
-      o.emplace_back("speedup", c.speedup);
       cases.emplace_back(std::move(o));
     }
   }
@@ -192,15 +155,15 @@ int run_replay_report(const std::string& json_path, std::size_t runs,
   // metrics collection off vs on (same seeds, same workspace). The CI perf
   // gate pins on_over_off >= 0.98 (< 2% collection overhead), so the
   // measurement must be steadier than the gate: timing windows are floored
-  // at 10k runs (~160ms each) regardless of --replay-runs, and each mode
-  // takes the best of five interleaved repetitions to shave scheduler
-  // noise on shared CI runners.
+  // at 50k runs (~150ms each on folded crc) regardless of --replay-runs,
+  // and each mode takes the best of five interleaved repetitions to shave
+  // scheduler noise on shared CI runners.
   json::Object obs_overhead;
   {
     const CompactTrace trace = kernel_trace("crc");
     const platform::Machine machine;
     platform::RunWorkspace ws;
-    const std::size_t window = std::max<std::size_t>(runs, 10'000);
+    const std::size_t window = std::max<std::size_t>(runs, 50'000);
     std::uint64_t sink = 0;
     const auto time_runs = [&](bool on) {
       obs::set_enabled(on);
@@ -233,8 +196,7 @@ int run_replay_report(const std::string& json_path, std::size_t runs,
   }
 
   json::Object doc;
-  doc.emplace_back("schema", "mbcr-bench-replay-v2");
-  doc.emplace_back("batch_width", batch);
+  doc.emplace_back("schema", "mbcr-bench-replay-v3");
   doc.emplace_back("runs_per_case", runs);
   doc.emplace_back("cases", std::move(cases));
   doc.emplace_back("obs_overhead", json::Value(std::move(obs_overhead)));
@@ -375,35 +337,11 @@ void BM_MachineRunOnce(benchmark::State& state) {
     benchmark::DoNotOptimize(machine.run_once(trace, ++seed, ws));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(trace.size()));
-  state.SetLabel(b.name + " (" + std::to_string(trace.size()) + " accesses)");
+                          static_cast<std::int64_t>(trace.accesses));
+  state.SetLabel(b.name + " (" + std::to_string(trace.accesses) +
+                 " accesses, " + std::to_string(trace.size()) + " replayed)");
 }
 BENCHMARK(BM_MachineRunOnce)->Arg(0)->Arg(1)->Arg(2);
-
-// Trace-major batched replay vs the same runs replayed one by one.
-// items/sec == campaign runs/sec; arg is the batch width (1 == run_once).
-void BM_MachineRunBatch(benchmark::State& state) {
-  const auto trace = kernel_trace("crc");
-  const platform::Machine machine;
-  platform::RunWorkspace ws;
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint64_t> seeds(batch);
-  std::vector<std::uint64_t> cycles(batch);
-  std::uint64_t next = 0;
-  for (auto _ : state) {
-    if (batch == 1) {
-      benchmark::DoNotOptimize(machine.run_once(trace, ++next, ws));
-    } else {
-      for (std::size_t j = 0; j < batch; ++j) seeds[j] = ++next;
-      machine.run_batch(trace, seeds, ws, cycles.data());
-      benchmark::DoNotOptimize(cycles.data());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(batch));
-  state.SetLabel("crc, batch " + std::to_string(batch));
-}
-BENCHMARK(BM_MachineRunBatch)->Arg(1)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 // Hot-path overhead of the two-level hierarchy, tracked from day one:
 // the same trace replayed L1-only (arg 0), with a random L2 (arg 1) and
@@ -421,7 +359,7 @@ void BM_MachineRunOnceHierarchy(benchmark::State& state) {
     benchmark::DoNotOptimize(machine.run_once(trace, ++seed, ws));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(trace.size()));
+                          static_cast<std::int64_t>(trace.accesses));
   state.SetLabel(state.range(0) == 0   ? "L1 only"
                  : state.range(0) == 1 ? "L1+L2 random"
                                        : "L1+L2 lru");
@@ -436,84 +374,9 @@ void BM_ParallelCampaign(benchmark::State& state) {
     benchmark::DoNotOptimize(platform::run_campaign(machine, trace, runs));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(runs * trace.size()));
+                          static_cast<std::int64_t>(runs * trace.accesses));
 }
 BENCHMARK(BM_ParallelCampaign)->Arg(1000)->Arg(10000);
-
-// ---------------------------------------------------------------------------
-// Old-vs-new campaign engine. items/sec == campaign runs/sec.
-//
-// The workload is the convergence driver's access pattern: one logical
-// campaign of `total` runs executed as consecutive `chunk`-run extensions
-// (exactly what mbpta::converge_stream does per delta). The v1 engine
-// spawns and joins std::threads for every chunk and materializes a fresh
-// vector per chunk; the v2 engine reuses the shared persistent pool,
-// streams into one caller-owned buffer and replays trace-major batches.
-// Both produce bit-identical samples (checked at startup below and in
-// tests/platform/engine_equivalence).
-
-constexpr std::size_t kEngineTotalRuns = 10'000;
-constexpr std::size_t kEngineChunk = 512;
-constexpr unsigned kEngineThreads = 8;
-
-// The paper's flagship benchmark (binary search). Its short trace makes
-// campaigns engine-overhead-bound — exactly the regime the persistent
-// pool, the streaming sink, the reusable run workspace and the batched
-// replay target.
-const CompactTrace& engine_trace() {
-  static const CompactTrace trace = kernel_trace("bs");
-  return trace;
-}
-
-void BM_CampaignEngineV1SpawnPerChunk(benchmark::State& state) {
-  const auto& trace = engine_trace();
-  const platform::Machine machine;
-  platform::CampaignConfig cfg;
-  cfg.threads = kEngineThreads;
-  const auto chunk = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    std::vector<double> sample;
-    sample.reserve(kEngineTotalRuns);
-    for (std::size_t done = 0; done < kEngineTotalRuns; done += chunk) {
-      const std::vector<double> piece = platform::run_campaign_spawn(
-          machine, trace, std::min(chunk, kEngineTotalRuns - done), cfg, done);
-      sample.insert(sample.end(), piece.begin(), piece.end());
-    }
-    benchmark::DoNotOptimize(sample.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kEngineTotalRuns));
-}
-BENCHMARK(BM_CampaignEngineV1SpawnPerChunk)
-    ->Arg(kEngineChunk)
-    ->Arg(kEngineTotalRuns)
-    ->UseRealTime();
-
-void BM_CampaignEngineV2PersistentPool(benchmark::State& state) {
-  const auto& trace = engine_trace();
-  const platform::Machine machine;
-  platform::CampaignConfig cfg;
-  // Same concurrency bound as the v1 bench, so the comparison isolates
-  // engine overhead (spawn/join, alloc, copy, batching) from parallelism
-  // width.
-  cfg.threads = kEngineThreads;
-  const auto chunk = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    std::vector<double> sample;
-    sample.reserve(kEngineTotalRuns);
-    platform::CampaignSampler sampler(machine, trace, cfg);
-    for (std::size_t done = 0; done < kEngineTotalRuns; done += chunk) {
-      sampler.append_to(sample, std::min(chunk, kEngineTotalRuns - done));
-    }
-    benchmark::DoNotOptimize(sample.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kEngineTotalRuns));
-}
-BENCHMARK(BM_CampaignEngineV2PersistentPool)
-    ->Arg(kEngineChunk)
-    ->Arg(kEngineTotalRuns)
-    ->UseRealTime();
 
 void BM_InterpreterTrace(benchmark::State& state) {
   const auto b = suite::make_benchmark("crc");
@@ -578,39 +441,6 @@ BENCHMARK(BM_TacAnalysis);
 
 #endif  // MBCR_HAVE_GOOGLE_BENCHMARK
 
-/// Startup guard: the campaign engines (v1 spawn, v2 pool with batching)
-/// must agree byte-for-byte, for several thread counts and batch widths.
-const bool kEnginesAgree = [] {
-  const CompactTrace trace = kernel_trace("bs");
-  const platform::Machine machine;
-  platform::CampaignConfig base;
-  const std::vector<double> want =
-      platform::run_campaign(machine, trace, 2048, base);
-  for (unsigned threads : {1u, 2u, 8u}) {
-    platform::CampaignConfig cfg;
-    cfg.threads = threads;
-    if (platform::run_campaign_spawn(machine, trace, 2048, cfg) != want) {
-      std::fprintf(stderr, "engine mismatch at threads=%u\n", threads);
-      std::abort();
-    }
-  }
-  // Batch widths are checked on crc: bs is below the engine's tiny-trace
-  // fallback, so a bs campaign never batches.
-  const CompactTrace batched_trace = kernel_trace("crc");
-  const std::vector<double> batched_want =
-      platform::run_campaign(machine, batched_trace, 512, base);
-  for (std::size_t batch : {1, 5, 64}) {
-    platform::CampaignConfig cfg;
-    cfg.batch = batch;
-    if (platform::run_campaign(machine, batched_trace, 512, cfg) !=
-        batched_want) {
-      std::fprintf(stderr, "engine mismatch at batch=%zu\n", batch);
-      std::abort();
-    }
-  }
-  return true;
-}();
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -618,7 +448,6 @@ int main(int argc, char** argv) {
   std::string interp_json_path;
   std::size_t replay_runs = 4000;
   std::size_t interp_execs = 200;
-  std::size_t batch = mbcr::platform::CampaignConfig{}.batch;
 
   // Strip the replay-report flags; everything else flows through to
   // google-benchmark (when built in).
@@ -644,20 +473,15 @@ int main(int argc, char** argv) {
           value.c_str(), nullptr, 10));
       continue;
     }
-    if (take_value("--batch", value)) {
-      batch = static_cast<std::size_t>(std::strtoull(
-          value.c_str(), nullptr, 10));
-      continue;
-    }
     passthrough.push_back(argv[i]);
   }
 
   if (!json_path.empty()) {
-    if (replay_runs == 0 || batch == 0) {
-      std::fprintf(stderr, "--replay-runs and --batch must be positive\n");
+    if (replay_runs == 0) {
+      std::fprintf(stderr, "--replay-runs must be positive\n");
       return 2;
     }
-    return run_replay_report(json_path, replay_runs, batch);
+    return run_replay_report(json_path, replay_runs);
   }
   if (!interp_json_path.empty()) {
     if (interp_execs == 0) {
@@ -680,7 +504,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "micro_throughput was built without google-benchmark; only "
                "the chrono reports are available: --json FILE "
-               "[--replay-runs N] [--batch W], or --interp-json FILE "
+               "[--replay-runs N], or --interp-json FILE "
                "[--interp-execs N]\n");
   return 2;
 #endif

@@ -25,8 +25,9 @@ PathAnalysis Analyzer::analyze_program(const ir::Program& program,
   exec_options.executor = config_.executor;
   const ir::ExecResult exec = ir::lower_and_execute(program, input,
                                                     exec_options);
-  const CompactTrace trace = CompactTrace::from(exec.trace);
-  out.trace_accesses = trace.size();
+  const CompactTrace trace =
+      CompactTrace::from(exec.trace, config_.machine.il1.line_bytes);
+  out.trace_accesses = trace.accesses;
 
   // 2. Probe campaign: typical execution time (anchors TAC's threshold).
   {
@@ -83,18 +84,8 @@ PathAnalysis Analyzer::analyze_program(const ir::Program& program,
   // Architectural ceiling: no run can cost more than every access missing
   // at every level (with a hierarchy, a full miss adds the L2 probe on top
   // of the memory latency).
-  const TimingParams& t = config_.machine.timing;
-  const double worst_extra =
-      config_.machine.l2.enabled
-          ? static_cast<double>(config_.machine.l2.latency)
-          : 0.0;
-  double ceiling = 0;
-  for (const CompactTrace::Entry& e : trace.entries) {
-    ceiling += static_cast<double>(t.cost(
-                   e.is_instr ? AccessKind::kIFetch : AccessKind::kLoad,
-                   false)) +
-               worst_extra;
-  }
+  const double ceiling =
+      static_cast<double>(machine_.all_miss_cycles(exec.trace));
   out.pwcet.set_upper_bound(ceiling);
   out.pwcet_converged_only.set_upper_bound(ceiling);
   return out;
@@ -173,7 +164,8 @@ std::vector<double> Analyzer::measure(const ir::Program& program,
   exec_options.executor = config_.executor;
   const ir::ExecResult exec = ir::lower_and_execute(program, input,
                                                     exec_options);
-  const CompactTrace trace = CompactTrace::from(exec.trace);
+  const CompactTrace trace =
+      CompactTrace::from(exec.trace, config_.machine.il1.line_bytes);
   return platform::run_campaign(machine_, trace, runs, config_.campaign,
                                 first_run);
 }

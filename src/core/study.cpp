@@ -52,18 +52,6 @@ double parse_double(const char* flag, const std::string& text) {
   return out;
 }
 
-std::uint64_t parse_u64(const char* flag, const std::string& text) {
-  std::uint64_t out = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  if (ec != std::errc() || end != text.data() + text.size()) {
-    throw std::invalid_argument(std::string("flag --") + flag +
-                                ": expected a non-negative integer, got '" +
-                                text + "'");
-  }
-  return out;
-}
-
 struct Resolved {
   ir::Program program;
   std::vector<ir::InputVector> inputs;
@@ -306,8 +294,7 @@ std::map<std::string, std::string> StudySpec::flag_spec() {
       {"suite", ""},       {"randprog", ""},
       {"mode", "pub_tac"}, {"input", "default"},
       {"seed", "42"},      {"threads", "0"},
-      {"grain", "64"},     {"batch", "32"},
-      {"sets", "64"},
+      {"grain", "64"},     {"sets", "64"},
       {"ways", "2"},       {"line", "32"},
       {"placement", "hash"},
       {"l2-sets", "0"},    {"l2-ways", "8"},
@@ -351,8 +338,6 @@ StudySpec StudySpec::from_flags(
       static_cast<unsigned>(parse_u64("threads", get("threads")));
   spec.config.campaign.grain =
       static_cast<std::size_t>(parse_u64("grain", get("grain")));
-  spec.config.campaign.batch =
-      static_cast<std::size_t>(parse_u64("batch", get("batch")));
 
   const auto sets = static_cast<std::uint32_t>(parse_u64("sets", get("sets")));
   const auto ways = static_cast<std::uint32_t>(parse_u64("ways", get("ways")));
@@ -483,7 +468,9 @@ json::Value StudySpec::to_json() const {
     c.emplace_back("master_seed", std::to_string(config.campaign.master_seed));
     c.emplace_back("threads", config.campaign.threads);
     c.emplace_back("grain", config.campaign.grain);
-    c.emplace_back("batch", config.campaign.batch);
+    // Schema v6 fixes this field: replay no longer batches, and every
+    // width always gave the identical sample.
+    c.emplace_back("batch", 32);
     o.emplace_back("campaign", json::Value(std::move(c)));
   }
   {
@@ -648,10 +635,8 @@ StudySpec spec_from_json_unchecked(const json::Value& doc) {
         jnum(c->find("threads"), spec.config.campaign.threads));
     spec.config.campaign.grain =
         jsize(c->find("grain"), spec.config.campaign.grain);
-    // v1/v2 documents predate batched replay; the default width applies
-    // (any width yields the identical sample, so replays stay exact).
-    spec.config.campaign.batch =
-        jsize(c->find("batch"), spec.config.campaign.batch);
+    // "batch" is ignored: every width gave the identical sample, so
+    // documents written with any width replay exactly.
   }
   if (const json::Value* c = jblock(s.find("convergence"), "convergence")) {
     mbpta::ConvergenceConfig& conv = spec.config.convergence;

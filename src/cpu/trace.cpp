@@ -30,20 +30,35 @@ std::size_t MemTrace::unique_lines(bool instruction_side,
 
 CompactTrace CompactTrace::from(const MemTrace& trace, Addr line_bytes) {
   CompactTrace out;
+  out.accesses = trace.accesses.size();
   out.entries.reserve(trace.accesses.size());
   std::unordered_map<Addr, std::uint32_t> imap;
   std::unordered_map<Addr, std::uint32_t> dmap;
+  // Line id of the previous access per side; kNone before the first.
+  constexpr std::uint32_t kNone = 0xffffffffu;
+  std::uint32_t last_iline = kNone;
+  std::uint32_t last_dline = kNone;
   for (const Access& a : trace.accesses) {
     const Addr line = line_of(a.addr, line_bytes);
     if (a.is_instruction()) {
       auto [it, inserted] =
           imap.try_emplace(line, static_cast<std::uint32_t>(out.ilines.size()));
       if (inserted) out.ilines.push_back(line);
+      if (it->second == last_iline) {
+        ++out.folded_ifetches;
+        continue;
+      }
+      last_iline = it->second;
       out.entries.push_back({it->second, 1});
     } else {
       auto [it, inserted] =
           dmap.try_emplace(line, static_cast<std::uint32_t>(out.dlines.size()));
       if (inserted) out.dlines.push_back(line);
+      if (it->second == last_dline) {
+        ++out.folded_loads;
+        continue;
+      }
+      last_dline = it->second;
       out.entries.push_back({it->second, 0});
     }
   }

@@ -4,7 +4,8 @@
 // (program, input). Measurement campaigns then replay the trace hundreds of
 // thousands of times under fresh random placements; `CompactTrace`
 // pre-resolves every access to a dense per-cache line id so replay is a
-// table lookup instead of a hash per access.
+// table lookup instead of a hash per access, and folds out the accesses
+// that hit under every placement (see `CompactTrace::from`).
 #pragma once
 
 #include <cstdint>
@@ -30,14 +31,22 @@ struct MemTrace {
                            Addr line_bytes = kDefaultLineBytes) const;
 };
 
-/// Replay-optimized trace: every access becomes (side, dense line id).
+/// Replay-optimized trace: every access that can miss becomes (side, dense
+/// line id); the guaranteed hits are only counted.
 struct CompactTrace {
   struct Entry {
     std::uint32_t line_id;
     std::uint8_t is_instr;  // 1 = IL1, 0 = DL1
   };
 
+  /// The accesses replay must simulate, in trace order.
   std::vector<Entry> entries;
+  /// Guaranteed hits folded out of `entries`, per side (instruction
+  /// fetches; data loads and stores): each costs its base cycles only.
+  std::uint64_t folded_ifetches = 0;
+  std::uint64_t folded_loads = 0;
+  /// Every access of the source trace: entries plus folded hits.
+  std::uint64_t accesses = 0;
   std::vector<Addr> ilines;  ///< line number per IL1 dense id
   std::vector<Addr> dlines;  ///< line number per DL1 dense id
 
@@ -48,9 +57,20 @@ struct CompactTrace {
   std::vector<std::uint32_t> iline_uid;  ///< unified id per IL1 dense id
   std::vector<std::uint32_t> dline_uid;  ///< unified id per DL1 dense id
 
+  /// Resolves `trace` at `line_bytes`, which must be the line size of the
+  /// caches it replays on. An access to the same line as the previous
+  /// access on the same side is folded. That previous access left the line
+  /// in its L1, and nothing in between can evict it: every access in
+  /// between went to the other L1, a separate cache, and the L2 never
+  /// reaches back into an L1. So the folded access hits under every
+  /// placement, replacement policy and hierarchy level; as a hit it draws
+  /// no replacement randomness (misses are the only RNG consumers) and
+  /// never probes the L2, so dropping it leaves every other access's
+  /// outcome unchanged.
   static CompactTrace from(const MemTrace& trace,
                            Addr line_bytes = kDefaultLineBytes);
 
+  /// Replayed entries (not the source trace's access count: `accesses`).
   std::size_t size() const { return entries.size(); }
 };
 

@@ -45,7 +45,8 @@ std::vector<InputTrace> trace_inputs(const FuzzCaseData& data) {
     InputTrace t;
     t.input = &in;
     t.exec = ir::lower_and_execute(data.program, in);
-    t.compact = CompactTrace::from(t.exec.trace);
+    t.compact =
+        CompactTrace::from(t.exec.trace, data.machine.il1.line_bytes);
     out.push_back(std::move(t));
   }
   return out;
@@ -77,40 +78,7 @@ OracleOutcome oracle_replay(const FuzzCaseData& data, bool inject_fault) {
   return {};
 }
 
-// --- oracle 2: run_batch == per-seed run_once -----------------------------
-
-OracleOutcome oracle_batch(const FuzzCaseData& data, bool) {
-  const std::vector<InputTrace> traced = trace_inputs(data);
-  platform::RunWorkspace ws;  // one workspace, reused across everything
-  std::vector<std::uint64_t> batched;
-  for (const platform::MachineConfig& cfg : flavor_grid(data.machine)) {
-    const platform::Machine machine(cfg);
-    for (const InputTrace& t : traced) {
-      for (std::size_t width : {std::size_t{1}, std::size_t{3},
-                                data.run_seeds.size()}) {
-        width = std::min(width, data.run_seeds.size());
-        if (width == 0) continue;
-        const std::span<const std::uint64_t> seeds(data.run_seeds.data(),
-                                                   width);
-        batched.assign(width, 0);
-        machine.run_batch(t.compact, seeds, ws, batched.data());
-        for (std::size_t i = 0; i < width; ++i) {
-          const std::uint64_t single = machine.run_once(t.compact, seeds[i]);
-          if (batched[i] != single) {
-            std::ostringstream ss;
-            ss << "input " << t.input->label << " flavor " << flavor_name(cfg)
-               << " width " << width << " run " << i << ": run_batch "
-               << batched[i] << " != run_once " << single;
-            return fail(ss.str());
-          }
-        }
-      }
-    }
-  }
-  return {};
-}
-
-// --- oracle 3: streamed == one-shot, engine knobs are pure ----------------
+// --- oracle 2: streamed == one-shot, engine knobs are pure ----------------
 
 OracleOutcome oracle_campaign(const FuzzCaseData& data, bool) {
   const std::vector<InputTrace> traced = trace_inputs(data);
@@ -138,16 +106,14 @@ OracleOutcome oracle_campaign(const FuzzCaseData& data, bool) {
       struct Variant {
         const char* what;
         unsigned threads;
-        std::size_t grain, batch;
+        std::size_t grain;
       };
-      for (const Variant& v :
-           {Variant{"threads=1", 1, 64, 32}, Variant{"grain=5", 0, 5, 32},
-            Variant{"batch=1", 0, 64, 1}, Variant{"batch=16/grain=48", 0, 48,
-                                                  16}}) {
+      for (const Variant& v : {Variant{"threads=1", 1, 64},
+                               Variant{"grain=5", 0, 5},
+                               Variant{"grain=48", 0, 48}}) {
         platform::CampaignConfig cfg = base;
         cfg.threads = v.threads;
         cfg.grain = v.grain;
-        cfg.batch = v.batch;
         if (platform::run_campaign(machine, t.compact, kRuns, cfg) != want) {
           return fail("input " + t.input->label + " flavor " +
                       flavor_name(mcfg) + ": campaign not invariant under " +
@@ -159,7 +125,7 @@ OracleOutcome oracle_campaign(const FuzzCaseData& data, bool) {
   return {};
 }
 
-// --- oracle 4: PUB subsequence invariant on every pubbed path -------------
+// --- oracle 3: PUB subsequence invariant on every pubbed path -------------
 
 OracleOutcome oracle_pub(const FuzzCaseData& data, bool) {
   const ir::Program pubbed = pub::apply_pub(data.program);
@@ -180,7 +146,7 @@ OracleOutcome oracle_pub(const FuzzCaseData& data, bool) {
   return {};
 }
 
-// --- oracle 5: TAC sanity + architectural-ceiling conservatism ------------
+// --- oracle 4: TAC sanity + architectural-ceiling conservatism ------------
 
 /// Empty string = the side's events are sane.
 std::string check_tac_events(const tac::TacSequenceResult& side,
@@ -260,14 +226,7 @@ OracleOutcome oracle_tac(const FuzzCaseData& data, bool) {
     // actually produce, for every flavor and sampled seed.
     for (const platform::MachineConfig& cfg : grid) {
       const platform::Machine machine(cfg);
-      const std::uint64_t worst_extra = cfg.l2.enabled ? cfg.l2.latency : 0;
-      std::uint64_t ceiling = 0;
-      for (const CompactTrace::Entry& e : t.compact.entries) {
-        ceiling += machine.config().timing.cost(
-                       e.is_instr ? AccessKind::kIFetch : AccessKind::kLoad,
-                       /*hit=*/false) +
-                   worst_extra;
-      }
+      const std::uint64_t ceiling = machine.all_miss_cycles(t.exec.trace);
       for (const std::uint64_t seed : data.run_seeds) {
         const std::uint64_t observed = machine.run_once(t.compact, seed);
         if (observed > ceiling) {
@@ -283,7 +242,7 @@ OracleOutcome oracle_tac(const FuzzCaseData& data, bool) {
   return {};
 }
 
-// --- oracle 6: Study JSON round trips are text-identical ------------------
+// --- oracle 5: Study JSON round trips are text-identical ------------------
 
 OracleOutcome oracle_study_json(const FuzzCaseData& data, bool) {
   core::StudySpec spec;
@@ -316,7 +275,7 @@ OracleOutcome oracle_study_json(const FuzzCaseData& data, bool) {
   return {};
 }
 
-// --- oracle 7: bytecode VM == tree-walking interpreter --------------------
+// --- oracle 6: bytecode VM == tree-walking interpreter --------------------
 
 /// One engine's observation of a run: either a full ExecResult or the
 /// ExecError text it raised. The two engines must agree on *which* of the
@@ -404,7 +363,7 @@ OracleOutcome oracle_vm(const FuzzCaseData& data, bool) {
   return {};
 }
 
-// --- oracle 8: the verifier accepts every compiled program ---------------
+// --- oracle 7: the verifier accepts every compiled program ---------------
 
 OracleOutcome oracle_verify(const FuzzCaseData& data, bool) {
   const ir::Program pubbed = pub::apply_pub(data.program);
@@ -429,7 +388,7 @@ OracleOutcome oracle_verify(const FuzzCaseData& data, bool) {
   return {};
 }
 
-// --- oracle 9: EVT/convergence — incremental refit == from-scratch fit ----
+// --- oracle 8: EVT/convergence — incremental refit == from-scratch fit ----
 
 /// Exact comparison including NaN: both sides run the same numeric code,
 /// so any divergence — even in NaN payloads — is a real bug.
@@ -530,9 +489,7 @@ constexpr Oracle kOracles[] = {
     {"replay", "fast run_once == generic-cache reference across the "
                "hierarchy-flavor grid",
      oracle_replay},
-    {"batch", "run_batch == per-seed run_once at several widths",
-     oracle_batch},
-    {"campaign", "streamed == one-shot; threads/grain/batch are pure knobs",
+    {"campaign", "streamed == one-shot; threads/grain are pure knobs",
      oracle_campaign},
     {"pub", "PUB subsequence + state preservation on every input",
      oracle_pub},

@@ -6,9 +6,8 @@
 //   replay      fast Machine::run_once == generic-cache reference, over the
 //               full flavor grid (L1-only / random-L2 / LRU-L2, each under
 //               hash and modulo placement) and every sampled run seed
-//   batch       Machine::run_batch == per-seed run_once at several widths
-//   campaign    streamed campaign == one-shot, invariant under threads,
-//               grain and batch width
+//   campaign    streamed campaign == one-shot, invariant under threads and
+//               grain
 //   pub         PUB invariants on every input: original token stream is a
 //               subsequence of the pubbed stream, final state preserved
 //   tac         conservatism: TAC events are sane (p in (0,1], R >= 1) and
@@ -52,7 +51,7 @@ struct Oracle {
   OracleOutcome (*run)(const FuzzCaseData& data, bool inject_fault);
 };
 
-/// All nine oracles, in the documentation order above.
+/// All eight oracles, in the documentation order above.
 std::span<const Oracle> all_oracles();
 
 /// Lookup by name; nullptr for unknown names ("all" is not an oracle).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
@@ -23,9 +22,6 @@ namespace {
 struct CampaignMetrics {
   obs::Counter runs = obs::counter("campaign.runs");
   obs::Counter chunks = obs::counter("campaign.chunks");
-  obs::Counter tiny_trace_fallback =
-      obs::counter("campaign.tiny_trace_fallback");
-  obs::Histogram batch_width = obs::histogram("campaign.batch_width");
   obs::Gauge runs_per_sec = obs::gauge("campaign.runs_per_sec");
 };
 
@@ -47,9 +43,6 @@ void run_campaign_into(const Machine& machine, const CompactTrace& trace,
   // threads counts the caller among the claimants (it always runs).
   const std::size_t max_helpers =
       config.threads == 0 ? SIZE_MAX : config.threads - 1;
-  const std::size_t batch = trace.size() < kBatchMinTraceEntries
-                                ? 1
-                                : std::max<std::size_t>(1, config.batch);
   obs::Span span("campaign");
   const auto campaign_start = std::chrono::steady_clock::now();
   std::atomic<std::size_t> runs_done{0};
@@ -62,29 +55,12 @@ void run_campaign_into(const Machine& machine, const CompactTrace& trace,
         // exits 128+sig; CampaignSampler's catch keeps the sample clean.
         util::throw_if_shutdown();
         // One workspace per pool thread, reused across every chunk,
-        // campaign, trace, and machine this thread ever touches. A claimed
-        // chunk is a seed batch: it is replayed trace-major in
-        // `config.batch`-wide slices and streamed straight into the sink.
+        // campaign, trace, and machine this thread ever touches; each run
+        // streams straight into the sink.
         static thread_local RunWorkspace ws;
-        for (std::size_t i = begin; i < end;) {
-          const std::size_t width = std::min(batch, end - i);
-          if (width == 1) {
-            const std::uint64_t seed =
-                mix64(first_run + i, config.master_seed);
-            out[i] = static_cast<double>(machine.run_once(trace, seed, ws));
-            ++i;
-            continue;
-          }
-          ws.seeds.resize(width);
-          ws.cycles.resize(width);
-          for (std::size_t j = 0; j < width; ++j) {
-            ws.seeds[j] = mix64(first_run + i + j, config.master_seed);
-          }
-          machine.run_batch(trace, ws.seeds, ws, ws.cycles.data());
-          for (std::size_t j = 0; j < width; ++j) {
-            out[i + j] = static_cast<double>(ws.cycles[j]);
-          }
-          i += width;
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::uint64_t seed = mix64(first_run + i, config.master_seed);
+          out[i] = static_cast<double>(machine.run_once(trace, seed, ws));
         }
 #if !defined(MBCR_OBS_DISABLED)
         // Once per chunk (>= grain runs), outside the replay loops: the
@@ -94,12 +70,6 @@ void run_campaign_into(const Machine& machine, const CompactTrace& trace,
           const CampaignMetrics& m = campaign_metrics();
           m.runs.add(end - begin);
           m.chunks.add(1);
-          if (batch == 1 && trace.size() < kBatchMinTraceEntries) {
-            m.tiny_trace_fallback.add(end - begin);
-          }
-          for (std::size_t i = begin; i < end; i += batch) {
-            m.batch_width.record(std::min(batch, end - i));
-          }
         }
         if (obs::progress_enabled()) {
           const std::size_t done =
@@ -134,46 +104,6 @@ std::vector<double> run_campaign(const Machine& machine,
                                  std::size_t first_run) {
   std::vector<double> times(runs);
   run_campaign_into(machine, trace, runs, times.data(), config, first_run);
-  return times;
-}
-
-std::vector<double> run_campaign_spawn(const Machine& machine,
-                                       const CompactTrace& trace,
-                                       std::size_t runs,
-                                       const CampaignConfig& config,
-                                       std::size_t first_run) {
-  std::vector<double> times(runs);
-  if (runs == 0) return times;
-
-  unsigned threads = config.threads;
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads = static_cast<unsigned>(
-      std::min<std::size_t>(threads, std::max<std::size_t>(1, runs / 64)));
-
-  auto worker = [&](std::size_t begin, std::size_t end) {
-    RunWorkspace ws;  // one per spawned thread, reused across its runs
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint64_t seed = mix64(first_run + i, config.master_seed);
-      times[i] = static_cast<double>(machine.run_once(trace, seed, ws));
-    }
-  };
-
-  if (threads <= 1) {
-    worker(0, runs);
-    return times;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  const std::size_t chunk = (runs + threads - 1) / threads;
-  for (unsigned t = 0; t < threads; ++t) {
-    const std::size_t begin = static_cast<std::size_t>(t) * chunk;
-    const std::size_t end = std::min(runs, begin + chunk);
-    if (begin >= end) break;
-    pool.emplace_back(worker, begin, end);
-  }
-  for (auto& th : pool) th.join();
   return times;
 }
 

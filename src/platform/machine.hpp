@@ -3,20 +3,17 @@
 // replacement, caches flushed before each run — optionally backed by a
 // shared unified L2 (random or deterministic LRU, cache/hierarchy.hpp).
 //
-// `Machine::run_once` replays a compact trace under a fresh per-run
-// placement (derived from the run seed) and returns the cycle count. The
-// placement hash is evaluated once per unique line per run — per level:
-// the L2's placement is hashed once per unique *unified* line; accesses
-// then replay through flat tag arrays, and an L1 miss probes the L2 by
-// dense unified id.
-//
-// `Machine::run_batch` is the measurement campaigns' hot path: it replays
-// a whole batch of runs trace-major (one pass over the entries, all runs'
-// cache state held side by side), bit-identical to per-seed `run_once`.
+// `Machine::run_once` — the measurement campaigns' hot path — replays a
+// compact trace under a fresh per-run placement (derived from the run
+// seed) and returns the cycle count. The placement hash is evaluated once
+// per unique line per run — per level: the L2's placement is hashed once
+// per unique *unified* line; accesses then replay through flat tag arrays,
+// and an L1 miss probes the L2 by dense unified id. The compact trace's
+// folded guaranteed hits are never replayed: they add a per-trace
+// constant.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "cache/cache_config.hpp"
@@ -27,33 +24,18 @@
 
 namespace mbcr::platform {
 
-/// Reusable per-thread scratch for `Machine::run_once`/`run_batch`: tag
-/// arrays and per-line set maps for both L1 sides plus the unified L2. A
-/// campaign worker allocates one workspace and replays hundreds of
-/// thousands of runs through it, instead of paying vector allocations per
-/// run. Contents are fully re-initialized by every run (or batch), so
-/// reuse never leaks state between runs (or between machines/traces of
-/// different geometry — buffers just grow). The L2 buffers stay empty
-/// while the hierarchy is disabled.
-///
-/// Batched (trace-major) replay holds the whole batch's cache state here
-/// as structure-of-arrays: per side, one run-contiguous tag block of
-/// `sets*ways` words per run, and a set map indexed `[line_id * B + b]`
-/// so the per-entry loop over the batch reads one contiguous row. The
-/// per-run replacement RNG states live here too.
+/// Reusable per-thread scratch for `Machine::run_once`: tag arrays and
+/// per-line set maps for both L1 sides plus the unified L2. A campaign
+/// worker allocates one workspace and replays hundreds of thousands of
+/// runs through it, instead of paying vector allocations per run. Contents
+/// are fully re-initialized by every run, so reuse never leaks state
+/// between runs (or between machines/traces of different geometry —
+/// buffers just grow). The L2 buffers stay empty while the hierarchy is
+/// disabled.
 struct RunWorkspace {
   std::vector<std::uint32_t> il1_tags, il1_set_of;
   std::vector<std::uint32_t> dl1_tags, dl1_set_of;
   std::vector<std::uint32_t> l2_tags, l2_set_of;
-  /// Per-run replacement RNGs of a batch (unused by single-run replay).
-  std::vector<Xoshiro256> il1_rng, dl1_rng, l2_rng;
-  /// Per-run placement seeds of a batch (scratch for the set-map fill).
-  std::vector<std::uint64_t> placement_seed;
-  /// Caller-side scratch for the campaign engine's batching loop (derived
-  /// seeds and cycle outputs). NOT touched by `run_batch` itself — that is
-  /// a contract: callers pass `ws.seeds`/`ws.cycles` as the seeds span and
-  /// output buffer of a `run_batch` call on the same workspace.
-  std::vector<std::uint64_t> cycles, seeds;
 };
 
 struct MachineConfig {
@@ -76,30 +58,20 @@ public:
                          std::uint64_t run_seed) const;
 
   /// Same run, same result, but all scratch state lives in `ws`.
-  /// Bit-identical to the convenience overload, and the B=1 oracle for
-  /// `run_batch`.
+  /// Bit-identical to the convenience overload.
   std::uint64_t run_once(const CompactTrace& trace, std::uint64_t run_seed,
                          RunWorkspace& ws) const;
-
-  /// Trace-major batched replay: executes `seeds.size()` independent runs
-  /// in ONE pass over the trace entries, writing run i's cycle count to
-  /// `out[i]` (which must hold `seeds.size()` values). Each run's cache
-  /// state lives batch-wide in `ws` (structure-of-arrays), so a trace
-  /// entry is loaded once per batch instead of once per run and the
-  /// per-entry batch loop exposes B independent probe chains to the
-  /// superscalar core. Output is bit-identical to calling `run_once` per
-  /// seed — the campaign engine's hot path; `run_once` stays the oracle.
-  /// `seeds`/`out` may alias `ws.seeds`/`ws.cycles.data()`: run_batch
-  /// uses only the workspace's tag/set-map/RNG/placement buffers.
-  void run_batch(const CompactTrace& trace,
-                 std::span<const std::uint64_t> seeds, RunWorkspace& ws,
-                 std::uint64_t* out) const;
 
   /// Reference implementation via the generic RandomCache/LruCache models
   /// (slow but obviously correct); used by tests to validate the fast
   /// replay, including every two-level configuration.
   std::uint64_t run_once_reference(const MemTrace& trace,
                                    std::uint64_t run_seed) const;
+
+  /// The architectural ceiling: the cycles of `trace` with every access
+  /// missing at every level. No run can cost more. Needs every access, so
+  /// it takes the full trace, not the folded compact one.
+  std::uint64_t all_miss_cycles(const MemTrace& trace) const;
 
   const MachineConfig& config() const { return config_; }
 

@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -39,6 +40,18 @@ bool parse_bool(const char* flag, const std::string& value) {
                               ": expected a boolean "
                               "(1|0|true|false|yes|no), got '" +
                               value + "'");
+}
+
+std::uint64_t parse_u64(const char* flag, const std::string& value) {
+  std::uint64_t out = 0;
+  const auto [end, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), out);
+  if (ec != std::errc() || end != value.data() + value.size()) {
+    throw std::invalid_argument(std::string("flag --") + flag +
+                                ": expected a non-negative integer, got '" +
+                                value + "'");
+  }
+  return out;
 }
 
 void exit_usage_error(const std::string& program,
@@ -128,8 +141,13 @@ std::string Cli::str(const std::string& name) const {
   return values_.at(name);
 }
 
-std::int64_t Cli::integer(const std::string& name) const {
-  return std::stoll(values_.at(name));
+std::uint64_t Cli::integer(const std::string& name) const {
+  try {
+    return parse_u64(name.c_str(), values_.at(name));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 double Cli::real(const std::string& name) const {
@@ -144,8 +162,8 @@ const std::string& SubcommandCli::Parsed::str(const std::string& name) const {
   return values.at(name);
 }
 
-std::int64_t SubcommandCli::Parsed::integer(const std::string& name) const {
-  return std::stoll(values.at(name));
+std::uint64_t SubcommandCli::Parsed::integer(const std::string& name) const {
+  return parse_u64(name.c_str(), values.at(name));
 }
 
 double SubcommandCli::Parsed::real(const std::string& name) const {

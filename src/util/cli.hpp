@@ -53,6 +53,11 @@ bool truthy(const std::string& value);
 /// a silently-ignored typo would change an experiment.
 bool parse_bool(const char* flag, const std::string& value);
 
+/// Strict unsigned parsing for flag values: the whole value must be a
+/// decimal integer in [0, 2^64) — no sign, no whitespace, no trailing
+/// text. Throws std::invalid_argument naming the flag otherwise.
+std::uint64_t parse_u64(const char* flag, const std::string& value);
+
 /// The CLI usage-error exit path: prints `program: message` plus a help
 /// hint to stderr and exits 2 — the same contract as Cli/SubcommandCli
 /// parse errors. Front-ends route bad flag *values* (unknown enum
@@ -71,7 +76,8 @@ public:
       std::string description);
 
   std::string str(const std::string& name) const;
-  std::int64_t integer(const std::string& name) const;
+  /// `parse_u64` of the value; a bad value is a usage error (exit 2).
+  std::uint64_t integer(const std::string& name) const;
   double real(const std::string& name) const;
   bool flag(const std::string& name) const;  ///< "1"/"true"/"yes" => true
 
@@ -98,7 +104,9 @@ public:
 
     bool ok() const { return status == CliParse::Status::kOk; }
     const std::string& str(const std::string& name) const;
-    std::int64_t integer(const std::string& name) const;
+    /// `parse_u64` of the value; throws std::invalid_argument on a bad one
+    /// (the front-end's usage-error path, exit 2).
+    std::uint64_t integer(const std::string& name) const;
     double real(const std::string& name) const;
     bool flag(const std::string& name) const;
   };

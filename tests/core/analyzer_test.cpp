@@ -5,7 +5,9 @@
 #include <sstream>
 
 #include "core/report.hpp"
+#include "ir/interp.hpp"
 #include "suite/malardalen.hpp"
+#include "util/rng.hpp"
 
 namespace mbcr::core {
 namespace {
@@ -29,6 +31,9 @@ TEST(Analyzer, OriginalAnalysisProducesSanePwcet) {
   EXPECT_GT(res.baseline_cycles, 0.0);
   // pWCET at deep probability dominates the observed body.
   EXPECT_GT(res.pwcet.at(1e-12), res.baseline_cycles);
+  // The reported trace length counts every access, folded hits included.
+  EXPECT_EQ(res.trace_accesses,
+            ir::lower_and_execute(b.program, b.default_input).trace.size());
 }
 
 TEST(Analyzer, PubbedAnalysisRunsTacAndExtendsCampaign) {
@@ -71,6 +76,27 @@ TEST(Analyzer, MeasureIsDeterministic) {
   const Analyzer analyzer(fast_config());
   EXPECT_EQ(analyzer.measure(b.program, b.default_input, 50),
             analyzer.measure(b.program, b.default_input, 50));
+}
+
+TEST(Analyzer, MeasureReplaysAtTheConfiguredLineSize) {
+  // With 64-byte lines the compact trace must be resolved at 64 bytes too:
+  // every campaign run equals the reference model on the full trace.
+  const auto b = suite::make_crc();
+  AnalysisConfig cfg = fast_config();
+  cfg.machine.il1 = CacheConfig{32, 2, 64};
+  cfg.machine.dl1 = CacheConfig{32, 2, 64};
+  const Analyzer analyzer(cfg);
+  const std::vector<double> times =
+      analyzer.measure(b.program, b.default_input, 5);
+  const MemTrace trace =
+      ir::lower_and_execute(b.program, b.default_input).trace;
+  const platform::Machine machine(cfg.machine);
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    EXPECT_EQ(times[i],
+              static_cast<double>(machine.run_once_reference(
+                  trace, mix64(i, cfg.campaign.master_seed))))
+        << "run " << i;
+  }
 }
 
 TEST(Analyzer, AnalysisIsReproducible) {

@@ -43,7 +43,6 @@ TEST(StudySpec, FlagDefaultsReproduceDefaultSpec) {
   EXPECT_EQ(spec.config.campaign.master_seed,
             dflt.config.campaign.master_seed);
   EXPECT_EQ(spec.config.campaign.grain, dflt.config.campaign.grain);
-  EXPECT_EQ(spec.config.campaign.batch, dflt.config.campaign.batch);
   EXPECT_EQ(spec.config.machine.il1.sets, dflt.config.machine.il1.sets);
   EXPECT_EQ(spec.config.machine.dl1.ways, dflt.config.machine.dl1.ways);
   EXPECT_EQ(spec.config.convergence.min_runs,
@@ -75,7 +74,6 @@ TEST(StudySpec, FromFlagsParsesOverrides) {
   flags["seed"] = "7";
   flags["threads"] = "3";
   flags["grain"] = "17";
-  flags["batch"] = "5";
   flags["sets"] = "8";
   flags["ways"] = "4";
   flags["tolerance"] = "0.05";
@@ -91,7 +89,6 @@ TEST(StudySpec, FromFlagsParsesOverrides) {
   EXPECT_EQ(spec.config.campaign.master_seed, 7u);
   EXPECT_EQ(spec.config.campaign.threads, 3u);
   EXPECT_EQ(spec.config.campaign.grain, 17u);
-  EXPECT_EQ(spec.config.campaign.batch, 5u);
   EXPECT_EQ(spec.config.machine.il1.sets, 8u);
   EXPECT_EQ(spec.config.machine.dl1.ways, 4u);
   EXPECT_DOUBLE_EQ(spec.config.convergence.tolerance, 0.05);
@@ -200,7 +197,6 @@ TEST(StudySpec, JsonRoundTripsExactly) {
   flags["suite"] = "crc";
   flags["mode"] = "multipath";
   flags["seed"] = "18446744073709551615";  // 64-bit seed, full precision
-  flags["batch"] = "9";
   flags["placement"] = "modulo";
   flags["l2-sets"] = "512";
   flags["l2-policy"] = "random";
@@ -215,12 +211,24 @@ TEST(StudySpec, JsonRoundTripsExactly) {
   const StudySpec back = StudySpec::from_json(doc);
   EXPECT_EQ(back.to_json().dump(2), doc.dump(2));
   EXPECT_EQ(back.config.campaign.master_seed, 18446744073709551615ull);
-  EXPECT_EQ(back.config.campaign.batch, 9u);
   EXPECT_EQ(back.config.machine.l2.l2.sets, 512u);
   EXPECT_EQ(back.config.machine.l2.l2.placement, Placement::kModulo);
   EXPECT_EQ(back.config.machine.il1.placement, Placement::kModulo);
   EXPECT_EQ(back.config.pub.merge, pub::BranchMerge::kAppendGhost);
   EXPECT_EQ(back.config.executor, ir::Executor::kTree);
+}
+
+TEST(StudySpec, CampaignBatchIsAFixedV6FieldAndIgnoredOnRead) {
+  // Replay no longer batches: --batch is not a flag, documents always
+  // carry "batch": 32, and any width a document was written with reads
+  // back as the same spec (every width gave the identical sample).
+  EXPECT_EQ(StudySpec::flag_spec().count("batch"), 0u);
+  const StudySpec spec;
+  const std::string text = spec.to_json().dump(2);
+  EXPECT_NE(text.find("\"batch\": 32"), std::string::npos);
+  const std::string wide = std::string(text).replace(
+      text.find("\"batch\": 32"), 11, "\"batch\": 9");
+  EXPECT_EQ(StudySpec::from_json(json::parse(wide)).to_json().dump(2), text);
 }
 
 TEST(StudySpec, FromJsonReadsV1DocumentsWithDefaults) {
@@ -246,9 +254,6 @@ TEST(StudySpec, FromJsonReadsV1DocumentsWithDefaults) {
   const StudySpec dflt;
   EXPECT_EQ(spec.config.convergence.max_runs,
             dflt.config.convergence.max_runs);
-  // Pre-batching documents get the default batch width — samples are
-  // batch-width invariant, so the replay stays exact.
-  EXPECT_EQ(spec.config.campaign.batch, dflt.config.campaign.batch);
   // Pre-executor documents (v1-v3) run on the bytecode VM: bit-identical
   // to the tree-walker that produced them, so replays stay exact too.
   EXPECT_EQ(spec.config.executor, ir::Executor::kVm);

@@ -1,5 +1,5 @@
 // The differential fuzzing harness, tested as a subsystem: deterministic
-// case generation, all nine oracles green on the healthy build, failure
+// case generation, all eight oracles green on the healthy build, failure
 // detection + shrinking + repro emission via the synthetic fault switch,
 // and the repro JSON round trip. The compile-time MBCR_FUZZ_FAULT and
 // MBCR_VM_FAULT hooks have gated tests at the bottom.
@@ -97,7 +97,7 @@ TEST(FuzzHarness, OracleRegistryLookup) {
   EXPECT_EQ(find_oracle("nosuch"), nullptr);
   EXPECT_EQ(find_oracle("all"), nullptr);  // "all" is a CLI alias, not an oracle
   EXPECT_NE(find_oracle("evt"), nullptr);
-  EXPECT_EQ(all_oracles().size(), 9u);
+  EXPECT_EQ(all_oracles().size(), 8u);
 }
 
 TEST(FuzzHarness, RejectsBadConfig) {
@@ -195,13 +195,13 @@ TEST(FuzzShrink, KeepsTheFailureWhileShrinking) {
 
 TEST(FuzzRepro, JsonRoundTripIsTextIdentical) {
   Repro repro;
-  repro.oracle = "batch";
+  repro.oracle = "campaign";
   repro.detail = "some detail";
   repro.data = make_case(5, 1, 4);
   const std::string text = repro_to_json(repro).dump(2);
   const Repro reread = repro_from_json(json::parse(text));
   EXPECT_EQ(repro_to_json(reread).dump(2), text);
-  EXPECT_EQ(reread.oracle, "batch");
+  EXPECT_EQ(reread.oracle, "campaign");
   EXPECT_EQ(ir::to_string(reread.data.program),
             ir::to_string(repro.data.program));
   EXPECT_EQ(reread.data.run_seeds, repro.data.run_seeds);

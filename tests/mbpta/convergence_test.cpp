@@ -4,10 +4,7 @@
 
 #include <cmath>
 
-#include "ir/interp.hpp"
 #include "mbpta/pwcet.hpp"
-#include "platform/campaign.hpp"
-#include "suite/malardalen.hpp"
 #include "util/rng.hpp"
 
 namespace mbcr::mbpta {
@@ -190,38 +187,6 @@ TEST(Convergence, FinalEstimateMatchesFromScratchRefit) {
   ASSERT_FALSE(res.estimates.empty());
   const PwcetCurve full(res.sample, cfg.evt);
   EXPECT_EQ(res.estimates.back(), full.at(cfg.probability));
-}
-
-TEST(Convergence, BatchedAndUnbatchedCampaignsConvergeIdentically) {
-  // End-to-end equivalence on the real platform: the same campaign seed
-  // driven through converge_stream with batched (trace-major) and
-  // unbatched replay must walk the identical schedule — same runs, same
-  // estimates, same sample. crc keeps the trace above the engine's
-  // tiny-trace fallback so the batched arm really batches.
-  const auto b = suite::make_benchmark("crc");
-  const CompactTrace trace = CompactTrace::from(
-      ir::lower_and_execute(b.program, b.default_input).trace);
-  ASSERT_GE(trace.size(), platform::kBatchMinTraceEntries);
-  const platform::Machine machine;
-  ConvergenceConfig cfg;
-  cfg.max_runs = 20000;
-
-  const auto converge_with_batch = [&](std::size_t batch) {
-    platform::CampaignConfig ccfg;
-    ccfg.batch = batch;
-    platform::CampaignSampler sampler(machine, trace, ccfg);
-    return converge_stream(
-        [&sampler](std::vector<double>& sample, std::size_t k) {
-          sampler.append_to(sample, k);
-        },
-        cfg);
-  };
-  const ConvergenceResult unbatched = converge_with_batch(1);
-  const ConvergenceResult batched = converge_with_batch(32);
-  EXPECT_EQ(unbatched.converged, batched.converged);
-  EXPECT_EQ(unbatched.runs, batched.runs);
-  EXPECT_EQ(unbatched.estimates, batched.estimates);
-  EXPECT_EQ(unbatched.sample, batched.sample);
 }
 
 TEST(Convergence, TighterToleranceNeedsMoreRuns) {

@@ -16,18 +16,19 @@ CompactTrace test_trace() {
 }
 
 TEST(Campaign, ThreadCountDoesNotChangeResults) {
-  // Thread variation must be exercised through the spawn engine AND
-  // through dedicated pools of different sizes actually claiming chunks
-  // (threads = 0 = uncapped), plus the threads-capped serial path.
+  // The reference is the determinism contract itself — a plain serial
+  // loop of run_once — against dedicated pools of different sizes
+  // actually claiming chunks (threads = 0 = uncapped), plus the
+  // threads-capped serial path.
   const CompactTrace trace = test_trace();
   const Machine machine;
   CampaignConfig seq_cfg;
   seq_cfg.threads = 1;
-  CampaignConfig par_cfg;
-  par_cfg.threads = 8;
-  const auto a = run_campaign_spawn(machine, trace, 2000, seq_cfg);
-  const auto b = run_campaign_spawn(machine, trace, 2000, par_cfg);
-  EXPECT_EQ(a, b);
+  std::vector<double> a;
+  for (std::size_t i = 0; i < 2000; ++i) {
+    a.push_back(static_cast<double>(
+        machine.run_once(trace, mix64(i, seq_cfg.master_seed))));
+  }
   CampaignConfig uncapped;  // threads = 0: every pool worker may claim
   uncapped.grain = 32;      // many chunks so workers really interleave
   for (unsigned workers : {1u, 8u}) {
@@ -36,7 +37,7 @@ TEST(Campaign, ThreadCountDoesNotChangeResults) {
     run_campaign_into(machine, trace, 2000, pooled.data(), uncapped, 0, &pool);
     EXPECT_EQ(a, pooled) << "pool workers " << workers;
   }
-  // threads = 1 caps the v2 engine to the calling thread; same sample.
+  // threads = 1 caps the engine to the calling thread; same sample.
   std::vector<double> capped(2000);
   run_campaign_into(machine, trace, 2000, capped.data(), seq_cfg, 0);
   EXPECT_EQ(a, capped);

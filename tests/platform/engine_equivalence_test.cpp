@@ -1,7 +1,7 @@
-// Engine-equivalence suite: the whole campaign-engine v2 rework is safe
-// because every execution path must produce bit-identical samples for a
-// fixed master seed — fast replay vs reference cache model, v2 pool engine
-// vs v1 spawn engine, any thread count, workspace reuse, streamed vs
+// Engine-equivalence suite: every execution path must produce
+// bit-identical samples for a fixed master seed — folded fast replay vs
+// the reference cache model on the full trace, the pool engine vs a plain
+// serial loop of run_once, any thread count, workspace reuse, streamed vs
 // one-shot. These tests pin that contract.
 #include <gtest/gtest.h>
 
@@ -25,6 +25,20 @@ TestWorkload test_workload(const std::string& name = "bs") {
   w.mem = ir::lower_and_execute(b.program, b.default_input).trace;
   w.trace = CompactTrace::from(w.mem);
   return w;
+}
+
+/// The determinism contract itself: run i of a campaign from run 0 is
+/// run_once(trace, mix64(i, master_seed)).
+std::vector<double> serial_campaign(const Machine& machine,
+                                    const CompactTrace& trace,
+                                    std::size_t runs,
+                                    const CampaignConfig& cfg) {
+  std::vector<double> out;
+  for (std::size_t i = 0; i < runs; ++i) {
+    out.push_back(static_cast<double>(
+        machine.run_once(trace, mix64(i, cfg.master_seed))));
+  }
+  return out;
 }
 
 TEST(EngineEquivalence, FastReplayMatchesReferenceAcrossSeeds) {
@@ -122,111 +136,32 @@ TEST(EngineEquivalence, ModuloPlacementReplayMatchesReference) {
   }
 }
 
-TEST(EngineEquivalence, RunBatchMatchesRunOnceAcrossPoliciesGeometriesSeeds) {
-  // The trace-major batched replay must agree with per-seed run_once bit
-  // for bit: single-level and both L2 policies, hash and modulo
-  // placement, odd geometries, several batch widths (including partial
-  // and width-1 batches), one workspace reused throughout.
-  const TestWorkload w = test_workload("janne");
-  std::vector<MachineConfig> configs;
-  configs.emplace_back();  // paper single-level default
-  {
-    MachineConfig odd;  // direct-mapped IL1, fully associative DL1
-    odd.il1 = CacheConfig{256, 1, 32};
-    odd.dl1 = CacheConfig{1, 4, 32};
-    configs.push_back(odd);
-  }
-  for (const L2Policy policy : {L2Policy::kRandom, L2Policy::kLru}) {
-    MachineConfig cfg;
-    cfg.l2.enabled = true;
-    cfg.l2.policy = policy;
-    configs.push_back(cfg);
-    cfg.il1.placement = Placement::kModulo;
-    cfg.dl1.placement = Placement::kModulo;
-    cfg.l2.l2 = CacheConfig{64, 4, 32};
-    cfg.l2.l2.placement = Placement::kModulo;
-    configs.push_back(cfg);
-  }
-
-  RunWorkspace ws;  // reused across every machine and width
-  for (const MachineConfig& cfg : configs) {
-    const Machine machine(cfg);
-    for (const std::size_t width : {1u, 2u, 5u, 32u, 33u}) {
-      std::vector<std::uint64_t> seeds(width);
-      for (std::size_t i = 0; i < width; ++i) {
-        seeds[i] = mix64(1000 + i, 0xabcdef);  // arbitrary, non-consecutive
+TEST(EngineEquivalence, FoldedReplayMatchesReferenceOnEverySuiteKernel) {
+  // Folding drops guaranteed hits from the compact trace; the reference
+  // replays every access of the full trace. Every suite kernel, every
+  // hierarchy flavor under both placements, several seeds.
+  for (const suite::SuiteEntry& entry : suite::all()) {
+    const TestWorkload w = test_workload(std::string(entry.name));
+    ASSERT_EQ(w.trace.size() + w.trace.folded_ifetches +
+                  w.trace.folded_loads,
+              w.mem.size())
+        << entry.name;
+    for (const Placement placement : {Placement::kHash, Placement::kModulo}) {
+      MachineConfig cfg;
+      cfg.il1.placement = placement;
+      cfg.dl1.placement = placement;
+      cfg.l2.l2.placement = placement;
+      for (const int level : {0, 1, 2}) {
+        cfg.l2.enabled = level != 0;
+        cfg.l2.policy = level == 1 ? L2Policy::kRandom : L2Policy::kLru;
+        const Machine machine(cfg);
+        for (std::uint64_t seed = 0; seed < 8; ++seed) {
+          EXPECT_EQ(machine.run_once(w.trace, seed),
+                    machine.run_once_reference(w.mem, seed))
+              << entry.name << " " << to_string(placement) << " level "
+              << level << " seed " << seed;
+        }
       }
-      std::vector<std::uint64_t> batched(width);
-      machine.run_batch(w.trace, seeds, ws, batched.data());
-      for (std::size_t i = 0; i < width; ++i) {
-        EXPECT_EQ(batched[i], machine.run_once(w.trace, seeds[i]))
-            << "l2 " << (cfg.l2.enabled ? to_string(cfg.l2.policy) : "off")
-            << " il1 " << cfg.il1.sets << "x" << cfg.il1.ways << " width "
-            << width << " run " << i;
-      }
-    }
-  }
-}
-
-TEST(EngineEquivalence, RunBatchMatchesReferenceOracle) {
-  // Transitively pinned via run_once, but hold the batched replay to the
-  // generic-cache oracle directly too.
-  const TestWorkload w = test_workload();
-  MachineConfig cfg;
-  cfg.l2 = HierarchyConfig::shared_l2_random();
-  const Machine machine(cfg);
-  RunWorkspace ws;
-  std::vector<std::uint64_t> seeds(16);
-  for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = i;
-  std::vector<std::uint64_t> batched(seeds.size());
-  machine.run_batch(w.trace, seeds, ws, batched.data());
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    EXPECT_EQ(batched[i], machine.run_once_reference(w.mem, seeds[i]))
-        << "seed " << seeds[i];
-  }
-}
-
-TEST(EngineEquivalence, CampaignInvariantUnderBatchWidth) {
-  // The batch width is a pure throughput knob: any width (and any
-  // batch/grain interplay, including grain < batch) produces the
-  // identical sample. crc: long enough to clear the engine's
-  // tiny-trace per-run fallback, so batching really runs.
-  const TestWorkload w = test_workload("crc");
-  ASSERT_GE(w.trace.size(), kBatchMinTraceEntries);
-  MachineConfig mcfg;
-  mcfg.l2 = HierarchyConfig::shared_l2_random();
-  const Machine machine(mcfg);
-  CampaignConfig unbatched;
-  unbatched.batch = 1;
-  const std::vector<double> want =
-      run_campaign(machine, w.trace, 1000, unbatched);
-  for (const std::size_t batch : {2u, 7u, 32u, 500u, 5000u}) {
-    for (const std::size_t grain : {5u, 64u, 1024u}) {
-      CampaignConfig cfg;
-      cfg.batch = batch;
-      cfg.grain = grain;
-      EXPECT_EQ(run_campaign(machine, w.trace, 1000, cfg), want)
-          << "batch " << batch << " grain " << grain;
-    }
-  }
-}
-
-TEST(EngineEquivalence, BatchedCampaignInvariantUnderThreadCount) {
-  const TestWorkload w = test_workload("crc");  // above the batch fallback
-  const Machine machine;
-  CampaignConfig cfg;
-  cfg.grain = 48;  // not a batch multiple: every chunk ends on a partial batch
-  cfg.batch = 32;
-  std::vector<double> baseline;
-  for (unsigned threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    std::vector<double> times(2000);
-    run_campaign_into(machine, w.trace, times.size(), times.data(), cfg, 0,
-                      &pool);
-    if (baseline.empty()) {
-      baseline = times;
-    } else {
-      EXPECT_EQ(baseline, times) << "threads " << threads;
     }
   }
 }
@@ -315,14 +250,15 @@ TEST(EngineEquivalence, PoolEngineInvariantUnderThreadCount) {
   }
 }
 
-TEST(EngineEquivalence, PoolEngineMatchesSpawnEngine) {
-  const TestWorkload w = test_workload();
+TEST(EngineEquivalence, PoolEngineMatchesSerialRunOnceLoop) {
+  const TestWorkload w = test_workload("crc");
   const Machine machine;
+  const std::vector<double> want =
+      serial_campaign(machine, w.trace, 2000, CampaignConfig{});
   for (unsigned threads : {1u, 2u, 8u}) {
     CampaignConfig cfg;
     cfg.threads = threads;
-    EXPECT_EQ(run_campaign(machine, w.trace, 2000, cfg),
-              run_campaign_spawn(machine, w.trace, 2000, cfg))
+    EXPECT_EQ(run_campaign(machine, w.trace, 2000, cfg), want)
         << "threads " << threads;
   }
 }

@@ -90,6 +90,44 @@ TEST(Machine, FlushedBetweenRuns) {
   }
 }
 
+TEST(Machine, FoldedHitsPayTheirBaseCostUnderAnyTiming) {
+  // The folded-hit constant is priced from the machine's own timing, so
+  // non-unit issue and DL1-hit costs must still match the reference.
+  const MemTrace trace = bs_like_trace();
+  const CompactTrace compact = CompactTrace::from(trace);
+  ASSERT_GT(compact.folded_ifetches, 0u);
+  ASSERT_GT(compact.folded_loads, 0u);
+  MachineConfig cfg;
+  cfg.timing = TimingParams{3, 5, 70};
+  for (const bool l2 : {false, true}) {
+    cfg.l2.enabled = l2;
+    const Machine machine(cfg);
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+      EXPECT_EQ(machine.run_once(compact, seed),
+                machine.run_once_reference(trace, seed))
+          << "l2 " << l2 << " seed " << seed;
+    }
+  }
+}
+
+TEST(Machine, AllMissCyclesCountsEveryAccess) {
+  MemTrace trace;
+  trace.emit(0x1000, AccessKind::kIFetch);
+  trace.emit(0x1000, AccessKind::kIFetch);  // folded in the compact trace
+  trace.emit(0x8000, AccessKind::kStore);
+  MachineConfig cfg;
+  EXPECT_EQ(Machine(cfg).all_miss_cycles(trace), 3u * (1 + 100));
+  cfg.l2.enabled = true;
+  cfg.l2.latency = 10;
+  const Machine two_level(cfg);
+  EXPECT_EQ(two_level.all_miss_cycles(trace), 3u * (1 + 100 + 10));
+  const CompactTrace compact = CompactTrace::from(trace);
+  for (std::uint64_t s = 0; s < 10; ++s) {
+    EXPECT_LE(two_level.run_once(compact, s),
+              two_level.all_miss_cycles(trace));
+  }
+}
+
 TEST(Machine, ValidatesConfig) {
   MachineConfig cfg;
   cfg.il1.sets = 0;

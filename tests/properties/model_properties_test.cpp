@@ -96,18 +96,16 @@ TEST_P(GeometryProperty, CampaignDeterminismEverywhere) {
   mcfg.il1 = config();
   mcfg.dl1 = config();
   const platform::Machine machine(mcfg);
-  // Scheduling invariance across engines and worker counts: the v1 spawn
-  // engine at 1 and 16 threads and the v2 pool engine on dedicated 1- and
-  // 16-worker pools must all produce the same sample.
-  platform::CampaignConfig one;
-  one.threads = 1;
-  platform::CampaignConfig many;
-  many.threads = 16;
-  const std::vector<double> want =
-      platform::run_campaign_spawn(machine, trace, 500, one);
-  EXPECT_EQ(want, platform::run_campaign_spawn(machine, trace, 500, many));
+  // Scheduling invariance across worker counts: the pool engine on
+  // dedicated 1- and 16-worker pools must reproduce a plain serial loop of
+  // run_once (the determinism contract).
   platform::CampaignConfig uncapped;  // threads = 0: workers really claim
   uncapped.grain = 16;
+  std::vector<double> want;
+  for (std::size_t i = 0; i < 500; ++i) {
+    want.push_back(static_cast<double>(
+        machine.run_once(trace, mix64(i, uncapped.master_seed))));
+  }
   for (unsigned workers : {1u, 16u}) {
     ThreadPool pool(workers);
     std::vector<double> pooled(500);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 namespace mbcr {
 namespace {
 
@@ -135,7 +139,7 @@ TEST(SubcommandCli, ParsesCommandAndFlags) {
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p.command, "analyze");
   EXPECT_EQ(p.str("suite"), "bs");
-  EXPECT_EQ(p.integer("runs"), 5);
+  EXPECT_EQ(p.integer("runs"), 5u);
   EXPECT_TRUE(p.flag("verbose"));
 }
 
@@ -191,7 +195,43 @@ TEST(ParseBool, StrictBooleanValues) {
   EXPECT_THROW(parse_bool("x", "TRUE"), std::invalid_argument);
 }
 
+TEST(ParseU64, StrictUnsignedValues) {
+  EXPECT_EQ(parse_u64("x", "0"), 0u);
+  EXPECT_EQ(parse_u64("x", "18446744073709551615"),
+            18446744073709551615ull);
+  for (const char* bad : {"-1", "2x", "abc", "", " 5", "5 ", "+5", "1e3",
+                          "18446744073709551616"}) {
+    EXPECT_THROW(parse_u64("x", bad), std::invalid_argument) << bad;
+  }
+  try {
+    parse_u64("programs", "2x");
+    FAIL() << "2x parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "flag --programs: expected a non-negative integer, got '2x'");
+  }
+}
+
+TEST(SubcommandCli, IntegerFlagsAreStrict) {
+  // `integer()` must refuse what a bare stoll would half-read: negatives
+  // wrapping into huge sizes, trailing junk, non-numbers.
+  for (const char* bad : {"-1", "2x", "abc"}) {
+    const auto p = make_cli().parse({"analyze", "--runs", bad});
+    ASSERT_TRUE(p.ok());
+    EXPECT_THROW(p.integer("runs"), std::invalid_argument) << bad;
+  }
+}
+
 using CliDeathTest = ::testing::Test;
+
+TEST(CliDeathTest, IntegerFlagWithBadValueExits2) {
+  std::vector<std::string> args = {"bench", "--seed", "-1"};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  const Cli cli(static_cast<int>(argv.size()), argv.data(), kSpec, "a bench");
+  EXPECT_EXIT(cli.integer("seed"), ::testing::ExitedWithCode(2),
+              "flag --seed: expected a non-negative integer, got '-1'");
+}
 
 TEST(CliDeathTest, ExitUsageErrorPrintsToStderrAndExits2) {
   // The shared usage-error path: bad enum flag values route through this

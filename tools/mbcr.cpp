@@ -537,18 +537,6 @@ std::vector<std::string> split_list(const std::string& text) {
   return out;
 }
 
-std::uint64_t parse_u64(const char* flag, const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return static_cast<std::uint64_t>(v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("--") + flag +
-                                ": not an unsigned integer: " + text);
-  }
-}
-
 /// The sweep axes + supervisor knobs on top of the StudySpec surface.
 std::map<std::string, std::string> sweep_flags() {
   std::map<std::string, std::string> flags = core::StudySpec::flag_spec();
