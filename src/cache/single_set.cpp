@@ -26,11 +26,29 @@ double expected_misses_single_set(std::span<const Addr> projected,
                                   std::uint32_t ways, std::uint64_t seed,
                                   std::uint32_t trials) {
   if (projected.empty() || trials == 0) return 0.0;
+  // SingleSetCache's replay without its per-trial allocation: the tags
+  // live on the stack for the associativities real caches have, on the
+  // heap beyond (CacheConfig accepts any ways >= 1).
+  constexpr std::uint32_t kInlineWays = 16;
+  Addr inline_tags[kInlineWays];
+  std::vector<Addr> heap_tags;
+  Addr* tags = inline_tags;
+  if (ways > kInlineWays) {
+    heap_tags.resize(ways);
+    tags = heap_tags.data();
+  }
+  constexpr Addr kInvalid = ~Addr{0};
   double total = 0.0;
   for (std::uint32_t t = 0; t < trials; ++t) {
-    SingleSetCache set(ways, mix64(t + 1, seed));
-    for (Addr line : projected) set.access_line(line);
-    total += static_cast<double>(set.misses());
+    std::fill(tags, tags + ways, kInvalid);
+    Xoshiro256 rng(mix64(t + 1, seed));
+    std::uint64_t misses = 0;
+    for (const Addr line : projected) {
+      if (std::find(tags, tags + ways, line) != tags + ways) continue;
+      ++misses;
+      tags[rng.uniform(ways)] = line;
+    }
+    total += static_cast<double>(misses);
   }
   return total / static_cast<double>(trials);
 }

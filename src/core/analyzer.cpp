@@ -47,7 +47,7 @@ PathAnalysis Analyzer::analyze_program(const ir::Program& program,
         exec.trace, config_.machine.il1, config_.machine.dl1,
         out.baseline_cycles,
         static_cast<double>(config_.machine.timing.mem_latency), config_.tac,
-        config_.machine.l2);
+        config_.machine.l2, config_.campaign.threads);
     out.r_tac = out.tac.required_runs;
   }
 

@@ -40,9 +40,7 @@ void run_campaign_into(const Machine& machine, const CompactTrace& trace,
   if (runs == 0) return;
   if (pool == nullptr) pool = &ThreadPool::shared();
   const std::size_t grain = std::max<std::size_t>(1, config.grain);
-  // threads counts the caller among the claimants (it always runs).
-  const std::size_t max_helpers =
-      config.threads == 0 ? SIZE_MAX : config.threads - 1;
+  const std::size_t max_helpers = ThreadPool::helpers_for(config.threads);
   obs::Span span("campaign");
   const auto campaign_start = std::chrono::steady_clock::now();
   std::atomic<std::size_t> runs_done{0};

@@ -19,11 +19,18 @@
 namespace mbcr::tac {
 
 struct ConflictGroup {
-  std::vector<std::size_t> cluster_multiplicity;  ///< m_i per cluster index
-  std::size_t group_size = 0;                     ///< k = sum m_i
-  double combination_count = 0;                   ///< prod C(|c_i|, m_i)
-  double extra_misses = 0;                        ///< expected, if co-mapped
+  std::size_t group_size = 0;    ///< k = sum m_i
+  double combination_count = 0;  ///< prod C(|c_i|, m_i)
+  double extra_misses = 0;       ///< expected, if co-mapped
   std::vector<Addr> representative_lines;
+  /// False only under random-modulo placement, when every combination
+  /// the class stands for contains two same-block lines (co-mapping
+  /// probability exactly 0): the class is a single concrete group whose
+  /// lines clash, or some cluster contributes more lines than it spans
+  /// distinct blocks (pigeonhole). A class that merely *might* clash
+  /// stays co-mappable with its full combination count — that
+  /// overestimates the event probability, the conservative direction.
+  bool co_mappable = true;
 };
 
 struct ConflictConfig {
@@ -42,11 +49,14 @@ struct ConflictConfig {
 
 /// Enumerates cluster multisets of the configured sizes and estimates
 /// their impact. Returns groups sorted by extra_misses descending.
-/// Both enumerators poll the shutdown flag once per candidate group and
-/// throw util::ShutdownRequested after a SIGINT/SIGTERM.
+/// Impacts are estimated in batches on the shared campaign pool;
+/// `threads` caps the claimants like CampaignConfig::threads (0 = the
+/// whole pool, 1 = the calling thread alone). The result does not depend
+/// on it. Both enumerators poll the shutdown flag once per candidate
+/// group and throw util::ShutdownRequested after a SIGINT/SIGTERM.
 std::vector<ConflictGroup> enumerate_conflict_groups(
     const ReuseProfile& profile, const CacheConfig& cache,
-    const ConflictConfig& config = {});
+    const ConflictConfig& config = {}, unsigned threads = 0);
 
 /// Exhaustive per-line enumeration (no clustering) for small traces;
 /// used by the ablation bench to validate the clustered search.

@@ -3,42 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <unordered_set>
 
 #include "obs/metrics.hpp"
 
 namespace mbcr::tac {
-
-namespace {
-
-/// Sound random-modulo filter at conflict-class granularity. A class may
-/// only be dropped when EVERY concrete combination it stands for must
-/// contain two same-block lines (co-mapping probability exactly 0 for
-/// all of them): either the class is a single concrete group whose lines
-/// clash, or some cluster contributes more lines than it spans distinct
-/// blocks (pigeonhole). A class that merely *might* clash is kept with
-/// its full combination count — that overestimates the event
-/// probability, which inflates required runs: the conservative
-/// direction for MBPTA representativeness.
-bool modulo_class_possibly_co_mappable(const ConflictGroup& g,
-                                       const ReuseProfile& profile,
-                                       std::uint32_t sets) {
-  if (g.combination_count <= 1.0) {
-    return modulo_group_co_mappable(g.representative_lines, sets);
-  }
-  for (std::size_t c = 0; c < g.cluster_multiplicity.size(); ++c) {
-    const std::size_t m = g.cluster_multiplicity[c];
-    if (m < 2) continue;
-    std::unordered_set<Addr> blocks;
-    for (const std::size_t idx : profile.clusters[c].line_indices) {
-      blocks.insert(profile.lines[idx].line / sets);
-    }
-    if (blocks.size() < m) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 std::size_t runs_for_probability(double p, double target) {
   if (p <= 0.0 || target <= 0.0 || target >= 1.0) return 0;
@@ -51,7 +19,8 @@ TacSequenceResult analyze_sequence(std::span<const Addr> line_seq,
                                    const CacheConfig& cache,
                                    double baseline_cycles,
                                    double miss_penalty_cycles,
-                                   const TacConfig& config) {
+                                   const TacConfig& config,
+                                   unsigned threads) {
   TacSequenceResult out;
   out.baseline_cycles = baseline_cycles;
   if (line_seq.empty()) {
@@ -61,7 +30,7 @@ TacSequenceResult analyze_sequence(std::span<const Addr> line_seq,
 
   const ReuseProfile profile = profile_sequence(line_seq);
   const std::vector<ConflictGroup> groups =
-      enumerate_conflict_groups(profile, cache, config.conflict);
+      enumerate_conflict_groups(profile, cache, config.conflict, threads);
   out.groups_considered = groups.size();
 
   // Keep relevant groups and bucket them by impact (half-octaves of extra
@@ -89,11 +58,7 @@ TacSequenceResult analyze_sequence(std::span<const Addr> line_seq,
   const std::size_t minimal_k = cache.ways + 1;
   double minimal_class_max_extra = 0.0;
   for (const ConflictGroup& g : groups) {
-    if (g.group_size != minimal_k) continue;
-    if (cache.placement == Placement::kModulo &&
-        !modulo_class_possibly_co_mappable(g, profile, cache.sets)) {
-      continue;
-    }
+    if (g.group_size != minimal_k || !g.co_mappable) continue;
     minimal_class_max_extra =
         std::max(minimal_class_max_extra, g.extra_misses);
   }
@@ -103,10 +68,7 @@ TacSequenceResult analyze_sequence(std::span<const Addr> line_seq,
     if (extra_cycles < impact_floor_cycles) continue;
     // Random-modulo placement: classes whose every combination contains
     // two same-block lines can never co-map and are not events at all.
-    if (cache.placement == Placement::kModulo &&
-        !modulo_class_possibly_co_mappable(g, profile, cache.sets)) {
-      continue;
-    }
+    if (!g.co_mappable) continue;
     if (g.group_size > minimal_k &&
         g.extra_misses <= config.larger_group_margin *
                               minimal_class_max_extra) {
@@ -190,7 +152,7 @@ TacTraceResult analyze_trace(const MemTrace& trace, const CacheConfig& il1,
                              const CacheConfig& dl1, double baseline_cycles,
                              double miss_penalty_cycles,
                              const TacConfig& config,
-                             const HierarchyConfig& l2) {
+                             const HierarchyConfig& l2, unsigned threads) {
   TacTraceResult out;
   const std::vector<Addr> iseq = trace.line_sequence(true, il1.line_bytes);
   const std::vector<Addr> dseq = trace.line_sequence(false, dl1.line_bytes);
@@ -209,15 +171,17 @@ TacTraceResult analyze_trace(const MemTrace& trace, const CacheConfig& il1,
     l1_penalty = static_cast<double>(l2.latency) +
                  (covered ? 0.0 : miss_penalty_cycles);
   }
-  out.il1 = analyze_sequence(iseq, il1, baseline_cycles, l1_penalty, config);
-  out.dl1 = analyze_sequence(dseq, dl1, baseline_cycles, l1_penalty, config);
+  out.il1 = analyze_sequence(iseq, il1, baseline_cycles, l1_penalty, config,
+                             threads);
+  out.dl1 = analyze_sequence(dseq, dl1, baseline_cycles, l1_penalty, config,
+                             threads);
   out.required_runs = std::max(out.il1.required_runs, out.dl1.required_runs);
 
   // Random L2: its own conflict layouts are a second probabilistic event
   // source; an extra L2 miss always pays the full memory latency.
   if (l2.enabled && l2.policy == L2Policy::kRandom) {
     out.l2 = analyze_sequence(useq, l2.l2, baseline_cycles,
-                              miss_penalty_cycles, config);
+                              miss_penalty_cycles, config, threads);
     out.required_runs = std::max(out.required_runs, out.l2.required_runs);
   }
   if (obs::enabled()) {

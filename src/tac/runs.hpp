@@ -69,12 +69,15 @@ std::size_t runs_for_probability(double p, double target);
 
 /// Analyzes one cache side. `baseline_cycles` is the typical execution
 /// time used for the relative impact threshold; `miss_penalty_cycles`
-/// converts misses to cycles.
+/// converts misses to cycles. `threads` caps the impact estimation's
+/// pool claimants (see enumerate_conflict_groups); it never changes the
+/// result.
 TacSequenceResult analyze_sequence(std::span<const Addr> line_seq,
                                    const CacheConfig& cache,
                                    double baseline_cycles,
                                    double miss_penalty_cycles,
-                                   const TacConfig& config = {});
+                                   const TacConfig& config = {},
+                                   unsigned threads = 0);
 
 struct TacTraceResult {
   TacSequenceResult il1;
@@ -113,6 +116,7 @@ TacTraceResult analyze_trace(const MemTrace& trace, const CacheConfig& il1,
                              const CacheConfig& dl1, double baseline_cycles,
                              double miss_penalty_cycles,
                              const TacConfig& config = {},
-                             const HierarchyConfig& l2 = {});
+                             const HierarchyConfig& l2 = {},
+                             unsigned threads = 0);
 
 }  // namespace mbcr::tac

@@ -62,6 +62,12 @@ public:
                     const std::function<void(std::size_t, std::size_t)>& body,
                     std::size_t max_helpers = SIZE_MAX);
 
+  /// `max_helpers` for a concurrency cap that counts the calling thread:
+  /// 0 means the whole pool, 1 the calling thread alone.
+  static std::size_t helpers_for(unsigned threads) {
+    return threads == 0 ? SIZE_MAX : threads - 1;
+  }
+
   /// Enqueues an arbitrary task; the future rethrows its exception. The
   /// campaign engine itself only needs `parallel_for`; this is the
   /// general entry point for ad-hoc jobs sharing the campaign workers

@@ -94,5 +94,25 @@ TEST(ExpectedMisses, MoreWaysNeverWorse) {
   EXPECT_LT(w8, 60.0);  // fits entirely after a short transient
 }
 
+TEST(ExpectedMisses, ReplaysExactlyLikeSingleSetCache) {
+  // The allocation-free replay against the class it mirrors, inline and
+  // heap-allocated tags alike (ways > 16).
+  Xoshiro256 rng(3);
+  for (const std::uint32_t ways : {1u, 2u, 4u, 8u, 16u, 17u, 80u}) {
+    std::vector<Addr> seq;
+    for (int i = 0; i < 2000; ++i) seq.push_back(rng.uniform(ways + 3));
+    const std::uint32_t trials = 5;
+    double total = 0.0;
+    for (std::uint32_t t = 0; t < trials; ++t) {
+      SingleSetCache set(ways, mix64(t + 1, 77));
+      for (const Addr line : seq) set.access_line(line);
+      total += static_cast<double>(set.misses());
+    }
+    EXPECT_EQ(expected_misses_single_set(seq, ways, 77, trials),
+              total / trials)
+        << ways;
+  }
+}
+
 }  // namespace
 }  // namespace mbcr
