@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,7 @@
 #include "platform/machine.hpp"
 #include "suite/malardalen.hpp"
 #include "util/atomic_file.hpp"
+#include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -185,11 +187,10 @@ int run_replay_report(const std::string& json_path, std::size_t runs) {
     obs::set_enabled(false);
     if (sink == 0xdeadbeef) std::fprintf(stderr, "...");  // keep sink live
     std::printf("obs overhead (crc run_once): off %.0f r/s, on %.0f r/s, "
-                "ratio %.3f%s\n",
-                off_rps, on_rps, on_rps / off_rps,
-                obs::kCompiledIn ? "" : " [obs compiled out]");
+                "ratio %.3f\n",
+                off_rps, on_rps, on_rps / off_rps);
     obs_overhead.emplace_back("kernel", "crc");
-    obs_overhead.emplace_back("compiled_in", obs::kCompiledIn);
+    obs_overhead.emplace_back("compiled_in", true);
     obs_overhead.emplace_back("metrics_off_runs_per_sec", off_rps);
     obs_overhead.emplace_back("metrics_on_runs_per_sec", on_rps);
     obs_overhead.emplace_back("on_over_off", on_rps / off_rps);
@@ -276,8 +277,7 @@ int run_interp_report(const std::string& json_path, std::size_t execs) {
   const std::vector<std::string> kernels = {"bs",  "cnt",     "crc",
                                             "edn", "matmult", "ns"};
   json::Array cases;
-  std::printf("interpreter throughput (%s dispatch), %zu execs/case\n",
-              ir::vm::dispatch_kind(), execs);
+  std::printf("interpreter throughput, %zu execs/case\n", execs);
   std::printf("%-8s %10s %12s %12s %12s %8s\n", "kernel", "accesses",
               "leaf_steps", "tree e/s", "vm e/s", "speedup");
   for (const std::string& kernel : kernels) {
@@ -297,7 +297,7 @@ int run_interp_report(const std::string& json_path, std::size_t execs) {
   }
   json::Object doc;
   doc.emplace_back("schema", "mbcr-bench-interp-v3");
-  doc.emplace_back("dispatch", ir::vm::dispatch_kind());
+  doc.emplace_back("dispatch", "switch");
   doc.emplace_back("execs_per_case", execs);
   doc.emplace_back("cases", std::move(cases));
 
@@ -416,7 +416,7 @@ void BM_IrExecVm(benchmark::State& state) {
     benchmark::DoNotOptimize(ir::vm::run(bytecode, b.default_input));
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(b.name + std::string(" (") + ir::vm::dispatch_kind() + ")");
+  state.SetLabel(b.name);
 }
 BENCHMARK(BM_IrExecVm)->Arg(0)->Arg(1)->Arg(2);
 
@@ -460,19 +460,21 @@ int main(int argc, char** argv) {
       }
       return false;
     };
-    std::string value;
+    const auto take_count = [&](const char* flag, std::size_t& out) {
+      std::string value;
+      if (!take_value(flag, value)) return false;
+      try {
+        out = static_cast<std::size_t>(mbcr::parse_u64(flag + 2, value));
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(2);
+      }
+      return true;
+    };
     if (take_value("--json", json_path)) continue;
     if (take_value("--interp-json", interp_json_path)) continue;
-    if (take_value("--replay-runs", value)) {
-      replay_runs = static_cast<std::size_t>(std::strtoull(
-          value.c_str(), nullptr, 10));
-      continue;
-    }
-    if (take_value("--interp-execs", value)) {
-      interp_execs = static_cast<std::size_t>(std::strtoull(
-          value.c_str(), nullptr, 10));
-      continue;
-    }
+    if (take_count("--replay-runs", replay_runs)) continue;
+    if (take_count("--interp-execs", interp_execs)) continue;
     passthrough.push_back(argv[i]);
   }
 

@@ -49,9 +49,6 @@ std::string repro_filename(const FuzzFailure& failure) {
 /// line. Called on every run_fuzz exit path.
 void finish_fuzz_obs(const FuzzReport& report,
                      std::chrono::steady_clock::time_point start) {
-#if defined(MBCR_OBS_DISABLED)
-  (void)report, (void)start;
-#else
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -60,10 +57,8 @@ void finish_fuzz_obs(const FuzzReport& report,
         .set(static_cast<double>(report.cases_run) / elapsed);
   }
   obs::progress_done("fuzz", report.cases_run, "cases");
-#endif
 }
 
-#if !defined(MBCR_OBS_DISABLED)
 /// Per-oracle wall time + run counts, keyed "fuzz.oracle.<name>.*".
 /// Registered once per oracle per process and cached, so probe_case's hot
 /// loop only does relaxed shard adds — whichever driver is running.
@@ -88,7 +83,6 @@ const OracleMetrics& oracle_metrics_for(const Oracle& oracle) {
   }
   return it->second;
 }
-#endif
 
 }  // namespace
 
@@ -152,17 +146,12 @@ const Oracle* probe_case(const FuzzCaseData& data,
                          const std::vector<const Oracle*>& oracles,
                          bool inject_fault, FuzzReport& report,
                          OracleOutcome* outcome) {
-#if !defined(MBCR_OBS_DISABLED)
   const bool collect = obs::enabled();
-#endif
   for (const Oracle* oracle : oracles) {
     ++report.oracle_runs;
-#if !defined(MBCR_OBS_DISABLED)
     const auto oracle_t0 = collect ? std::chrono::steady_clock::now()
                                    : std::chrono::steady_clock::time_point{};
-#endif
     const OracleOutcome result = oracle->run(data, inject_fault);
-#if !defined(MBCR_OBS_DISABLED)
     if (collect) {
       const OracleMetrics& m = oracle_metrics_for(*oracle);
       m.runs.add(1);
@@ -171,7 +160,6 @@ const Oracle* probe_case(const FuzzCaseData& data,
               std::chrono::steady_clock::now() - oracle_t0)
               .count()));
     }
-#endif
     if (result.ok) continue;
     if (outcome) *outcome = result;
     return oracle;  // one failure per case is enough
@@ -244,10 +232,8 @@ FuzzReport run_fuzz(const FuzzConfig& config) {
     return index < config.programs;
   };
 
-#if !defined(MBCR_OBS_DISABLED)
   const bool collect = obs::enabled();
   const obs::Counter cases_counter = obs::counter("fuzz.cases");
-#endif
 
   FuzzReport report;
   for (std::size_t index = 0; within_budget(index); ++index) {
@@ -259,14 +245,12 @@ FuzzReport run_fuzz(const FuzzConfig& config) {
     }
     const FuzzCaseData data = make_case(config.rng_seed, index, config.seeds);
     ++report.cases_run;
-#if !defined(MBCR_OBS_DISABLED)
     if (collect) cases_counter.add(1);
     if (obs::progress_enabled()) {
       obs::progress_tick("fuzz", report.cases_run,
                          config.time_budget_s > 0 ? 0 : config.programs,
                          "cases");
     }
-#endif
     OracleOutcome outcome;
     const Oracle* failed =
         probe_case(data, selected, config.inject_fault_for_test, report,

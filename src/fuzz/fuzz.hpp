@@ -56,7 +56,7 @@ struct FuzzConfig {
   std::size_t max_failures = 5;  ///< stop scanning after this many failures
   /// Harness self-test: perturbs the fast replay observation inside the
   /// replay oracle so every case fails. Proves the fuzzer can detect,
-  /// shrink and emit — without compiling the MBCR_FUZZ_FAULT hook in.
+  /// shrink and emit — without a fault-injection build.
   bool inject_fault_for_test = false;
   std::ostream* log = nullptr;  ///< progress/failure lines (null = silent)
 };

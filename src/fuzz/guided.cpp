@@ -125,12 +125,7 @@ GuidedReport run_guided(const GuidedConfig& config) {
 
   GuidedReport report;
   report.guided = config.guided;
-  report.coverage_measured = obs::kCompiledIn;
-  if (obs::kCompiledIn) obs::set_enabled(true);
-  if (config.guided && !obs::kCompiledIn && base.log) {
-    *base.log << "[fuzz] observability compiled out: no coverage signal, "
-                 "running blind\n";
-  }
+  obs::set_enabled(true);
 
   const auto start = std::chrono::steady_clock::now();
   const auto within_budget = [&](std::size_t produced) {
@@ -169,7 +164,7 @@ GuidedReport run_guided(const GuidedConfig& config) {
       break;
     }
     const bool mutate =
-        config.guided && report.coverage_measured && !corpus.empty() &&
+        config.guided && !corpus.empty() &&
         rng.uniform01() * (blind_yield + mutate_yield) < mutate_yield;
     FuzzCaseData data;
     if (mutate) {
@@ -195,7 +190,6 @@ GuidedReport run_guided(const GuidedConfig& config) {
     }
 
     ++report.fuzz.cases_run;
-#if !defined(MBCR_OBS_DISABLED)
     static const obs::Counter cases_counter = obs::counter("fuzz.cases");
     cases_counter.add(1);
     if (obs::progress_enabled()) {
@@ -204,7 +198,6 @@ GuidedReport run_guided(const GuidedConfig& config) {
                          "features " +
                              std::to_string(coverage.size()));
     }
-#endif
 
     // Bracket the oracle runs — and only them — with snapshots: shrinking
     // a failure re-runs oracles, and that growth must not pollute any
@@ -273,7 +266,6 @@ GuidedReport run_guided(const GuidedConfig& config) {
   report.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-#if !defined(MBCR_OBS_DISABLED)
   if (report.wall_s > 0.0) {
     obs::gauge("fuzz.cases_per_sec")
         .set(static_cast<double>(report.fuzz.cases_run) / report.wall_s);
@@ -282,7 +274,6 @@ GuidedReport run_guided(const GuidedConfig& config) {
              report.wall_s);
   }
   obs::progress_done("fuzz", report.fuzz.cases_run, "cases");
-#endif
   return report;
 }
 
@@ -291,7 +282,7 @@ json::Value coverage_document(const GuidedConfig& config,
   json::Object doc;
   doc.emplace_back("schema", "mbcr-fuzz-coverage-v1");
   doc.emplace_back("guided", report.guided);
-  doc.emplace_back("coverage_measured", report.coverage_measured);
+  doc.emplace_back("coverage_measured", true);
   doc.emplace_back("rng_seed", std::to_string(config.base.rng_seed));
   doc.emplace_back("oracle",
                    config.base.oracle.empty() ? "all" : config.base.oracle);

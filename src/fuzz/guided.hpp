@@ -15,10 +15,6 @@
 // coverage document — is a pure function of `--rng-seed`, whatever the
 // thread count: coverage features exclude time-valued counters, and all
 // scheduling randomness comes from one deterministic generator.
-//
-// In -DMBCR_OBS=OFF builds there is no counter registry: the driver
-// degrades to blind generation (`coverage_measured == false`, zero
-// features) but still runs, shrinks and emits repros.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +47,6 @@ struct GuidedSeed {
 struct GuidedReport {
   FuzzReport fuzz;
   bool guided = false;
-  bool coverage_measured = false;  ///< false in -DMBCR_OBS=OFF builds
   std::size_t features_discovered = 0;
   std::size_t blind_cases = 0;
   std::size_t mutated_cases = 0;
@@ -65,7 +60,7 @@ struct GuidedReport {
 };
 
 /// Runs the guided (or blind-with-coverage) campaign. Arms obs collection
-/// for the process when compiled in — the coverage signal needs it.
+/// for the process — the coverage signal needs it.
 /// Throws std::invalid_argument on a bad config, like run_fuzz.
 GuidedReport run_guided(const GuidedConfig& config);
 

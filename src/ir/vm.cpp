@@ -6,19 +6,8 @@
 #include <string>
 #include <vector>
 
-#include "fuzz/fault.hpp"
 #include "obs/metrics.hpp"
-
-// Dispatch strategy: direct-threaded computed goto where the compiler
-// supports it (GCC/Clang label-as-value extension), plain switch loop
-// otherwise. MBCR_VM_SWITCH_DISPATCH (set by -DMBCR_VM_COMPUTED_GOTO=OFF)
-// forces the switch so CI keeps both paths green.
-#if !defined(MBCR_VM_SWITCH_DISPATCH) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define MBCR_VM_USE_COMPUTED_GOTO 1
-#else
-#define MBCR_VM_USE_COMPUTED_GOTO 0
-#endif
+#include "util/fault.hpp"
 
 namespace mbcr::ir::vm {
 
@@ -32,7 +21,6 @@ struct GhostFrame {
   std::vector<Value> heap;
 };
 
-#if !defined(MBCR_OBS_DISABLED)
 /// One counter per opcode, "vm.op.kHalt" style, registered on first use.
 /// Tally machines accumulate dispatch counts in a local array and flush
 /// them here once per run, so the dispatch loop never touches a shard.
@@ -48,7 +36,6 @@ const obs::Counter* op_counters() {
   }();
   return table->data();
 }
-#endif
 
 template <bool RecordTrace, bool Tally = false>
 class Machine {
@@ -85,14 +72,12 @@ public:
 
     exec_loop();
 
-#if !defined(MBCR_OBS_DISABLED)
     if constexpr (Tally) {
       const obs::Counter* ops = op_counters();
       for (std::size_t i = 0; i < kOpCodeCount; ++i) {
         if (tally_[i] != 0) ops[i].add(tally_[i]);
       }
     }
-#endif
 
     ExecResult result;
     result.trace = std::move(trace_);
@@ -172,27 +157,11 @@ private:
   std::uint64_t steps_ = 0;
   // Per-opcode dispatch counts; dead weight (never read) unless Tally.
   std::array<std::uint64_t, kOpCodeCount> tally_{};
-  // MBCR_VM_FAULT self-test bug (see fuzz/fault.hpp): when compiled in and
+  // Deliberate `vm` fault (see util/fault.hpp): when compiled in and
   // armed, the first element load of a run yields value+1.
   bool vm_fault_pending_ =
-      fuzz::vm_fault_compiled_in() && fuzz::vm_fault_enabled();
+      fault::compiled_in() && fault::armed().kind == fault::Kind::kVm;
 };
-
-#if MBCR_VM_USE_COMPUTED_GOTO
-#define VM_CASE(name) lbl_##name:
-// The tally increment compiles away entirely unless this Machine was
-// instantiated with Tally (which only happens while obs is enabled).
-#define VM_NEXT()                                                     \
-  do {                                                                \
-    if constexpr (Tally) {                                            \
-      ++tally_[static_cast<std::size_t>(ip->code)];                   \
-    }                                                                 \
-    goto* kDispatchTable[static_cast<std::size_t>(ip->code)];         \
-  } while (0)
-#else
-#define VM_CASE(name) case OpCode::name:
-#define VM_NEXT() goto vm_dispatch
-#endif
 
 template <bool RecordTrace, bool Tally>
 void Machine<RecordTrace, Tally>::exec_loop() {
@@ -200,321 +169,304 @@ void Machine<RecordTrace, Tally>::exec_loop() {
   const Op* ip = base;
   Value* sp = stack_.data();
 
-#if MBCR_VM_USE_COMPUTED_GOTO
-  // Table order mirrors the OpCode enum by construction (same X-macro).
-  static const void* kDispatchTable[] = {
-#define MBCR_VM_LABEL_ADDR(name) &&lbl_##name,
-      MBCR_VM_OPCODES(MBCR_VM_LABEL_ADDR)
-#undef MBCR_VM_LABEL_ADDR
-  };
-  static_assert(sizeof(kDispatchTable) / sizeof(const void*) == kOpCodeCount);
-  VM_NEXT();
-#else
-vm_dispatch:
-  // Switch dispatch funnels every op through this label, so one increment
-  // here covers all dispatches (the computed-goto path counts in VM_NEXT).
-  if constexpr (Tally) ++tally_[static_cast<std::size_t>(ip->code)];
-  switch (ip->code) {
-#endif
+  for (;;) {
+    // The tally increment compiles away entirely unless this Machine was
+    // instantiated with Tally (which only happens while obs is enabled).
+    if constexpr (Tally) ++tally_[static_cast<std::size_t>(ip->code)];
+    switch (ip->code) {
+      case OpCode::kHalt:
+        return;
 
-  VM_CASE(kHalt) { return; }
+      case OpCode::kPushConst: {
+        *sp++ = bc_.consts[ip->a];
+        ++ip;
+        continue;
+      }
+      case OpCode::kLoadScalar: {
+        *sp++ = scalars_[ip->a];
+        ++ip;
+        continue;
+      }
+      case OpCode::kStoreScalar: {
+        scalars_[ip->a] = *--sp;
+        ++ip;
+        continue;
+      }
+      case OpCode::kAddScalarImm: {
+        scalars_[ip->a] = wrap_add(scalars_[ip->a], bc_.consts[ip->b]);
+        ++ip;
+        continue;
+      }
+      case OpCode::kLoadElem: {
+        const ArraySlot& arr = bc_.arrays[ip->a];
+        Value idx = sp[-1];
+        if (ghost_depth_ > 0) {
+          idx = wrap_index(idx, arr.size);
+        } else if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size) {
+          raise_oob(arr, idx);
+        }
+        if constexpr (RecordTrace) emit_data(arr, idx, AccessKind::kLoad);
+        Value v = heap_[arr.offset + static_cast<std::size_t>(idx)];
+        if constexpr (fault::compiled_in()) {
+          if (vm_fault_pending_) {
+            vm_fault_pending_ = false;
+            v += 1;
+          }
+        }
+        sp[-1] = v;
+        ++ip;
+        continue;
+      }
+      case OpCode::kStoreElem: {
+        const ArraySlot& arr = bc_.arrays[ip->a];
+        const Value value = *--sp;
+        Value idx = *--sp;
+        if (ghost_depth_ > 0) {
+          idx = wrap_index(idx, arr.size);
+        } else if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size) {
+          raise_oob(arr, idx);
+        }
+        // Ghost stores are demoted to loads: same line touched, no
+        // architectural effect outside the shadow frame.
+        if constexpr (RecordTrace) {
+          emit_data(arr, idx,
+                    ghost_depth_ > 0 ? AccessKind::kLoad : AccessKind::kStore);
+        }
+        heap_[arr.offset + static_cast<std::size_t>(idx)] = value;
+        ++ip;
+        continue;
+      }
 
-  VM_CASE(kPushConst) {
-    *sp++ = bc_.consts[ip->a];
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kLoadScalar) {
-    *sp++ = scalars_[ip->a];
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kStoreScalar) {
-    scalars_[ip->a] = *--sp;
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kAddScalarImm) {
-    scalars_[ip->a] = wrap_add(scalars_[ip->a], bc_.consts[ip->b]);
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kLoadElem) {
-    const ArraySlot& arr = bc_.arrays[ip->a];
-    Value idx = sp[-1];
-    if (ghost_depth_ > 0) {
-      idx = wrap_index(idx, arr.size);
-    } else if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size) {
-      raise_oob(arr, idx);
-    }
-    if constexpr (RecordTrace) emit_data(arr, idx, AccessKind::kLoad);
-    Value v = heap_[arr.offset + static_cast<std::size_t>(idx)];
-    if constexpr (fuzz::vm_fault_compiled_in()) {
-      if (vm_fault_pending_) {
-        vm_fault_pending_ = false;
-        v += 1;
+      case OpCode::kAdd: {
+        const Value r = *--sp;
+        sp[-1] = wrap_add(sp[-1], r);
+        ++ip;
+        continue;
+      }
+      case OpCode::kSub: {
+        const Value r = *--sp;
+        sp[-1] = wrap_sub(sp[-1], r);
+        ++ip;
+        continue;
+      }
+      case OpCode::kMul: {
+        const Value r = *--sp;
+        sp[-1] = wrap_mul(sp[-1], r);
+        ++ip;
+        continue;
+      }
+      case OpCode::kDiv: {
+        const Value r = *--sp;
+        if (r == 0) throw ExecError(bc_.err_div0);
+        sp[-1] = wrap_div(sp[-1], r);
+        ++ip;
+        continue;
+      }
+      case OpCode::kMod: {
+        const Value r = *--sp;
+        if (r == 0) throw ExecError(bc_.err_mod0);
+        sp[-1] = wrap_mod(sp[-1], r);
+        ++ip;
+        continue;
+      }
+      case OpCode::kShl: {
+        const Value r = *--sp;
+        sp[-1] = wrap_shl(sp[-1], r);
+        ++ip;
+        continue;
+      }
+      case OpCode::kShr: {
+        const Value r = *--sp;
+        sp[-1] = sp[-1] >> (r & 63);
+        ++ip;
+        continue;
+      }
+      case OpCode::kBitAnd: {
+        const Value r = *--sp;
+        sp[-1] = sp[-1] & r;
+        ++ip;
+        continue;
+      }
+      case OpCode::kBitOr: {
+        const Value r = *--sp;
+        sp[-1] = sp[-1] | r;
+        ++ip;
+        continue;
+      }
+      case OpCode::kBitXor: {
+        const Value r = *--sp;
+        sp[-1] = sp[-1] ^ r;
+        ++ip;
+        continue;
+      }
+      case OpCode::kLt: {
+        const Value r = *--sp;
+        sp[-1] = sp[-1] < r ? 1 : 0;
+        ++ip;
+        continue;
+      }
+      case OpCode::kLe: {
+        const Value r = *--sp;
+        sp[-1] = sp[-1] <= r ? 1 : 0;
+        ++ip;
+        continue;
+      }
+      case OpCode::kGt: {
+        const Value r = *--sp;
+        sp[-1] = sp[-1] > r ? 1 : 0;
+        ++ip;
+        continue;
+      }
+      case OpCode::kGe: {
+        const Value r = *--sp;
+        sp[-1] = sp[-1] >= r ? 1 : 0;
+        ++ip;
+        continue;
+      }
+      case OpCode::kEq: {
+        const Value r = *--sp;
+        sp[-1] = sp[-1] == r ? 1 : 0;
+        ++ip;
+        continue;
+      }
+      case OpCode::kNe: {
+        const Value r = *--sp;
+        sp[-1] = sp[-1] != r ? 1 : 0;
+        ++ip;
+        continue;
+      }
+      case OpCode::kLAnd: {
+        const Value r = *--sp;
+        sp[-1] = (sp[-1] != 0 && r != 0) ? 1 : 0;
+        ++ip;
+        continue;
+      }
+      case OpCode::kLOr: {
+        const Value r = *--sp;
+        sp[-1] = (sp[-1] != 0 || r != 0) ? 1 : 0;
+        ++ip;
+        continue;
+      }
+
+      case OpCode::kNeg: {
+        sp[-1] = wrap_neg(sp[-1]);
+        ++ip;
+        continue;
+      }
+      case OpCode::kLNot: {
+        sp[-1] = sp[-1] == 0 ? 1 : 0;
+        ++ip;
+        continue;
+      }
+      case OpCode::kBitNot: {
+        sp[-1] = ~sp[-1];
+        ++ip;
+        continue;
+      }
+      case OpCode::kSelect: {
+        const Value else_v = *--sp;
+        const Value then_v = *--sp;
+        sp[-1] = sp[-1] != 0 ? then_v : else_v;
+        ++ip;
+        continue;
+      }
+      case OpCode::kPop: {
+        --sp;
+        ++ip;
+        continue;
+      }
+
+      case OpCode::kStepFetch: {
+        step();
+        if constexpr (RecordTrace) do_fetch(bc_.sites[ip->a]);
+        ++ip;
+        continue;
+      }
+      case OpCode::kFetch: {
+        if constexpr (RecordTrace) do_fetch(bc_.sites[ip->a]);
+        ++ip;
+        continue;
+      }
+
+      case OpCode::kJump: {
+        ip = base + ip->a;
+        continue;
+      }
+      case OpCode::kBranch: {
+        const Value cond = *--sp;
+        const bool taken = cond != 0;
+        if (ghost_depth_ == 0) {
+          path_.events.emplace_back(bc_.branch_ids[ip->b], taken ? 1 : 0);
+        }
+        if (taken) {
+          ++ip;
+        } else {
+          ip = base + ip->a;
+        }
+        continue;
+      }
+
+      case OpCode::kResetTrips: {
+        trips_[ip->a] = 0;
+        ++ip;
+        continue;
+      }
+      case OpCode::kLoopNext: {
+        const Value cond = *--sp;
+        if (cond == 0) {
+          ip = base + ip->b;
+          continue;
+        }
+        const LoopSlot& loop = bc_.loops[ip->a];
+        if (trips_[ip->a] == loop.max_trips) throw ExecError(loop.bound_error);
+        ++trips_[ip->a];
+        ++ip;
+        continue;
+      }
+      case OpCode::kPathLoop: {
+        if (ghost_depth_ == 0) {
+          path_.events.emplace_back(bc_.loops[ip->a].stmt_id, trips_[ip->a]);
+        }
+        ++ip;
+        continue;
+      }
+      case OpCode::kPadEnter: {
+        if (trips_[ip->a] >= bc_.loops[ip->a].max_trips) {
+          ip = base + ip->b;
+          continue;
+        }
+        ghost_enter();
+        ++ip;
+        continue;
+      }
+      case OpCode::kPadNext: {
+        ++trips_[ip->a];
+        if (trips_[ip->a] < bc_.loops[ip->a].max_trips) {
+          ip = base + ip->b;
+          continue;
+        }
+        ++ip;  // falls through to the pad section's kGhostExit
+        continue;
+      }
+
+      case OpCode::kGhostEnter: {
+        ghost_enter();
+        ++ip;
+        continue;
+      }
+      case OpCode::kGhostExit: {
+        ghost_exit();
+        ++ip;
+        continue;
       }
     }
-    sp[-1] = v;
-    ++ip;
-    VM_NEXT();
   }
-  VM_CASE(kStoreElem) {
-    const ArraySlot& arr = bc_.arrays[ip->a];
-    const Value value = *--sp;
-    Value idx = *--sp;
-    if (ghost_depth_ > 0) {
-      idx = wrap_index(idx, arr.size);
-    } else if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size) {
-      raise_oob(arr, idx);
-    }
-    // Ghost stores are demoted to loads: same line touched, no
-    // architectural effect outside the shadow frame.
-    if constexpr (RecordTrace) {
-      emit_data(arr, idx,
-                ghost_depth_ > 0 ? AccessKind::kLoad : AccessKind::kStore);
-    }
-    heap_[arr.offset + static_cast<std::size_t>(idx)] = value;
-    ++ip;
-    VM_NEXT();
-  }
-
-  VM_CASE(kAdd) {
-    const Value r = *--sp;
-    sp[-1] = wrap_add(sp[-1], r);
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kSub) {
-    const Value r = *--sp;
-    sp[-1] = wrap_sub(sp[-1], r);
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kMul) {
-    const Value r = *--sp;
-    sp[-1] = wrap_mul(sp[-1], r);
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kDiv) {
-    const Value r = *--sp;
-    if (r == 0) throw ExecError(bc_.err_div0);
-    sp[-1] = wrap_div(sp[-1], r);
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kMod) {
-    const Value r = *--sp;
-    if (r == 0) throw ExecError(bc_.err_mod0);
-    sp[-1] = wrap_mod(sp[-1], r);
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kShl) {
-    const Value r = *--sp;
-    sp[-1] = wrap_shl(sp[-1], r);
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kShr) {
-    const Value r = *--sp;
-    sp[-1] = sp[-1] >> (r & 63);
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kBitAnd) {
-    const Value r = *--sp;
-    sp[-1] = sp[-1] & r;
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kBitOr) {
-    const Value r = *--sp;
-    sp[-1] = sp[-1] | r;
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kBitXor) {
-    const Value r = *--sp;
-    sp[-1] = sp[-1] ^ r;
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kLt) {
-    const Value r = *--sp;
-    sp[-1] = sp[-1] < r ? 1 : 0;
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kLe) {
-    const Value r = *--sp;
-    sp[-1] = sp[-1] <= r ? 1 : 0;
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kGt) {
-    const Value r = *--sp;
-    sp[-1] = sp[-1] > r ? 1 : 0;
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kGe) {
-    const Value r = *--sp;
-    sp[-1] = sp[-1] >= r ? 1 : 0;
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kEq) {
-    const Value r = *--sp;
-    sp[-1] = sp[-1] == r ? 1 : 0;
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kNe) {
-    const Value r = *--sp;
-    sp[-1] = sp[-1] != r ? 1 : 0;
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kLAnd) {
-    const Value r = *--sp;
-    sp[-1] = (sp[-1] != 0 && r != 0) ? 1 : 0;
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kLOr) {
-    const Value r = *--sp;
-    sp[-1] = (sp[-1] != 0 || r != 0) ? 1 : 0;
-    ++ip;
-    VM_NEXT();
-  }
-
-  VM_CASE(kNeg) {
-    sp[-1] = wrap_neg(sp[-1]);
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kLNot) {
-    sp[-1] = sp[-1] == 0 ? 1 : 0;
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kBitNot) {
-    sp[-1] = ~sp[-1];
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kSelect) {
-    const Value else_v = *--sp;
-    const Value then_v = *--sp;
-    sp[-1] = sp[-1] != 0 ? then_v : else_v;
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kPop) {
-    --sp;
-    ++ip;
-    VM_NEXT();
-  }
-
-  VM_CASE(kStepFetch) {
-    step();
-    if constexpr (RecordTrace) do_fetch(bc_.sites[ip->a]);
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kFetch) {
-    if constexpr (RecordTrace) do_fetch(bc_.sites[ip->a]);
-    ++ip;
-    VM_NEXT();
-  }
-
-  VM_CASE(kJump) {
-    ip = base + ip->a;
-    VM_NEXT();
-  }
-  VM_CASE(kBranch) {
-    const Value cond = *--sp;
-    const bool taken = cond != 0;
-    if (ghost_depth_ == 0) {
-      path_.events.emplace_back(bc_.branch_ids[ip->b], taken ? 1 : 0);
-    }
-    if (taken) {
-      ++ip;
-    } else {
-      ip = base + ip->a;
-    }
-    VM_NEXT();
-  }
-
-  VM_CASE(kResetTrips) {
-    trips_[ip->a] = 0;
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kLoopNext) {
-    const Value cond = *--sp;
-    if (cond == 0) {
-      ip = base + ip->b;
-      VM_NEXT();
-    }
-    const LoopSlot& loop = bc_.loops[ip->a];
-    if (trips_[ip->a] == loop.max_trips) throw ExecError(loop.bound_error);
-    ++trips_[ip->a];
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kPathLoop) {
-    if (ghost_depth_ == 0) {
-      path_.events.emplace_back(bc_.loops[ip->a].stmt_id, trips_[ip->a]);
-    }
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kPadEnter) {
-    if (trips_[ip->a] >= bc_.loops[ip->a].max_trips) {
-      ip = base + ip->b;
-      VM_NEXT();
-    }
-    ghost_enter();
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kPadNext) {
-    ++trips_[ip->a];
-    if (trips_[ip->a] < bc_.loops[ip->a].max_trips) {
-      ip = base + ip->b;
-      VM_NEXT();
-    }
-    ++ip;  // falls through to the pad section's kGhostExit
-    VM_NEXT();
-  }
-
-  VM_CASE(kGhostEnter) {
-    ghost_enter();
-    ++ip;
-    VM_NEXT();
-  }
-  VM_CASE(kGhostExit) {
-    ghost_exit();
-    ++ip;
-    VM_NEXT();
-  }
-
-#if !MBCR_VM_USE_COMPUTED_GOTO
-  }
-#endif
 }
-
-#undef VM_CASE
-#undef VM_NEXT
 
 }  // namespace
 
 ExecResult run(const BytecodeProgram& bytecode, const InputVector& input,
                const ExecOptions& options) {
-#if !defined(MBCR_OBS_DISABLED)
   // Tally machines are separate instantiations so the default dispatch
   // loops carry zero instrumentation; selected only while obs is on.
   if (obs::enabled()) {
@@ -525,21 +477,12 @@ ExecResult run(const BytecodeProgram& bytecode, const InputVector& input,
     Machine<false, true> machine(bytecode, options);
     return machine.run(input);
   }
-#endif
   if (options.record_trace) {
     Machine<true> machine(bytecode, options);
     return machine.run(input);
   }
   Machine<false> machine(bytecode, options);
   return machine.run(input);
-}
-
-const char* dispatch_kind() {
-#if MBCR_VM_USE_COMPUTED_GOTO
-  return "computed-goto";
-#else
-  return "switch";
-#endif
 }
 
 }  // namespace mbcr::ir::vm

@@ -1,9 +1,7 @@
 // Bytecode VM: the execute half of the compile-then-execute executor pair
 // (ir/bytecode.hpp holds the compiler).
 //
-// A tight dispatch loop over the flat op stream — computed-goto threading
-// on GCC/Clang, a switch loop elsewhere or when the build sets
-// MBCR_VM_SWITCH_DISPATCH (-DMBCR_VM_COMPUTED_GOTO=OFF). All state is
+// A portable switch dispatch loop over the flat op stream. All state is
 // dense: a scalar slot vector, one flat heap for every array, a
 // preallocated operand stack sized by the compiler, per-loop trip
 // counters, and a ghost-frame stack of (scalars, heap) snapshots that
@@ -26,8 +24,5 @@ namespace mbcr::ir::vm {
 /// the tree-walker.
 ExecResult run(const BytecodeProgram& bytecode, const InputVector& input,
                const ExecOptions& options = {});
-
-/// "computed-goto" or "switch" — the dispatch strategy of this build.
-const char* dispatch_kind();
 
 }  // namespace mbcr::ir::vm

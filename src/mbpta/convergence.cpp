@@ -12,7 +12,6 @@
 
 namespace mbcr::mbpta {
 
-#if !defined(MBCR_OBS_DISABLED)
 namespace {
 
 struct ConvergenceMetrics {
@@ -26,7 +25,6 @@ const ConvergenceMetrics& convergence_metrics() {
 }
 
 }  // namespace
-#endif
 
 ConvergenceResult converge_stream(const StreamSampler& sampler,
                                   const ConvergenceConfig& config) {
@@ -36,11 +34,9 @@ ConvergenceResult converge_stream(const StreamSampler& sampler,
       const std::size_t before = result.sample.size();
       sampler(result.sample, target - before);
       if (result.sample.size() == before) break;  // exhausted (tests only)
-#if !defined(MBCR_OBS_DISABLED)
       if (obs::enabled()) {
         convergence_metrics().samples.add(result.sample.size() - before);
       }
-#endif
     }
   };
 
@@ -53,9 +49,7 @@ ConvergenceResult converge_stream(const StreamSampler& sampler,
   std::vector<double> sorted;
   auto probe = [&]() {
     obs::Span span("refit");
-#if !defined(MBCR_OBS_DISABLED)
     if (obs::enabled()) convergence_metrics().refits.add(1);
-#endif
     const std::size_t merged = sorted.size();
     sorted.insert(sorted.end(), result.sample.begin() + merged,
                   result.sample.end());

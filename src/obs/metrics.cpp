@@ -1,7 +1,5 @@
 #include "obs/metrics.hpp"
 
-#if !defined(MBCR_OBS_DISABLED)
-
 #include <array>
 #include <map>
 #include <memory>
@@ -269,48 +267,3 @@ void reset_metrics() {
 }
 
 }  // namespace mbcr::obs
-
-#else  // MBCR_OBS_DISABLED
-
-namespace mbcr::obs {
-
-void set_enabled(bool) noexcept {}
-Counter counter(std::string_view) { return {}; }
-Gauge gauge(std::string_view) { return {}; }
-Histogram histogram(std::string_view) { return {}; }
-
-namespace {
-
-json::Object metrics_object() {
-  json::Object out;
-  out.emplace_back("counters", json::Value(json::Object{}));
-  out.emplace_back("gauges", json::Value(json::Object{}));
-  out.emplace_back("histograms", json::Value(json::Object{}));
-  return out;
-}
-
-}  // namespace
-
-json::Value metrics_json() { return json::Value(metrics_object()); }
-
-json::Value metrics_document() {
-  json::Object doc;
-  doc.emplace_back("schema", "mbcr-metrics-v1");
-  for (auto& [key, value] : metrics_object()) {
-    doc.emplace_back(key, std::move(value));
-  }
-  return json::Value(std::move(doc));
-}
-
-CounterSnapshot snapshot_counters() { return {}; }
-
-std::vector<std::pair<std::string, std::uint64_t>>
-CounterSnapshot::delta_since(const CounterSnapshot&) const {
-  return {};
-}
-
-void reset_metrics() {}
-
-}  // namespace mbcr::obs
-
-#endif  // MBCR_OBS_DISABLED

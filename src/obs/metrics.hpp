@@ -3,13 +3,9 @@
 // Counters, gauges and fixed-bucket (power-of-two) histograms, designed so
 // the measured pipeline pays nothing it can notice:
 //
-//   - Compile gate: configuring with -DMBCR_OBS=OFF defines
-//     MBCR_OBS_DISABLED and every operation below compiles to an empty
-//     inline body; `enabled()` folds to `false`, so `if (obs::enabled())`
-//     instrumentation blocks are dead-code-eliminated.
-//   - Runtime gate: with observability compiled in, collection is off
-//     until `set_enabled(true)` (the CLI flips it for --metrics-json /
-//     --progress). A disabled update is one relaxed atomic load.
+//   - Runtime gate: collection is off until `set_enabled(true)` (the CLI
+//     flips it for --metrics-json / --progress). A disabled update is one
+//     relaxed atomic load.
 //   - Thread-local shards: an enabled counter update is a relaxed
 //     fetch_add on a slot owned by the calling thread — no shared cache
 //     line, no lock. `metrics_json()` merges every shard under the
@@ -33,13 +29,6 @@
 
 namespace mbcr::obs {
 
-#if defined(MBCR_OBS_DISABLED)
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
-#if !defined(MBCR_OBS_DISABLED)
 namespace detail {
 extern std::atomic<bool> g_metrics_enabled;
 /// Adds `n` to the calling thread's shard slot (registering the shard and
@@ -51,18 +40,13 @@ void shard_add(std::uint32_t slot, std::uint64_t n) noexcept;
 void shard_add2(std::uint32_t slot_a, std::uint64_t a, std::uint32_t slot_b,
                 std::uint64_t b) noexcept;
 }  // namespace detail
-#endif
 
-/// The runtime collection gate. Constant `false` when compiled out.
+/// The runtime collection gate.
 inline bool enabled() noexcept {
-#if defined(MBCR_OBS_DISABLED)
-  return false;
-#else
   return detail::g_metrics_enabled.load(std::memory_order_relaxed);
-#endif
 }
 
-/// Flips the runtime gate (no-op when compiled out).
+/// Flips the runtime gate.
 void set_enabled(bool on) noexcept;
 
 /// A monotonically increasing event count. Copyable, trivially small;
@@ -71,12 +55,8 @@ void set_enabled(bool on) noexcept;
 class Counter {
 public:
   void add(std::uint64_t n = 1) const noexcept {
-#if defined(MBCR_OBS_DISABLED)
-    (void)n;
-#else
     if (!enabled()) return;
     detail::shard_add(slot_, n);
-#endif
   }
 
 private:
@@ -92,15 +72,8 @@ private:
 /// better.
 inline void add_pair(const Counter& a, std::uint64_t na, const Counter& b,
                      std::uint64_t nb) noexcept {
-#if defined(MBCR_OBS_DISABLED)
-  (void)a;
-  (void)na;
-  (void)b;
-  (void)nb;
-#else
   if (!enabled()) return;
   detail::shard_add2(a.slot_, na, b.slot_, nb);
-#endif
 }
 
 /// A last-write-wins instantaneous value (queue depth, rates computed at
@@ -108,12 +81,8 @@ inline void add_pair(const Counter& a, std::uint64_t na, const Counter& b,
 class Gauge {
 public:
   void set(double value) const noexcept {
-#if defined(MBCR_OBS_DISABLED)
-    (void)value;
-#else
     if (!enabled() || cell_ == nullptr) return;
     cell_->store(value, std::memory_order_relaxed);
-#endif
   }
 
 private:
@@ -129,16 +98,12 @@ public:
   static constexpr std::uint32_t kBuckets = 32;
 
   void record(std::uint64_t value) const noexcept {
-#if defined(MBCR_OBS_DISABLED)
-    (void)value;
-#else
     if (!enabled()) return;
     const auto width = static_cast<std::uint32_t>(std::bit_width(value));
     const std::uint32_t bucket = width < kBuckets ? width : kBuckets - 1;
     detail::shard_add(slot_ + bucket, 1);
     detail::shard_add(slot_ + kBuckets, 1);      // count
     detail::shard_add(slot_ + kBuckets + 1, value);  // sum
-#endif
   }
 
 private:
@@ -147,8 +112,7 @@ private:
 };
 
 /// Registers (or looks up) a metric by name. Registration takes the
-/// registry mutex; cache the handle at the call site. When compiled out
-/// these return inert handles without touching any global state.
+/// registry mutex; cache the handle at the call site.
 Counter counter(std::string_view name);
 Gauge gauge(std::string_view name);
 Histogram histogram(std::string_view name);
@@ -159,7 +123,7 @@ Histogram histogram(std::string_view name);
 /// snapshots.
 class CounterSnapshot {
 public:
-  /// (name, value) pairs, sorted by name. Empty when compiled out.
+  /// (name, value) pairs, sorted by name.
   const std::vector<std::pair<std::string, std::uint64_t>>& values() const {
     return values_;
   }
@@ -178,9 +142,7 @@ private:
   std::vector<std::pair<std::string, std::uint64_t>> values_;
 };
 
-/// Captures every registered counter under the registry mutex. Returns
-/// an empty snapshot when compiled out (callers must treat "no counters"
-/// as "no coverage signal", not an error).
+/// Captures every registered counter under the registry mutex.
 CounterSnapshot snapshot_counters();
 
 /// A merged snapshot of every shard:

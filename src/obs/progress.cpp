@@ -1,7 +1,5 @@
 #include "obs/progress.hpp"
 
-#if !defined(MBCR_OBS_DISABLED)
-
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -139,13 +137,3 @@ void set_progress_enabled(bool on) noexcept {
 }
 
 }  // namespace mbcr::obs
-
-#else  // MBCR_OBS_DISABLED
-
-namespace mbcr::obs {
-
-void set_progress_enabled(bool) noexcept {}
-
-}  // namespace mbcr::obs
-
-#endif  // MBCR_OBS_DISABLED

@@ -13,8 +13,6 @@
 // terminated) rather than \r-rewritten so logs captured by CI stay
 // readable. Rate limiting is a relaxed timestamp check (~4 Hz) so ticks
 // from hot loops cost one load when it is not yet time to print.
-//
-// Compiled out under MBCR_OBS_DISABLED like the rest of the layer.
 #pragma once
 
 #include <atomic>
@@ -23,7 +21,6 @@
 
 namespace mbcr::obs {
 
-#if !defined(MBCR_OBS_DISABLED)
 namespace detail {
 extern std::atomic<bool> g_progress_enabled;
 void progress_tick_impl(const char* phase, std::uint64_t done,
@@ -32,17 +29,12 @@ void progress_tick_impl(const char* phase, std::uint64_t done,
 void progress_done_impl(const char* phase, std::uint64_t done,
                         const char* unit);
 }  // namespace detail
-#endif
 
 inline bool progress_enabled() noexcept {
-#if defined(MBCR_OBS_DISABLED)
-  return false;
-#else
   return detail::g_progress_enabled.load(std::memory_order_relaxed);
-#endif
 }
 
-/// Flips progress reporting (no-op when compiled out).
+/// Flips progress reporting.
 void set_progress_enabled(bool on) noexcept;
 
 /// One progress update: `done` of `total` `unit`s in `phase` (total 0 =
@@ -51,24 +43,16 @@ void set_progress_enabled(bool on) noexcept;
 inline void progress_tick(const char* phase, std::uint64_t done,
                           std::uint64_t total, const char* unit,
                           const std::string& extra = {}) {
-#if defined(MBCR_OBS_DISABLED)
-  (void)phase, (void)done, (void)total, (void)unit, (void)extra;
-#else
   if (!progress_enabled()) return;
   detail::progress_tick_impl(phase, done, total, unit, extra);
-#endif
 }
 
 /// Final line for a phase (always printed when enabled, with the phase's
 /// elapsed time); also resets the per-phase rate bookkeeping.
 inline void progress_done(const char* phase, std::uint64_t done,
                           const char* unit) {
-#if defined(MBCR_OBS_DISABLED)
-  (void)phase, (void)done, (void)unit;
-#else
   if (!progress_enabled()) return;
   detail::progress_done_impl(phase, done, unit);
-#endif
 }
 
 }  // namespace mbcr::obs

@@ -1,7 +1,5 @@
 #include "obs/trace.hpp"
 
-#if !defined(MBCR_OBS_DISABLED)
-
 #include <chrono>
 #include <mutex>
 #include <vector>
@@ -125,22 +123,3 @@ void reset_trace() {
 }
 
 }  // namespace mbcr::obs
-
-#else  // MBCR_OBS_DISABLED
-
-namespace mbcr::obs {
-
-void set_trace_enabled(bool) noexcept {}
-
-json::Value trace_json() {
-  json::Object doc;
-  doc.emplace_back("traceEvents", json::Value(json::Array{}));
-  doc.emplace_back("displayTimeUnit", "ms");
-  return json::Value(std::move(doc));
-}
-
-void reset_trace() {}
-
-}  // namespace mbcr::obs
-
-#endif  // MBCR_OBS_DISABLED

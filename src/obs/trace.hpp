@@ -7,8 +7,7 @@
 //   {"traceEvents": [{"name", "cat", "ph", "ts", "dur", "pid", "tid"}]}
 // which chrome://tracing and https://ui.perfetto.dev load directly.
 //
-// Gating mirrors the metrics registry: compiled to empty inline bodies
-// under MBCR_OBS_DISABLED, and collecting nothing until
+// Gating mirrors the metrics registry: nothing is collected until
 // `set_trace_enabled(true)` (one relaxed load per Span otherwise).
 // Timestamps come from steady_clock relative to the first enable, in
 // microseconds; thread ids are small dense integers assigned per thread.
@@ -24,7 +23,6 @@
 
 namespace mbcr::obs {
 
-#if !defined(MBCR_OBS_DISABLED)
 namespace detail {
 extern std::atomic<bool> g_trace_enabled;
 /// Monotonic microseconds since the trace epoch.
@@ -33,19 +31,14 @@ std::uint64_t trace_now_us() noexcept;
 void trace_emit(const char* name, std::uint64_t ts_us,
                 std::uint64_t dur_us) noexcept;
 }  // namespace detail
-#endif
 
 inline constexpr std::size_t kMaxTraceEvents = 1u << 18;
 
 inline bool trace_enabled() noexcept {
-#if defined(MBCR_OBS_DISABLED)
-  return false;
-#else
   return detail::g_trace_enabled.load(std::memory_order_relaxed);
-#endif
 }
 
-/// Flips trace collection (no-op when compiled out).
+/// Flips trace collection.
 void set_trace_enabled(bool on) noexcept;
 
 /// RAII phase marker. `name` must be a string literal (or otherwise
@@ -54,33 +47,25 @@ void set_trace_enabled(bool on) noexcept;
 class Span {
 public:
   explicit Span(const char* name) noexcept {
-#if defined(MBCR_OBS_DISABLED)
-    (void)name;
-#else
     if (trace_enabled()) {
       name_ = name;
       start_us_ = detail::trace_now_us();
     }
-#endif
   }
 
   ~Span() {
-#if !defined(MBCR_OBS_DISABLED)
     if (name_ != nullptr) {
       const std::uint64_t now = detail::trace_now_us();
       detail::trace_emit(name_, start_us_, now - start_us_);
     }
-#endif
   }
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
 private:
-#if !defined(MBCR_OBS_DISABLED)
   const char* name_ = nullptr;
   std::uint64_t start_us_ = 0;
-#endif
 };
 
 /// The collected trace as a Chrome trace_event JSON document. Includes a

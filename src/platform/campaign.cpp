@@ -12,7 +12,6 @@
 
 namespace mbcr::platform {
 
-#if !defined(MBCR_OBS_DISABLED)
 namespace {
 
 /// Campaign-engine metrics, registered once. Instrumentation only reads
@@ -31,7 +30,6 @@ const CampaignMetrics& campaign_metrics() {
 }
 
 }  // namespace
-#endif
 
 void run_campaign_into(const Machine& machine, const CompactTrace& trace,
                        std::size_t runs, double* out,
@@ -60,7 +58,6 @@ void run_campaign_into(const Machine& machine, const CompactTrace& trace,
           const std::uint64_t seed = mix64(first_run + i, config.master_seed);
           out[i] = static_cast<double>(machine.run_once(trace, seed, ws));
         }
-#if !defined(MBCR_OBS_DISABLED)
         // Once per chunk (>= grain runs), outside the replay loops: the
         // shard updates and the shared progress cursor are invisible to
         // the deterministic per-run seed schedule.
@@ -76,10 +73,8 @@ void run_campaign_into(const Machine& machine, const CompactTrace& trace,
               (end - begin);
           obs::progress_tick("campaign", done, runs, "runs");
         }
-#endif
       },
       max_helpers);
-#if !defined(MBCR_OBS_DISABLED)
   if (obs::enabled()) {
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -90,10 +85,6 @@ void run_campaign_into(const Machine& machine, const CompactTrace& trace,
                                           elapsed);
     }
   }
-#else
-  (void)campaign_start;
-  (void)runs_done;
-#endif
 }
 
 std::vector<double> run_campaign(const Machine& machine,

@@ -5,11 +5,8 @@
 #include "cache/lru_cache.hpp"
 #include "cache/random_cache.hpp"
 #include "obs/metrics.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
-
-#ifdef MBCR_FUZZ_FAULT
-#include "fuzz/fault.hpp"
-#endif
 
 namespace mbcr::platform {
 
@@ -104,10 +101,10 @@ private:
 std::uint64_t replay_single_level(const CompactTrace& trace, FastSide& il1,
                                   FastSide& dl1, const TimingParams& t,
                                   std::uint64_t cycles) {
-#ifdef MBCR_FUZZ_FAULT
-  // Deliberate bug (fuzz-harness self-test build only): the first DL1 miss
-  // of a run forgets its memory-latency penalty. See fuzz/fault.hpp.
-  bool fault_pending = fuzz::fault_enabled();
+#ifdef MBCR_FAULT_INJECTION
+  // Deliberate `replay` fault (fault-injection builds only): the first DL1
+  // miss of a run forgets its memory-latency penalty. See util/fault.hpp.
+  bool fault_pending = fault::armed().kind == fault::Kind::kReplay;
 #endif
   for (const CompactTrace::Entry& e : trace.entries) {
     if (e.is_instr) {
@@ -116,7 +113,7 @@ std::uint64_t replay_single_level(const CompactTrace& trace, FastSide& il1,
     } else {
       cycles += t.dl1_hit_cycles;
       if (!dl1.access(e.line_id)) {
-#ifdef MBCR_FUZZ_FAULT
+#ifdef MBCR_FAULT_INJECTION
         if (fault_pending) {
           fault_pending = false;
           continue;
@@ -156,8 +153,6 @@ std::uint64_t replay_hierarchy(const CompactTrace& trace, FastSide& il1,
   return cycles;
 }
 
-#if !defined(MBCR_OBS_DISABLED)
-
 /// Replay-path tallies, one pair per machine flavor. Flushed once per run
 /// (one fused pair-add), so the crc replay path stays within the <2%
 /// collection-overhead budget the bench gate pins.
@@ -186,8 +181,6 @@ Flavor flavor_of(const MachineConfig& config) {
                                                : Flavor::kL2Lru;
 }
 
-#endif  // !MBCR_OBS_DISABLED
-
 }  // namespace
 
 Machine::Machine(const MachineConfig& config) : config_(config) {
@@ -211,12 +204,10 @@ std::uint64_t Machine::run_once(const CompactTrace& trace,
 std::uint64_t Machine::run_once(const CompactTrace& trace,
                                 std::uint64_t run_seed,
                                 RunWorkspace& ws) const {
-#if !defined(MBCR_OBS_DISABLED)
   if (obs::enabled()) {
     const FlavorCounters& fc = flavor_counters(flavor_of(config_));
     obs::add_pair(fc.runs, 1, fc.entries, trace.size());
   }
-#endif
   FastSide il1(config_.il1, trace.ilines, mix64(kIl1Placement, run_seed),
                mix64(kIl1Replacement, run_seed), ws.il1_tags, ws.il1_set_of);
   FastSide dl1(config_.dl1, trace.dlines, mix64(kDl1Placement, run_seed),

@@ -9,8 +9,8 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sweep/fault.hpp"
 #include "util/atomic_file.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 #include "util/signal.hpp"
 #include "util/subprocess.hpp"
@@ -106,11 +106,9 @@ SweepOutcome run_sweep(const SweepSpec& spec,
   out.shards = shards;
   assign_shards(units.size(), shards);  // validates the plan early
 
-#if !defined(MBCR_OBS_DISABLED)
   if (obs::enabled()) {
     obs::counter("sweep.shards").add(shards);
   }
-#endif
 
   struct Pending {
     std::size_t shard;
@@ -180,9 +178,7 @@ SweepOutcome run_sweep(const SweepSpec& spec,
                            config.backoff_base_ms, config.backoff_max_ms);
       pending.push_back(
           {rec.shard, rec.attempt + 1, clock->now_ns() + rec.backoff_ns});
-#if !defined(MBCR_OBS_DISABLED)
       if (obs::enabled()) obs::counter("sweep.retries").add(1);
-#endif
       if (config.log) {
         *config.log << "[sweep] shard " << rec.shard << " attempt "
                     << rec.attempt << " FAILED (" << rec.failure
@@ -191,9 +187,7 @@ SweepOutcome run_sweep(const SweepSpec& spec,
       }
     } else {
       out.quarantined.push_back(rec.shard);
-#if !defined(MBCR_OBS_DISABLED)
       if (obs::enabled()) obs::counter("sweep.quarantined").add(1);
-#endif
       if (config.log) {
         *config.log << "[sweep] shard " << rec.shard << " QUARANTINED after "
                     << rec.attempt + 1 << " attempt(s): " << rec.failure
@@ -298,18 +292,18 @@ namespace {
 /// Applies the armed malfunction at the write-result point. Never
 /// returns for crash/hang; for truncate/badsum it writes the damaged
 /// file itself and the caller must skip the real write.
-void apply_write_fault(const FaultPlan& fault, const std::string& dir,
+void apply_write_fault(const fault::Spec& spec, const std::string& dir,
                        const std::string& sweep_id,
                        const ShardResult& result) {
-  switch (fault.mode) {
-    case FaultMode::kCrash:
+  switch (spec.kind) {
+    case fault::Kind::kCrash:
       // Die without writing anything — the supervisor must see a failed
       // attempt with no (new) journal entry.
       std::_Exit(1);
-    case FaultMode::kHang:
+    case fault::Kind::kHang:
       // Sleep past any timeout; only SIGKILL ends this worker.
       for (;;) util::SystemClock::instance().sleep_ns(50'000'000);
-    case FaultMode::kTruncate: {
+    case fault::Kind::kTruncate: {
       // The torn write the atomic writer is designed to prevent,
       // committed deliberately: half the valid bytes, straight to the
       // destination path. Parse fails => verification must reject it.
@@ -318,7 +312,7 @@ void apply_write_fault(const FaultPlan& fault, const std::string& dir,
       file << text.substr(0, text.size() / 2);
       break;
     }
-    case FaultMode::kBadsum: {
+    case fault::Kind::kBadsum: {
       // Well-formed JSON whose checksum lies: every digit zeroed.
       std::string text = shard_result_text(sweep_id, result);
       const std::size_t pos = text.rfind("fnv1a64:");
@@ -328,7 +322,7 @@ void apply_write_fault(const FaultPlan& fault, const std::string& dir,
       util::write_file_atomic(shard_path(dir, result.shard), text);
       break;
     }
-    case FaultMode::kNone:
+    default:
       break;
   }
 }
@@ -348,7 +342,7 @@ int run_worker(const std::string& dir, std::size_t shard, int attempt) {
   const std::vector<SweepUnit> units = expand_units(spec, points);
   const ShardRange range =
       assign_shards(units.size(), manifest.shards)[shard];
-  const FaultPlan fault = fault_plan_from_env();
+  const fault::Spec& armed = fault::armed();
 
   ShardResult result;
   result.shard = shard;
@@ -366,8 +360,8 @@ int run_worker(const std::string& dir, std::size_t shard, int attempt) {
     }
   }
 
-  if (fault.targets(shard, attempt)) {
-    apply_write_fault(fault, dir, manifest.sweep_id, result);
+  if (armed.targets(shard, static_cast<std::uint64_t>(attempt))) {
+    apply_write_fault(armed, dir, manifest.sweep_id, result);
     return 0;  // truncate/badsum exit 0 with damaged output on disk
   }
   write_shard_result(dir, manifest.sweep_id, result);

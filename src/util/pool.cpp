@@ -8,7 +8,6 @@
 
 namespace mbcr {
 
-#if !defined(MBCR_OBS_DISABLED)
 namespace {
 
 /// Pool health metrics. Per-worker utilization is derived offline as
@@ -28,7 +27,6 @@ const PoolMetrics& pool_metrics() {
 }
 
 }  // namespace
-#endif
 
 /// Shared state of one parallel_for: an atomic cursor over [0, n) plus
 /// completion accounting. Held by shared_ptr so a worker that dequeues the
@@ -80,12 +78,10 @@ void ThreadPool::enqueue(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(fn));
-#if !defined(MBCR_OBS_DISABLED)
     if (obs::enabled()) {
       pool_metrics().queue_depth.set(static_cast<double>(queue_.size()));
       pool_metrics().workers.set(static_cast<double>(threads_.size()));
     }
-#endif
   }
   wake_.notify_one();
 }
@@ -102,7 +98,6 @@ void ThreadPool::worker_loop() {
       queue_.pop_front();
     }
     idle_.fetch_sub(1, std::memory_order_relaxed);
-#if !defined(MBCR_OBS_DISABLED)
     if (obs::enabled()) {
       const auto t0 = std::chrono::steady_clock::now();
       fn();
@@ -114,9 +109,6 @@ void ThreadPool::worker_loop() {
     } else {
       fn();
     }
-#else
-    fn();
-#endif
     idle_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -130,7 +122,6 @@ void ThreadPool::drive(const std::shared_ptr<ForJob>& job) {
       const std::size_t begin = c * job->grain;
       const std::size_t end = std::min(job->n, begin + job->grain);
       try {
-#if !defined(MBCR_OBS_DISABLED)
         if (obs::enabled()) {
           const auto t0 = std::chrono::steady_clock::now();
           (*job->body)(begin, end);
@@ -141,9 +132,6 @@ void ThreadPool::drive(const std::shared_ptr<ForJob>& job) {
         } else {
           (*job->body)(begin, end);
         }
-#else
-        (*job->body)(begin, end);
-#endif
       } catch (...) {
         std::lock_guard<std::mutex> lock(job->mutex);
         if (!job->error) job->error = std::current_exception();

@@ -1,19 +1,19 @@
 // The differential fuzzing harness, tested as a subsystem: deterministic
 // case generation, all eight oracles green on the healthy build, failure
 // detection + shrinking + repro emission via the synthetic fault switch,
-// and the repro JSON round trip. The compile-time MBCR_FUZZ_FAULT and
-// MBCR_VM_FAULT hooks have gated tests at the bottom.
+// and the repro JSON round trip. The replay and vm faults of a
+// fault-injection build have gated tests at the bottom.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 
-#include "fuzz/fault.hpp"
 #include "fuzz/fuzz.hpp"
 #include "fuzz/oracles.hpp"
 #include "fuzz/repro.hpp"
 #include "fuzz/shrink.hpp"
 #include "ir/printer.hpp"
+#include "util/fault.hpp"
 
 namespace mbcr::fuzz {
 namespace {
@@ -226,84 +226,73 @@ TEST(FuzzRepro, RejectsMalformedDocuments) {
   EXPECT_THROW(load_repro("/nonexistent/repro.json"), std::invalid_argument);
 }
 
-// --- the compile-time fault hook ------------------------------------------
+// --- the deliberate faults of a fault-injection build ---------------------
 
-#ifdef MBCR_FUZZ_FAULT
-TEST(FuzzFault, CompiledFaultIsCaughtAndShrunkByTheFuzzer) {
-  // In a -DMBCR_FUZZ_FAULT=ON build the replay oracle must catch the
-  // deliberate bug with NO synthetic injection, and the shrunk case must
-  // still carry a data access (the bug drops a DL1 miss penalty).
-  ASSERT_TRUE(fault_compiled_in());
-  set_fault_enabled(true);
+#ifdef MBCR_FAULT_INJECTION
+/// Arms one fault for a test's lifetime, so a failed assertion cannot leave
+/// it armed for the tests that follow.
+struct ArmedFault {
+  explicit ArmedFault(fault::Kind kind) { fault::set_armed({kind}); }
+  ~ArmedFault() { fault::set_armed({}); }
+};
+
+TEST(FuzzFault, ArmedReplayFaultIsCaughtAndShrunkByTheFuzzer) {
+  // The replay oracle must catch the deliberate bug with NO synthetic
+  // injection (the bug drops a DL1 miss penalty).
   FuzzConfig cfg;
   cfg.programs = 5;
   cfg.seeds = 4;
   cfg.rng_seed = 1;
   cfg.corpus_dir = ::testing::TempDir();
-  const FuzzReport report = run_fuzz(cfg);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.failures.front().oracle, "replay");
-
+  {
+    const ArmedFault armed(fault::Kind::kReplay);
+    const FuzzReport report = run_fuzz(cfg);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.failures.front().oracle, "replay");
+    for (const FuzzFailure& f : report.failures) {
+      std::remove(f.repro_path.c_str());
+    }
+  }
   // Disarmed, the platform is healthy again and the same run passes.
-  set_fault_enabled(false);
   EXPECT_TRUE(run_fuzz(cfg).ok());
-  set_fault_enabled(true);
 }
-#else
-TEST(FuzzFault, HookIsCompiledOutOfRegularBuilds) {
-  EXPECT_FALSE(fault_compiled_in());
-  EXPECT_FALSE(fault_enabled());
-  set_fault_enabled(true);  // must stay inert without the macro
-  EXPECT_FALSE(fault_enabled());
-}
-#endif
 
-// --- the compile-time VM miscompile hook ----------------------------------
-
-#ifdef MBCR_VM_FAULT
-TEST(FuzzVmFault, CompiledMiscompileIsCaughtShrunkAndEmitted) {
-  // In a -DMBCR_VM_FAULT=ON build the vm oracle must catch the deliberate
-  // miscompile (the first element load of every VM run yields value+1)
-  // purely differentially — the tree-walker is untouched, so only the
-  // vm-vs-tree comparison can see it. The shrunk case must still carry an
-  // array (the bug lives in element loads), and the emitted repro must be
-  // a well-formed corpus candidate targeting the vm oracle.
-  ASSERT_TRUE(vm_fault_compiled_in());
-  set_vm_fault_enabled(true);
+TEST(FuzzVmFault, ArmedMiscompileIsCaughtShrunkAndEmitted) {
+  // The vm oracle must catch the deliberate miscompile (the first element
+  // load of every VM run yields value+1) purely differentially — the
+  // tree-walker is untouched, so only the vm-vs-tree comparison can see
+  // it. The shrunk case must still carry an array (the bug lives in
+  // element loads), and the emitted repro must be a well-formed corpus
+  // candidate targeting the vm oracle.
   FuzzConfig cfg;
   cfg.programs = 10;
   cfg.seeds = 2;
   cfg.rng_seed = 1;
   cfg.oracle = "vm";
   cfg.corpus_dir = ::testing::TempDir();
-  const FuzzReport report = run_fuzz(cfg);
-  ASSERT_FALSE(report.ok());
-  const FuzzFailure& failure = report.failures.front();
-  EXPECT_EQ(failure.oracle, "vm");
-  EXPECT_FALSE(failure.shrunk.program.arrays.empty());
-  EXPECT_LE(ir::stmt_count(failure.shrunk.program.body),
-            ir::stmt_count(make_case(1, failure.case_index, 2).program.body));
+  Repro repro;
+  {
+    const ArmedFault armed(fault::Kind::kVm);
+    const FuzzReport report = run_fuzz(cfg);
+    ASSERT_FALSE(report.ok());
+    const FuzzFailure& failure = report.failures.front();
+    EXPECT_EQ(failure.oracle, "vm");
+    EXPECT_FALSE(failure.shrunk.program.arrays.empty());
+    EXPECT_LE(
+        ir::stmt_count(failure.shrunk.program.body),
+        ir::stmt_count(make_case(1, failure.case_index, 2).program.body));
 
-  ASSERT_FALSE(failure.repro_path.empty());
-  const Repro repro = load_repro(failure.repro_path);
-  EXPECT_EQ(repro.oracle, "vm");
-  EXPECT_EQ(ir::to_string(repro.data.program),
-            ir::to_string(failure.shrunk.program));
-
+    ASSERT_FALSE(failure.repro_path.empty());
+    repro = load_repro(failure.repro_path);
+    EXPECT_EQ(repro.oracle, "vm");
+    EXPECT_EQ(ir::to_string(repro.data.program),
+              ir::to_string(failure.shrunk.program));
+    std::remove(failure.repro_path.c_str());
+  }
   // Disarmed, the VM is healthy again: the same repro replays green —
-  // exactly what the committed corpus entry checks in regular builds.
-  set_vm_fault_enabled(false);
+  // exactly what the committed corpus entry checks.
   const OracleOutcome replay = run_repro(repro);
   EXPECT_TRUE(replay.ok) << replay.detail;
-  set_vm_fault_enabled(true);
-  std::remove(failure.repro_path.c_str());
-}
-#else
-TEST(FuzzVmFault, HookIsCompiledOutOfRegularBuilds) {
-  EXPECT_FALSE(vm_fault_compiled_in());
-  EXPECT_FALSE(vm_fault_enabled());
-  set_vm_fault_enabled(true);  // must stay inert without the macro
-  EXPECT_FALSE(vm_fault_enabled());
 }
 #endif
 

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "fuzz/coverage.hpp"
-#include "fuzz/fault.hpp"
 #include "fuzz/fuzz.hpp"
 #include "fuzz/guided.hpp"
 #include "fuzz/mutate.hpp"
@@ -26,7 +25,7 @@
 #include "fuzz/shrink.hpp"
 #include "ir/printer.hpp"
 #include "ir/stmt.hpp"
-#include "obs/metrics.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace mbcr::fuzz {
@@ -262,7 +261,6 @@ TEST(GuidedFuzz, HealthyRunPassesAndAccountsCases) {
   EXPECT_EQ(r.guided_a.blind_cases + r.guided_a.mutated_cases, 60u);
   EXPECT_TRUE(r.blind.ok());
   EXPECT_EQ(r.blind.mutated_cases, 0u);  // guided=false never mutates
-  EXPECT_EQ(r.guided_a.coverage_measured, obs::kCompiledIn);
 }
 
 TEST(GuidedFuzz, RerunIsByteIdentical) {
@@ -290,9 +288,6 @@ TEST(GuidedFuzz, RerunIsByteIdentical) {
 }
 
 TEST(GuidedFuzz, BeatsBlindOnFeaturesForTheSameBudget) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "no coverage signal in -DMBCR_OBS=OFF builds";
-  }
   const GuidedRuns& r = runs();
   // The tentpole acceptance bar: same case budget, same master seed,
   // strictly more coverage features with guidance on.
@@ -303,7 +298,7 @@ TEST(GuidedFuzz, BeatsBlindOnFeaturesForTheSameBudget) {
 
 TEST(GuidedFuzz, CorpusSeedsReplayGreen) {
   const GuidedRuns& r = runs();
-  if (obs::kCompiledIn) ASSERT_FALSE(r.guided_a.corpus.empty());
+  ASSERT_FALSE(r.guided_a.corpus.empty());
   for (const GuidedSeed& seed : r.guided_a.corpus) {
     ASSERT_FALSE(seed.file.empty());
     const Repro repro = load_repro(seed.file);
@@ -359,50 +354,54 @@ TEST(GuidedFuzz, InjectedFaultIsFoundShrunkAndEmitted) {
   }
 }
 
-// --- guided-mode e2e twins of the compile-time fault self-tests -----------
+// --- guided-mode e2e twins of the fault-injection self-tests --------------
 
-#ifdef MBCR_FUZZ_FAULT
-TEST(GuidedFault, GuidedFinderCatchesTheCompiledReplayFault) {
-  ASSERT_TRUE(fault_compiled_in());
-  set_fault_enabled(true);
+#ifdef MBCR_FAULT_INJECTION
+/// Arms one fault for a test's lifetime (see fuzz_test.cpp).
+struct ArmedFault {
+  explicit ArmedFault(fault::Kind kind) { fault::set_armed({kind}); }
+  ~ArmedFault() { fault::set_armed({}); }
+};
+
+TEST(GuidedFault, GuidedFinderCatchesTheArmedReplayFault) {
   GuidedConfig cfg;
   cfg.base.programs = 10;  // bounded budget: found well within it
   cfg.base.seeds = 4;
   cfg.base.rng_seed = 1;
   cfg.base.corpus_dir = ::testing::TempDir();
-  const GuidedReport report = run_guided(cfg);
+  GuidedReport report;
+  {
+    const ArmedFault armed(fault::Kind::kReplay);
+    report = run_guided(cfg);
+  }
   ASSERT_FALSE(report.ok());
   const FuzzFailure& failure = report.fuzz.failures.front();
   EXPECT_EQ(failure.oracle, "replay");
   ASSERT_FALSE(failure.repro_path.empty());
-  set_fault_enabled(false);
   EXPECT_TRUE(run_repro(load_repro(failure.repro_path)).ok);
-  set_fault_enabled(true);
   for (const FuzzFailure& f : report.fuzz.failures) {
     std::remove(f.repro_path.c_str());
   }
 }
-#endif
 
-#ifdef MBCR_VM_FAULT
-TEST(GuidedFault, GuidedFinderCatchesTheCompiledVmMiscompile) {
-  ASSERT_TRUE(vm_fault_compiled_in());
-  set_vm_fault_enabled(true);
+TEST(GuidedFault, GuidedFinderCatchesTheArmedVmMiscompile) {
   GuidedConfig cfg;
   cfg.base.programs = 10;
   cfg.base.seeds = 2;
   cfg.base.rng_seed = 1;
   cfg.base.oracle = "vm";
   cfg.base.corpus_dir = ::testing::TempDir();
-  const GuidedReport report = run_guided(cfg);
+  GuidedReport report;
+  {
+    const ArmedFault armed(fault::Kind::kVm);
+    report = run_guided(cfg);
+  }
   ASSERT_FALSE(report.ok());
   const FuzzFailure& failure = report.fuzz.failures.front();
   EXPECT_EQ(failure.oracle, "vm");
   EXPECT_FALSE(failure.shrunk.program.arrays.empty());
   ASSERT_FALSE(failure.repro_path.empty());
-  set_vm_fault_enabled(false);
   EXPECT_TRUE(run_repro(load_repro(failure.repro_path)).ok);
-  set_vm_fault_enabled(true);
   for (const FuzzFailure& f : report.fuzz.failures) {
     std::remove(f.repro_path.c_str());
   }

@@ -10,8 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "ir/bytecode.hpp"
 #include "ir/interp.hpp"
 #include "ir/lower.hpp"
@@ -353,16 +351,6 @@ TEST(VmErrors, UndeclaredInputTextsMatchTheTreeWalker) {
 }
 
 // --- executor surface -----------------------------------------------------
-
-TEST(VmExecutor, DispatchKindNamesTheCompiledDispatcher) {
-  const char* kind = vm::dispatch_kind();
-  EXPECT_TRUE(std::strcmp(kind, "computed-goto") == 0 ||
-              std::strcmp(kind, "switch") == 0)
-      << kind;
-#if defined(MBCR_VM_SWITCH_DISPATCH)
-  EXPECT_STREQ(kind, "switch");
-#endif
-}
 
 TEST(VmExecutor, ExecuteDispatchesOnTheExecutorOption) {
   const Program p = sum_program();

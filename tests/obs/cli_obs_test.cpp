@@ -75,38 +75,29 @@ TEST(CliObs, AnalyzeStdoutIsASingleJsonDocumentUnderFullInstrumentation) {
   EXPECT_EQ(doc.at("schema").as_string(), "mbcr-study-v6");
 
   // The instrumented run must also surface its own cost: the optional v5
-  // blocks are present when collection was armed — which requires the
-  // layer compiled in (an -DMBCR_OBS=OFF binary accepts the flags but
-  // writes empty snapshots, and the default document stays block-free).
-  if (obs::kCompiledIn) {
-    ASSERT_NE(doc.find("accounting"), nullptr);
-    ASSERT_NE(doc.find("metrics"), nullptr);
-  } else {
-    EXPECT_EQ(doc.find("accounting"), nullptr);
-    EXPECT_EQ(doc.find("metrics"), nullptr);
-  }
+  // blocks are present when collection was armed.
+  ASSERT_NE(doc.find("accounting"), nullptr);
+  ASSERT_NE(doc.find("metrics"), nullptr);
 
   const json::Value metrics = parse_file(metrics_path);
   EXPECT_EQ(metrics.at("schema").as_string(), "mbcr-metrics-v1");
   const json::Value trace = parse_file(trace_path);
   const json::Array& events = trace.at("traceEvents").as_array();
-  if (obs::kCompiledIn) {
-    EXPECT_NE(metrics.at("counters").find("campaign.runs"), nullptr);
-    EXPECT_NE(metrics.at("counters").find("convergence.samples"), nullptr);
-    EXPECT_NE(metrics.at("counters").find("replay.single_level.runs"),
-              nullptr);
-    EXPECT_GT(events.size(), 1u);
-    bool saw_study = false;
-    bool saw_campaign = false;
-    for (const json::Value& ev : events) {
-      const json::Value* name = ev.find("name");
-      if (name == nullptr) continue;
-      saw_study |= name->as_string() == "study";
-      saw_campaign |= name->as_string() == "campaign";
-    }
-    EXPECT_TRUE(saw_study);
-    EXPECT_TRUE(saw_campaign);
+  EXPECT_NE(metrics.at("counters").find("campaign.runs"), nullptr);
+  EXPECT_NE(metrics.at("counters").find("convergence.samples"), nullptr);
+  EXPECT_NE(metrics.at("counters").find("replay.single_level.runs"),
+            nullptr);
+  EXPECT_GT(events.size(), 1u);
+  bool saw_study = false;
+  bool saw_campaign = false;
+  for (const json::Value& ev : events) {
+    const json::Value* name = ev.find("name");
+    if (name == nullptr) continue;
+    saw_study |= name->as_string() == "study";
+    saw_campaign |= name->as_string() == "campaign";
   }
+  EXPECT_TRUE(saw_study);
+  EXPECT_TRUE(saw_campaign);
 
   std::remove(metrics_path.c_str());
   std::remove(trace_path.c_str());

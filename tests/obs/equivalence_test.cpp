@@ -139,7 +139,6 @@ TEST(ObsEquivalence, VmTallyMachinesProduceIdenticalExecutions) {
   }
 }
 
-#if !defined(MBCR_OBS_DISABLED)
 TEST(ObsEquivalence, VmOpcodeTalliesActuallyCount) {
   // The flip side of the equivalence proof: with collection on, the VM
   // does report dispatches (otherwise the previous test would pass
@@ -154,7 +153,6 @@ TEST(ObsEquivalence, VmOpcodeTalliesActuallyCount) {
   }
   EXPECT_GT(total, 0.0) << "no vm.op.* dispatch counters collected";
 }
-#endif
 
 TEST(ObsEquivalence, ConvergenceEstimatesAreBitIdentical) {
   const CompactTrace trace = kernel_trace("bs");
@@ -214,21 +212,18 @@ TEST(ObsEquivalence, StudyJsonIsByteIdenticalModuloTheAdditiveBlocks) {
   // Metrics-off: no accounting/metrics members at all.
   EXPECT_EQ(off_doc.find("accounting"), nullptr);
   EXPECT_EQ(off_doc.find("metrics"), nullptr);
-  if (kCompiledIn) {
-    // Metrics-on: both blocks present, and sane.
-    ASSERT_NE(on_doc.find("accounting"), nullptr);
-    ASSERT_NE(on_doc.find("metrics"), nullptr);
-    EXPECT_GT(on_doc.at("accounting").at("wall_s").as_number(), 0.0);
-    EXPECT_NE(on_doc.at("metrics").at("counters").find("campaign.runs"),
-              nullptr);
-    EXPECT_NE(on_doc.at("metrics").at("counters").find("convergence.refits"),
-              nullptr);
-  }
+  // Metrics-on: both blocks present, and sane.
+  ASSERT_NE(on_doc.find("accounting"), nullptr);
+  ASSERT_NE(on_doc.find("metrics"), nullptr);
+  EXPECT_GT(on_doc.at("accounting").at("wall_s").as_number(), 0.0);
+  EXPECT_NE(on_doc.at("metrics").at("counters").find("campaign.runs"),
+            nullptr);
+  EXPECT_NE(on_doc.at("metrics").at("counters").find("convergence.refits"),
+            nullptr);
   // Everything else: byte-identical.
   EXPECT_EQ(off_doc.dump(2), strip_obs_members(on_doc).dump(2));
 }
 
-#if !defined(MBCR_OBS_DISABLED)
 TEST(ObsEquivalence, InstrumentedStudyEmitsAllPipelinePhaseSpans) {
   core::StudySpec spec;
   spec.suite = "bs";
@@ -254,7 +249,6 @@ TEST(ObsEquivalence, InstrumentedStudyEmitsAllPipelinePhaseSpans) {
         << "phase span missing from trace: " << phase;
   }
 }
-#endif
 
 }  // namespace
 }  // namespace mbcr::obs

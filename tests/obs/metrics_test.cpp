@@ -1,10 +1,6 @@
 // Metrics-registry unit tests: gating, bucket math, snapshot shape, reset
 // semantics, and — the property the sharded design exists for — exact
 // totals under concurrent updates, registrations, and snapshots.
-//
-// Every test runs with the layer compiled in (the obs suite is skipped
-// under MBCR_OBS_DISABLED; the equivalence suite covers the compiled-out
-// shape of the JSON documents instead).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -32,10 +28,6 @@ double counter_value(const json::Value& snapshot, const std::string& name) {
   const json::Value* v = snapshot.at("counters").find(name);
   return v == nullptr ? -1.0 : v->as_number();
 }
-
-#if !defined(MBCR_OBS_DISABLED)
-
-TEST(Metrics, CompiledInReportsTrue) { EXPECT_TRUE(kCompiledIn); }
 
 TEST(Metrics, DisabledUpdatesCollectNothing) {
   EnabledScope scope(false);
@@ -238,20 +230,6 @@ TEST(Metrics, LateRegistrationIsVisibleToEarlyShards) {
   EXPECT_EQ(counter_value(metrics_json(), "test.late.registered_elsewhere"),
             10.0);
 }
-
-#else  // MBCR_OBS_DISABLED
-
-TEST(Metrics, CompiledOutIsInert) {
-  EXPECT_FALSE(kCompiledIn);
-  EXPECT_FALSE(enabled());
-  set_enabled(true);
-  EXPECT_FALSE(enabled());  // the gate cannot be armed
-  counter("test.noop").add(5);
-  const json::Value snap = metrics_json();
-  EXPECT_TRUE(snap.at("counters").as_object().empty());
-}
-
-#endif  // MBCR_OBS_DISABLED
 
 }  // namespace
 }  // namespace mbcr::obs

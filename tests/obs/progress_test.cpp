@@ -32,8 +32,6 @@ struct ProgressScope {
   ~ProgressScope() { set_progress_enabled(false); }
 };
 
-#if !defined(MBCR_OBS_DISABLED)
-
 TEST(Progress, DisabledGatePrintsNothing) {
   ProgressScope scope(false);
   StreamCapture capture;
@@ -70,20 +68,6 @@ TEST(Progress, TickRendersTotalsPercentAndExtra) {
     EXPECT_EQ(capture.cout.str(), "");
   }
 }
-
-#else  // MBCR_OBS_DISABLED
-
-TEST(Progress, CompiledOutPrintsNothingEvenWhenArmed) {
-  set_progress_enabled(true);
-  StreamCapture capture;
-  progress_tick("campaign", 10, 100, "runs");
-  progress_done("campaign", 100, "runs");
-  EXPECT_EQ(capture.cout.str(), "");
-  EXPECT_EQ(capture.cerr.str(), "");
-  EXPECT_FALSE(progress_enabled());
-}
-
-#endif  // MBCR_OBS_DISABLED
 
 }  // namespace
 }  // namespace mbcr::obs

@@ -35,8 +35,6 @@ int count_events(const json::Value& doc, const std::string& name) {
   return n;
 }
 
-#if !defined(MBCR_OBS_DISABLED)
-
 TEST(Trace, DisabledSpansEmitNothing) {
   TraceScope scope(false);
   { Span span("test_phase"); }
@@ -111,18 +109,6 @@ TEST(Trace, BufferCapDropsInsteadOfGrowing) {
   reset_trace();
   EXPECT_EQ(trace_json().find("mbcrDroppedEvents"), nullptr);
 }
-
-#else  // MBCR_OBS_DISABLED
-
-TEST(Trace, CompiledOutDocumentIsEmptyButWellFormed) {
-  set_trace_enabled(true);
-  { Span span("test_noop"); }
-  const json::Value doc = trace_json();
-  EXPECT_TRUE(doc.at("traceEvents").as_array().empty());
-  EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ms");
-}
-
-#endif  // MBCR_OBS_DISABLED
 
 }  // namespace
 }  // namespace mbcr::obs

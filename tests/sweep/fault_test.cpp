@@ -1,10 +1,8 @@
-// The MBCR_SWEEP_FAULT hook, both ways:
-//   - regular builds: the env var is inert — the plan is always kNone,
-//     so a stray variable can never corrupt a production sweep;
-//   - fault builds (-DMBCR_SWEEP_FAULT=ON): each armed malfunction
-//     drives the supervisor's matching recovery path end to end against
-//     real `mbcr worker` processes — crash -> retry, truncate/badsum ->
-//     verification rejects exit-0 output, hang -> timeout SIGKILL.
+// The MBCR_FAULT sweep-worker faults, in fault-injection builds
+// (-DMBCR_FAULT_INJECTION=ON): each armed malfunction drives the
+// supervisor's matching recovery path end to end against real
+// `mbcr worker` processes — crash -> retry, truncate/badsum ->
+// verification rejects exit-0 output, hang -> timeout SIGKILL.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,7 +10,6 @@
 #include <string>
 
 #include "core/study.hpp"
-#include "sweep/fault.hpp"
 #include "sweep/journal.hpp"
 #include "sweep/supervisor.hpp"
 #include "util/clock.hpp"
@@ -20,65 +17,15 @@
 namespace mbcr::sweep {
 namespace {
 
+#if defined(MBCR_FAULT_INJECTION) && defined(__unix__) && \
+    defined(MBCR_MBCR_BINARY)
+
+/// Arms MBCR_FAULT for the `mbcr worker` processes a test spawns.
 struct FaultEnv {
-  explicit FaultEnv(const char* value) {
-    ::setenv("MBCR_SWEEP_FAULT", value, 1);
-  }
-  ~FaultEnv() { ::unsetenv("MBCR_SWEEP_FAULT"); }
+  explicit FaultEnv(const char* value) { ::setenv("MBCR_FAULT", value, 1); }
+  ~FaultEnv() { ::unsetenv("MBCR_FAULT"); }
 };
 
-TEST(SweepFault, DisarmedBuildsIgnoreTheEnvironment) {
-  if (sweep_fault_compiled_in()) GTEST_SKIP() << "fault build";
-  const FaultEnv env("crash@0");
-  EXPECT_EQ(fault_plan_from_env().mode, FaultMode::kNone);
-  // Even garbage is ignored when the hook is compiled out.
-  const FaultEnv garbage("not-a-mode@x");
-  EXPECT_EQ(fault_plan_from_env().mode, FaultMode::kNone);
-}
-
-TEST(SweepFault, TargetingMatchesShardAndOptionalAttempt) {
-  FaultPlan plan;
-  plan.mode = FaultMode::kCrash;
-  plan.shard = 2;
-  plan.attempt = -1;
-  EXPECT_TRUE(plan.targets(2, 0));
-  EXPECT_TRUE(plan.targets(2, 5));
-  EXPECT_FALSE(plan.targets(1, 0));
-  plan.attempt = 1;
-  EXPECT_FALSE(plan.targets(2, 0));
-  EXPECT_TRUE(plan.targets(2, 1));
-  plan.mode = FaultMode::kNone;
-  EXPECT_FALSE(plan.targets(2, 1));
-}
-
-#if defined(MBCR_SWEEP_FAULT)
-
-TEST(SweepFault, ParsesEveryModeAndRejectsTypos) {
-  {
-    const FaultEnv env("crash@2");
-    const FaultPlan plan = fault_plan_from_env();
-    EXPECT_EQ(plan.mode, FaultMode::kCrash);
-    EXPECT_EQ(plan.shard, 2u);
-    EXPECT_EQ(plan.attempt, -1);
-  }
-  {
-    const FaultEnv env("badsum@0#1");
-    const FaultPlan plan = fault_plan_from_env();
-    EXPECT_EQ(plan.mode, FaultMode::kBadsum);
-    EXPECT_EQ(plan.shard, 0u);
-    EXPECT_EQ(plan.attempt, 1);
-  }
-  {
-    const FaultEnv env("explode@0");
-    EXPECT_THROW(fault_plan_from_env(), std::invalid_argument);
-  }
-  {
-    const FaultEnv env("crash@x");
-    EXPECT_THROW(fault_plan_from_env(), std::invalid_argument);
-  }
-}
-
-#if defined(__unix__) && defined(MBCR_MBCR_BINARY)
 
 SweepSpec tiny_spec() {
   SweepSpec spec;
@@ -167,8 +114,7 @@ TEST(SweepFault, HangingWorkerIsKilledByTheTimeout) {
   EXPECT_EQ(out.attempts[0].term_signal, 9);
 }
 
-#endif  // __unix__ && MBCR_MBCR_BINARY
-#endif  // MBCR_SWEEP_FAULT
+#endif  // MBCR_FAULT_INJECTION && __unix__ && MBCR_MBCR_BINARY
 
 }  // namespace
 }  // namespace mbcr::sweep

