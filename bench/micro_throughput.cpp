@@ -157,7 +157,7 @@ int run_replay_report(const std::string& json_path, std::size_t runs) {
   // metrics collection off vs on (same seeds, same workspace). The CI perf
   // gate pins on_over_off >= 0.98 (< 2% collection overhead), so the
   // measurement must be steadier than the gate: timing windows are floored
-  // at 50k runs (~150ms each on folded crc) regardless of --replay-runs,
+  // at 200k runs (~150ms each on crc) regardless of --replay-runs,
   // and each mode takes the best of five interleaved repetitions to shave
   // scheduler noise on shared CI runners.
   json::Object obs_overhead;
@@ -165,7 +165,7 @@ int run_replay_report(const std::string& json_path, std::size_t runs) {
     const CompactTrace trace = kernel_trace("crc");
     const platform::Machine machine;
     platform::RunWorkspace ws;
-    const std::size_t window = std::max<std::size_t>(runs, 50'000);
+    const std::size_t window = std::max<std::size_t>(runs, 200'000);
     std::uint64_t sink = 0;
     const auto time_runs = [&](bool on) {
       obs::set_enabled(on);

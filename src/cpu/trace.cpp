@@ -50,6 +50,7 @@ CompactTrace CompactTrace::from(const MemTrace& trace, Addr line_bytes) {
       }
       last_iline = it->second;
       out.entries.push_back({it->second, 1});
+      out.iseq.push_back(it->second | (inserted ? kFirstUse : 0));
     } else {
       auto [it, inserted] =
           dmap.try_emplace(line, static_cast<std::uint32_t>(out.dlines.size()));
@@ -60,6 +61,7 @@ CompactTrace CompactTrace::from(const MemTrace& trace, Addr line_bytes) {
       }
       last_dline = it->second;
       out.entries.push_back({it->second, 0});
+      out.dseq.push_back(it->second | (inserted ? kFirstUse : 0));
     }
   }
   std::unordered_map<Addr, std::uint32_t> umap;

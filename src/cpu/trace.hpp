@@ -5,7 +5,11 @@
 // thousands of times under fresh random placements; `CompactTrace`
 // pre-resolves every access to a dense per-cache line id so replay is a
 // table lookup instead of a hash per access, and folds out the accesses
-// that hit under every placement (see `CompactTrace::from`).
+// that hit under every placement (see `CompactTrace::from`). It keeps the
+// replayed accesses twice: interleaved in trace order (`entries`, for the
+// two-level replay, whose L2 sees both sides' misses in that order) and
+// split per side (`iseq`/`dseq`, for the single-level replay, which
+// simulates each L1 on its own).
 #pragma once
 
 #include <cstdint>
@@ -41,6 +45,12 @@ struct CompactTrace {
 
   /// The accesses replay must simulate, in trace order.
   std::vector<Entry> entries;
+  /// The same accesses split per side, in trace order: the dense line id
+  /// of every IL1 (`iseq`) or DL1 (`dseq`) entry, with `kFirstUse` set on
+  /// the entry that touches its line for the first time.
+  static constexpr std::uint32_t kFirstUse = 0x80000000u;
+  std::vector<std::uint32_t> iseq;
+  std::vector<std::uint32_t> dseq;
   /// Guaranteed hits folded out of `entries`, per side (instruction
   /// fetches; data loads and stores): each costs its base cycles only.
   std::uint64_t folded_ifetches = 0;

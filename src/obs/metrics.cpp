@@ -96,6 +96,15 @@ json::Value count_json(std::uint64_t v) {
   return json::Value(static_cast<double>(v));
 }
 
+/// Adds `n` to one of the calling thread's own slots. The owner is the
+/// slot's only writer, so a relaxed load and store suffice: readers see
+/// either value, never a torn one, and no locked read-modify-write is paid
+/// on the per-run replay path.
+void bump(std::atomic<std::uint64_t>& slot, std::uint64_t n) noexcept {
+  slot.store(slot.load(std::memory_order_relaxed) + n,
+             std::memory_order_relaxed);
+}
+
 }  // namespace
 
 namespace detail {
@@ -103,22 +112,19 @@ namespace detail {
 void shard_add(std::uint32_t slot, std::uint64_t n) noexcept {
   Shard& shard = my_shard();
   if (slot >= shard.capacity) grow_shard(shard, slot);
-  shard.blocks[slot / kBlockSlots]
-      ->slots[slot % kBlockSlots]
-      .fetch_add(n, std::memory_order_relaxed);
+  bump(shard.blocks[slot / kBlockSlots]->slots[slot % kBlockSlots], n);
 }
 
-void shard_add2(std::uint32_t slot_a, std::uint64_t a, std::uint32_t slot_b,
-                std::uint64_t b) noexcept {
+void shard_add_n(const std::uint32_t* slots, const std::uint64_t* values,
+                 std::size_t n) noexcept {
   Shard& shard = my_shard();
-  const std::uint32_t hi = slot_a > slot_b ? slot_a : slot_b;
+  std::uint32_t hi = 0;
+  for (std::size_t i = 0; i < n; ++i) hi = slots[i] > hi ? slots[i] : hi;
   if (hi >= shard.capacity) grow_shard(shard, hi);
-  shard.blocks[slot_a / kBlockSlots]
-      ->slots[slot_a % kBlockSlots]
-      .fetch_add(a, std::memory_order_relaxed);
-  shard.blocks[slot_b / kBlockSlots]
-      ->slots[slot_b % kBlockSlots]
-      .fetch_add(b, std::memory_order_relaxed);
+  for (std::size_t i = 0; i < n; ++i) {
+    bump(shard.blocks[slots[i] / kBlockSlots]->slots[slots[i] % kBlockSlots],
+         values[i]);
+  }
 }
 
 }  // namespace detail

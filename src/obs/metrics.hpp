@@ -6,11 +6,12 @@
 //   - Runtime gate: collection is off until `set_enabled(true)` (the CLI
 //     flips it for --metrics-json / --progress). A disabled update is one
 //     relaxed atomic load.
-//   - Thread-local shards: an enabled counter update is a relaxed
-//     fetch_add on a slot owned by the calling thread — no shared cache
-//     line, no lock. `metrics_json()` merges every shard under the
-//     registry mutex; slot storage is block-based and append-only, so a
-//     snapshot never races shard growth.
+//   - Thread-local shards: an enabled counter update is a relaxed load
+//     and store on a slot only the calling thread writes — no shared
+//     cache line, no lock, no locked read-modify-write. `metrics_json()`
+//     merges every shard under the registry mutex; slot storage is
+//     block-based and append-only, so a snapshot never races shard
+//     growth.
 //
 // None of this may perturb results: instrumentation only ever *reads* the
 // engine's state, and tests/obs/equivalence_test.cpp proves metrics-on
@@ -19,6 +20,7 @@
 
 #include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -34,11 +36,11 @@ extern std::atomic<bool> g_metrics_enabled;
 /// Adds `n` to the calling thread's shard slot (registering the shard and
 /// growing its block list on first touch of a new slot range).
 void shard_add(std::uint32_t slot, std::uint64_t n) noexcept;
-/// Two adds, one thread-local shard lookup — for hot paths that always
-/// update a pair of counters together (replay run + entry tallies live
-/// under the <2% collection-overhead budget the bench gate pins).
-void shard_add2(std::uint32_t slot_a, std::uint64_t a, std::uint32_t slot_b,
-                std::uint64_t b) noexcept;
+/// `n` adds, one thread-local shard lookup — for hot paths that always
+/// update a few counters together (the per-run replay tallies live under
+/// the <2% collection-overhead budget the bench gate pins).
+void shard_add_n(const std::uint32_t* slots, const std::uint64_t* values,
+                 std::size_t n) noexcept;
 }  // namespace detail
 
 /// The runtime collection gate.
@@ -63,6 +65,9 @@ private:
   friend Counter counter(std::string_view name);
   friend void add_pair(const Counter& a, std::uint64_t na, const Counter& b,
                        std::uint64_t nb) noexcept;
+  friend void add_triple(const Counter& a, std::uint64_t na,
+                         const Counter& b, std::uint64_t nb,
+                         const Counter& c, std::uint64_t nc) noexcept;
   std::uint32_t slot_ = 0;
 };
 
@@ -73,7 +78,19 @@ private:
 inline void add_pair(const Counter& a, std::uint64_t na, const Counter& b,
                      std::uint64_t nb) noexcept {
   if (!enabled()) return;
-  detail::shard_add2(a.slot_, na, b.slot_, nb);
+  const std::uint32_t slots[] = {a.slot_, b.slot_};
+  const std::uint64_t values[] = {na, nb};
+  detail::shard_add_n(slots, values, 2);
+}
+
+/// `add_pair` for three counters.
+inline void add_triple(const Counter& a, std::uint64_t na, const Counter& b,
+                       std::uint64_t nb, const Counter& c,
+                       std::uint64_t nc) noexcept {
+  if (!enabled()) return;
+  const std::uint32_t slots[] = {a.slot_, b.slot_, c.slot_};
+  const std::uint64_t values[] = {na, nb, nc};
+  detail::shard_add_n(slots, values, 3);
 }
 
 /// A last-write-wins instantaneous value (queue depth, rates computed at
@@ -158,7 +175,9 @@ json::Value metrics_json();
 json::Value metrics_document();
 
 /// Zeroes every counter, gauge and histogram slot (registrations remain).
-/// Tests use this to isolate scenarios inside one process.
+/// Tests use this to isolate scenarios inside one process. Call it only
+/// while no other thread updates metrics: an owner's in-flight add could
+/// write back its pre-reset value.
 void reset_metrics();
 
 }  // namespace mbcr::obs

@@ -1,5 +1,7 @@
 #include "platform/machine.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "cache/lru_cache.hpp"
@@ -23,10 +25,10 @@ constexpr std::uint64_t kL2Replacement = 6;
 
 constexpr std::uint32_t kEmpty = 0xffffffffu;
 
-/// Flat-array cache state for one side, keyed by dense line ids. Tag and
-/// set-map storage is borrowed from a RunWorkspace so campaign workers can
-/// reuse it run after run; every field is (re)written here, so a recycled
-/// buffer behaves exactly like a fresh one.
+/// Flat-array cache state for one cache of a two-level run, keyed by dense
+/// line ids. Tag and set-map storage is borrowed from a RunWorkspace so
+/// campaign workers can reuse it run after run; every field is (re)written
+/// here, so a recycled buffer behaves exactly like a fresh one.
 class FastSide {
 public:
   FastSide(const CacheConfig& cfg, const std::vector<Addr>& lines,
@@ -94,36 +96,100 @@ private:
   std::vector<std::uint32_t>& set_of_;
 };
 
-/// Single-level replay: an L1 miss pays the memory latency directly.
-/// Kept in its own function (like the two-level loop) so each replay
-/// flavor gets its own tight codegen. `cycles` starts at the folded hits'
-/// cost.
-std::uint64_t replay_single_level(const CompactTrace& trace, FastSide& il1,
-                                  FastSide& dl1, const TimingParams& t,
-                                  std::uint64_t cycles) {
-#ifdef MBCR_FAULT_INJECTION
-  // Deliberate `replay` fault (fault-injection builds only): the first DL1
-  // miss of a run forgets its memory-latency penalty. See util/fault.hpp.
-  bool fault_pending = fault::armed().kind == fault::Kind::kReplay;
-#endif
-  for (const CompactTrace::Entry& e : trace.entries) {
-    if (e.is_instr) {
-      cycles += t.issue_cycles;
-      if (!il1.access(e.line_id)) cycles += t.mem_latency;
-    } else {
-      cycles += t.dl1_hit_cycles;
-      if (!dl1.access(e.line_id)) {
-#ifdef MBCR_FAULT_INJECTION
-        if (fault_pending) {
-          fault_pending = false;
-          continue;
-        }
-#endif
-        cycles += t.mem_latency;
+/// One L1 side of a single-level run: its misses, and whether any of its
+/// lines shared a set (false means nothing was simulated).
+struct SideRun {
+  std::uint64_t misses;
+  bool conflicts;
+};
+
+/// `RunWorkspace::line_slot` of a line alone in its set.
+constexpr std::uint32_t kLone = 0xffffffffu;
+/// Marks a `RunWorkspace::SetCount` whose `lines` now holds its slot.
+constexpr std::uint32_t kSlotAssigned = 0x80000000u;
+
+/// Replays one side of a single-level run, simulating only the lines that
+/// share a set. A lone line misses on its first access and hits ever
+/// after: that first access draws its victim choice, which keeps every
+/// later draw at its stream position, and its other accesses are skipped.
+/// A side whose lines are all alone returns one miss per line without a
+/// scan or a draw.
+///
+/// Lines are counted per set in an open-addressing table of >= 2·lines
+/// slots keyed by set index, and each shared set gets a dense slot of
+/// `ways` tags, so no buffer grows with the number of sets.
+SideRun replay_side(const CacheConfig& cfg, const std::vector<Addr>& lines,
+                    const std::vector<std::uint32_t>& seq,
+                    std::uint64_t placement_seed,
+                    std::uint64_t replacement_seed, RunWorkspace& ws) {
+  const auto n = static_cast<std::uint32_t>(lines.size());
+  if (n < 2) return {n, false};
+  const int bits = std::bit_width(2 * n - 1);
+  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  ws.set_table.assign(mask + 1, {kEmpty, 0});
+  ws.line_slot.resize(n);
+  for (std::uint32_t l = 0; l < n; ++l) {
+    const std::uint32_t set =
+        placement_set(cfg.placement, lines[l], placement_seed, cfg.sets);
+    std::size_t h = (set * 0x9e3779b97f4a7c15ULL) >> (64 - bits);
+    while (ws.set_table[h].set != kEmpty && ws.set_table[h].set != set) {
+      h = (h + 1) & mask;
+    }
+    ws.set_table[h].set = set;
+    ++ws.set_table[h].lines;
+    ws.line_slot[l] = static_cast<std::uint32_t>(h);
+  }
+  std::uint32_t shared = 0;
+  for (std::uint32_t l = 0; l < n; ++l) {
+    RunWorkspace::SetCount& c = ws.set_table[ws.line_slot[l]];
+    if (c.lines == 1) {
+      ws.line_slot[l] = kLone;
+      continue;
+    }
+    if ((c.lines & kSlotAssigned) == 0) c.lines = kSlotAssigned | shared++;
+    ws.line_slot[l] = c.lines & ~kSlotAssigned;
+  }
+  if (shared == 0) return {n, false};
+
+  const std::uint32_t ways = cfg.ways;
+  ws.shared_tags.assign(static_cast<std::size_t>(shared) * ways, kEmpty);
+  Xoshiro256 rng(replacement_seed);
+  std::uint64_t misses = 0;
+  // Block by block, first keep (without a branch) the accesses that need
+  // work: every shared-line access and each lone line's first one. Then
+  // replay those in trace order. Which lines are lone changes every run,
+  // so deciding per access in one loop would mispredict on every change.
+  constexpr std::size_t kBlock = 512;
+  std::uint32_t kept[kBlock];
+  for (std::size_t begin = 0; begin < seq.size(); begin += kBlock) {
+    const std::size_t end = std::min(seq.size(), begin + kBlock);
+    std::size_t m = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t e = seq[i];
+      kept[m] = e;
+      m += static_cast<std::size_t>(
+          (ws.line_slot[e & ~CompactTrace::kFirstUse] != kLone) |
+          (e >= CompactTrace::kFirstUse));
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::uint32_t id = kept[j] & ~CompactTrace::kFirstUse;
+      const std::uint32_t slot = ws.line_slot[id];
+      if (slot == kLone) {  // its one miss
+        rng.uniform(ways);
+        ++misses;
+        continue;
+      }
+      std::uint32_t* tags =
+          ws.shared_tags.data() + static_cast<std::size_t>(slot) * ways;
+      bool hit = false;
+      for (std::uint32_t w = 0; w < ways; ++w) hit |= tags[w] == id;
+      if (!hit) {
+        tags[rng.uniform(ways)] = id;
+        ++misses;
       }
     }
   }
-  return cycles;
+  return {misses, true};
 }
 
 /// Two-level replay: L1 miss -> probe L2 (`l2_latency` cycles), L2 miss ->
@@ -154,8 +220,9 @@ std::uint64_t replay_hierarchy(const CompactTrace& trace, FastSide& il1,
 }
 
 /// Replay-path tallies, one pair per machine flavor. Flushed once per run
-/// (one fused pair-add), so the crc replay path stays within the <2%
-/// collection-overhead budget the bench gate pins.
+/// (one fused add, with `conflict_free_runs` riding along on single
+/// level), so the crc replay path stays within the <2% collection-overhead
+/// budget the bench gate pins.
 struct FlavorCounters {
   obs::Counter runs;
   obs::Counter entries;
@@ -175,10 +242,40 @@ const FlavorCounters& flavor_counters(Flavor f) {
   return table[static_cast<std::size_t>(f)];
 }
 
-Flavor flavor_of(const MachineConfig& config) {
-  if (!config.l2.enabled) return Flavor::kSingleLevel;
-  return config.l2.policy == L2Policy::kRandom ? Flavor::kL2Random
-                                               : Flavor::kL2Lru;
+/// Single-level runs in which every line on both sides was alone in its
+/// set, so nothing was simulated.
+const obs::Counter& conflict_free_runs() {
+  static const obs::Counter c =
+      obs::counter("replay.single_level.conflict_free_runs");
+  return c;
+}
+
+/// Single-level run: each L1 side replays on its own (see replay_side).
+std::uint64_t run_single_level(const MachineConfig& config,
+                               const CompactTrace& trace,
+                               std::uint64_t run_seed, RunWorkspace& ws) {
+  const SideRun il1 = replay_side(config.il1, trace.ilines, trace.iseq,
+                                  mix64(kIl1Placement, run_seed),
+                                  mix64(kIl1Replacement, run_seed), ws);
+  SideRun dl1 = replay_side(config.dl1, trace.dlines, trace.dseq,
+                            mix64(kDl1Placement, run_seed),
+                            mix64(kDl1Replacement, run_seed), ws);
+#ifdef MBCR_FAULT_INJECTION
+  // Deliberate `replay` fault (fault-injection builds only): the first DL1
+  // miss of a run forgets its memory-latency penalty. See util/fault.hpp.
+  if (dl1.misses > 0 && fault::armed().kind == fault::Kind::kReplay) {
+    --dl1.misses;
+  }
+#endif
+  if (obs::enabled()) {
+    const FlavorCounters& fc = flavor_counters(Flavor::kSingleLevel);
+    obs::add_triple(fc.runs, 1, fc.entries, trace.size(),
+                    conflict_free_runs(), !il1.conflicts && !dl1.conflicts);
+  }
+  const TimingParams& t = config.timing;
+  return (trace.folded_ifetches + trace.iseq.size()) * t.issue_cycles +
+         (trace.folded_loads + trace.dseq.size()) * t.dl1_hit_cycles +
+         (il1.misses + dl1.misses) * t.mem_latency;
 }
 
 }  // namespace
@@ -204,8 +301,13 @@ std::uint64_t Machine::run_once(const CompactTrace& trace,
 std::uint64_t Machine::run_once(const CompactTrace& trace,
                                 std::uint64_t run_seed,
                                 RunWorkspace& ws) const {
+  if (!config_.l2.enabled) {
+    return run_single_level(config_, trace, run_seed, ws);
+  }
   if (obs::enabled()) {
-    const FlavorCounters& fc = flavor_counters(flavor_of(config_));
+    const FlavorCounters& fc = flavor_counters(
+        config_.l2.policy == L2Policy::kRandom ? Flavor::kL2Random
+                                               : Flavor::kL2Lru);
     obs::add_pair(fc.runs, 1, fc.entries, trace.size());
   }
   FastSide il1(config_.il1, trace.ilines, mix64(kIl1Placement, run_seed),
@@ -216,18 +318,15 @@ std::uint64_t Machine::run_once(const CompactTrace& trace,
   // The folded accesses are guaranteed hits: base cost only.
   const std::uint64_t folded = trace.folded_ifetches * t.issue_cycles +
                                trace.folded_loads * t.dl1_hit_cycles;
-  if (config_.l2.enabled) {
-    if (config_.l2.policy == L2Policy::kRandom) {
-      FastSide l2(config_.l2.l2, trace.ulines, mix64(kL2Placement, run_seed),
-                  mix64(kL2Replacement, run_seed), ws.l2_tags, ws.l2_set_of);
-      return replay_hierarchy(trace, il1, dl1, l2, t, config_.l2.latency,
-                              folded);
-    }
-    FastLruL2 l2(config_.l2.l2, trace.ulines, ws.l2_tags, ws.l2_set_of);
+  if (config_.l2.policy == L2Policy::kRandom) {
+    FastSide l2(config_.l2.l2, trace.ulines, mix64(kL2Placement, run_seed),
+                mix64(kL2Replacement, run_seed), ws.l2_tags, ws.l2_set_of);
     return replay_hierarchy(trace, il1, dl1, l2, t, config_.l2.latency,
                             folded);
   }
-  return replay_single_level(trace, il1, dl1, t, folded);
+  FastLruL2 l2(config_.l2.l2, trace.ulines, ws.l2_tags, ws.l2_set_of);
+  return replay_hierarchy(trace, il1, dl1, l2, t, config_.l2.latency,
+                          folded);
 }
 
 std::uint64_t Machine::run_once_reference(const MemTrace& trace,

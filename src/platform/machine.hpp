@@ -5,12 +5,24 @@
 //
 // `Machine::run_once` — the measurement campaigns' hot path — replays a
 // compact trace under a fresh per-run placement (derived from the run
-// seed) and returns the cycle count. The placement hash is evaluated once
-// per unique line per run — per level: the L2's placement is hashed once
-// per unique *unified* line; accesses then replay through flat tag arrays,
-// and an L1 miss probes the L2 by dense unified id. The compact trace's
-// folded guaranteed hits are never replayed: they add a per-trace
-// constant.
+// seed) and returns the cycle count. The compact trace's folded guaranteed
+// hits are never replayed: they add a per-trace constant.
+//
+// Single level, each L1 side is replayed on its own: the sides are separate
+// caches with separate replacement streams, and a run's cycles are the
+// per-side base costs plus `mem_latency` per miss on either side. Per side
+// the run places its lines, finds the lines alone in their set, and
+// simulates only the rest. A lone line misses once and then always hits:
+// its first access draws its one victim choice, to keep every later draw
+// where it was, and its later accesses are skipped. A side whose lines are
+// all alone costs one miss per line, with no scan and no draws. Nothing
+// per run scales with the number of sets: tag state is held for the shared
+// sets only.
+//
+// Two levels, the sides do not split, because the L2 sees both sides'
+// misses in trace order: the placement hash is evaluated once per unique
+// line per level (the L2's once per unique *unified* line), accesses replay
+// through flat tag arrays, and an L1 miss probes the L2 by dense unified id.
 #pragma once
 
 #include <cstdint>
@@ -24,18 +36,26 @@
 
 namespace mbcr::platform {
 
-/// Reusable per-thread scratch for `Machine::run_once`: tag arrays and
-/// per-line set maps for both L1 sides plus the unified L2. A campaign
-/// worker allocates one workspace and replays hundreds of thousands of
-/// runs through it, instead of paying vector allocations per run. Contents
-/// are fully re-initialized by every run, so reuse never leaks state
-/// between runs (or between machines/traces of different geometry —
-/// buffers just grow). The L2 buffers stay empty while the hierarchy is
-/// disabled.
+/// Reusable per-thread scratch for `Machine::run_once`. A campaign worker
+/// allocates one workspace and replays hundreds of thousands of runs
+/// through it, instead of paying vector allocations per run. Contents are
+/// fully re-initialized by every run, so reuse never leaks state between
+/// runs (or between machines/traces of different geometry — buffers just
+/// grow).
 struct RunWorkspace {
+  /// Two levels: flat sets·ways tag arrays and per-line set maps for both
+  /// L1 sides plus the unified L2 (empty while the hierarchy is disabled).
   std::vector<std::uint32_t> il1_tags, il1_set_of;
   std::vector<std::uint32_t> dl1_tags, dl1_set_of;
   std::vector<std::uint32_t> l2_tags, l2_set_of;
+  /// Single level, one side at a time; every buffer is O(lines·ways).
+  struct SetCount {
+    std::uint32_t set;    ///< set index, or empty
+    std::uint32_t lines;  ///< lines placed in it, then its shared-set slot
+  };
+  std::vector<SetCount> set_table;         ///< open addressing over sets
+  std::vector<std::uint32_t> line_slot;    ///< per line: shared slot or lone
+  std::vector<std::uint32_t> shared_tags;  ///< `ways` tags per shared set
 };
 
 struct MachineConfig {

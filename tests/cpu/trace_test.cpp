@@ -88,6 +88,28 @@ TEST(CompactTrace, FoldsOnlyConsecutiveSameSideRepeats) {
             t.line_sequence(false).size());
 }
 
+TEST(CompactTrace, PerSideSequencesMarkFirstUses) {
+  // iseq/dseq are `entries` split by side, in trace order, with kFirstUse
+  // on each line's first replayed access (never folded: nothing precedes
+  // it on that line).
+  constexpr Addr kA = 0x1000, kB = 0x1040, kX = 0x8000, kY = 0x8080;
+  MemTrace t;
+  t.emit(kA, AccessKind::kIFetch);
+  t.emit(kX, AccessKind::kLoad);
+  t.emit(kA + 4, AccessKind::kIFetch);  // folded
+  t.emit(kB, AccessKind::kIFetch);
+  t.emit(kA, AccessKind::kIFetch);
+  t.emit(kY, AccessKind::kStore);
+  t.emit(kX, AccessKind::kLoad);
+  const CompactTrace c = CompactTrace::from(t);
+  constexpr std::uint32_t kFirst = CompactTrace::kFirstUse;
+  EXPECT_EQ(c.iseq, (std::vector<std::uint32_t>{0 | kFirst, 1 | kFirst, 0}));
+  EXPECT_EQ(c.dseq, (std::vector<std::uint32_t>{0 | kFirst, 1 | kFirst, 0}));
+  EXPECT_EQ(c.iseq.size() + c.dseq.size(), c.size());
+  EXPECT_EQ(c.ilines[1], kB / 32);
+  EXPECT_EQ(c.dlines[1], kY / 32);
+}
+
 TEST(CompactTrace, FoldingFollowsTheLineSize) {
   MemTrace t;
   t.emit(0x1000, AccessKind::kIFetch);

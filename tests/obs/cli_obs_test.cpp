@@ -87,6 +87,16 @@ TEST(CliObs, AnalyzeStdoutIsASingleJsonDocumentUnderFullInstrumentation) {
   EXPECT_NE(metrics.at("counters").find("convergence.samples"), nullptr);
   EXPECT_NE(metrics.at("counters").find("replay.single_level.runs"),
             nullptr);
+  // bs has 12 lines in the paper's 64-set L1: some runs place every line
+  // alone (nothing is simulated), the others do not.
+  const double runs =
+      metrics.at("counters").at("replay.single_level.runs").as_number();
+  const double conflict_free =
+      metrics.at("counters")
+          .at("replay.single_level.conflict_free_runs")
+          .as_number();
+  EXPECT_GT(conflict_free, 0.0);
+  EXPECT_LT(conflict_free, runs);
   EXPECT_GT(events.size(), 1u);
   bool saw_study = false;
   bool saw_campaign = false;

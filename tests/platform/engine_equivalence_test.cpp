@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "ir/interp.hpp"
+#include "obs/metrics.hpp"
 #include "platform/campaign.hpp"
 #include "platform/machine.hpp"
+#include "pub/pub_transform.hpp"
 #include "suite/malardalen.hpp"
 #include "util/pool.hpp"
 
@@ -163,6 +165,143 @@ TEST(EngineEquivalence, FoldedReplayMatchesReferenceOnEverySuiteKernel) {
         }
       }
     }
+  }
+}
+
+/// The value of one registered counter (0 if it never grew).
+std::uint64_t counter_value(const std::string& name) {
+  const obs::CounterSnapshot snapshot = obs::snapshot_counters();
+  for (const auto& [key, value] : snapshot.values()) {
+    if (key == name) return value;
+  }
+  return 0;
+}
+
+/// Holds `machine`'s fast replay of `w.trace` to the reference on `w.mem`
+/// over seeds 0..`seeds`-1.
+void expect_matches_reference(const Machine& machine, const TestWorkload& w,
+                              std::uint64_t seeds, const std::string& what) {
+  RunWorkspace ws;
+  for (std::uint64_t seed = 0; seed < seeds; ++seed) {
+    ASSERT_EQ(machine.run_once(w.trace, seed, ws),
+              machine.run_once_reference(w.mem, seed))
+        << what << " seed " << seed;
+  }
+}
+
+TEST(EngineEquivalence, SideSplitReplayMatchesReferenceOnEverySuiteKernel) {
+  // Single level, each L1 side replays only its lines that share a set.
+  // Every suite kernel, original and pubbed trace, the paper's L1 under
+  // both placements, 2000 seeds each. The runs must cover both shapes:
+  // runs where every line on both sides is alone (nothing simulated) and
+  // runs that simulate a shared set.
+  obs::reset_metrics();
+  obs::set_enabled(true);
+  for (const suite::SuiteEntry& entry : suite::all()) {
+    const suite::SuiteBenchmark b = entry.make();
+    for (const bool pubbed : {false, true}) {
+      TestWorkload w;
+      w.mem = ir::lower_and_execute(pubbed ? pub::apply_pub(b.program)
+                                           : b.program,
+                                    b.default_input)
+                  .trace;
+      w.trace = CompactTrace::from(w.mem);
+      for (const Placement placement :
+           {Placement::kHash, Placement::kModulo}) {
+        MachineConfig cfg;
+        cfg.il1.placement = placement;
+        cfg.dl1.placement = placement;
+        expect_matches_reference(
+            Machine(cfg), w, 2000,
+            std::string(entry.name) + (pubbed ? " pubbed " : " orig ") +
+                to_string(placement));
+      }
+    }
+  }
+  const std::uint64_t runs = counter_value("replay.single_level.runs");
+  const std::uint64_t conflict_free =
+      counter_value("replay.single_level.conflict_free_runs");
+  obs::set_enabled(false);
+  obs::reset_metrics();
+  EXPECT_EQ(runs, suite::all().size() * 2 * 2 * 2000);
+  EXPECT_GT(conflict_free, 0u);
+  EXPECT_LT(conflict_free, runs);
+}
+
+TEST(EngineEquivalence, LoneLineFirstMissDrawsBetweenSharedMisses) {
+  // A hand-built IL1 trace (no data side) on a 4-set 2-way cache under
+  // random-modulo placement, which rotates each 4-line block as a whole:
+  // lines 0-3 take one set each, lines 4-5 and 8-9 two adjacent sets each.
+  // Every run opens with the compulsory misses of 4, 5, 8, 9 (each shares
+  // a set with a block-0 line); in 3 of 4 runs some block-0 line is alone,
+  // and its first access draws a victim choice before the next misses of
+  // the shared lines. Skipping that draw would shift every later victim.
+  MemTrace mem;
+  for (int round = 0; round < 6; ++round) {
+    for (const Addr line : {4, 5, 8, 9, 0, 1, 2, 3}) {
+      mem.emit(line * 32, AccessKind::kIFetch);
+    }
+  }
+  TestWorkload w;
+  w.mem = mem;
+  w.trace = CompactTrace::from(mem);
+  ASSERT_TRUE(w.trace.dseq.empty());
+  MachineConfig cfg;
+  cfg.il1 = CacheConfig{4, 2, 32, Placement::kModulo};
+  expect_matches_reference(Machine(cfg), w, 2000, "hand-built");
+}
+
+TEST(EngineEquivalence, SideSplitReplayMatchesReferenceOnEdgeGeometries) {
+  // Direct-mapped, one set (every line shares), a non-power-of-two set
+  // count, and 16- and 64-byte lines (the compact trace is rebuilt at each
+  // line size), on both sides at once.
+  const CacheConfig geometries[] = {
+      CacheConfig{64, 1, 32}, CacheConfig{1, 2, 32}, CacheConfig{1, 4, 32},
+      CacheConfig{3, 2, 32},  CacheConfig{128, 2, 16},
+      CacheConfig{32, 2, 64},
+  };
+  for (const char* kernel : {"bs", "crc", "ns"}) {
+    const auto b = suite::make_benchmark(kernel);
+    const MemTrace mem =
+        ir::lower_and_execute(pub::apply_pub(b.program), b.default_input)
+            .trace;
+    for (const CacheConfig& geo : geometries) {
+      for (const Placement placement :
+           {Placement::kHash, Placement::kModulo}) {
+        MachineConfig cfg;
+        cfg.il1 = geo;
+        cfg.il1.placement = placement;
+        cfg.dl1 = cfg.il1;
+        TestWorkload w;
+        w.mem = mem;
+        w.trace = CompactTrace::from(mem, geo.line_bytes);
+        expect_matches_reference(
+            Machine(cfg), w, 300,
+            std::string(kernel) + " " + std::to_string(geo.sets) + "x" +
+                std::to_string(geo.ways) + "x" +
+                std::to_string(geo.line_bytes) + " " + to_string(placement));
+      }
+    }
+  }
+}
+
+TEST(EngineEquivalence, SideSplitReplayHandlesAnEmptySide) {
+  // Only instruction fetches, then only data loads: the missing side
+  // replays nothing and costs nothing.
+  for (const AccessKind kind : {AccessKind::kIFetch, AccessKind::kLoad}) {
+    MemTrace mem;
+    for (int round = 0; round < 20; ++round) {
+      for (Addr line = 0; line < 40; line += 3) mem.emit(line * 32, kind);
+    }
+    TestWorkload w;
+    w.mem = mem;
+    w.trace = CompactTrace::from(mem);
+    MachineConfig cfg;
+    cfg.il1 = CacheConfig{8, 2, 32};
+    cfg.dl1 = CacheConfig{8, 2, 32};
+    expect_matches_reference(Machine(cfg), w, 500,
+                             kind == AccessKind::kIFetch ? "ifetch only"
+                                                         : "loads only");
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ir/interp.hpp"
 #include "suite/malardalen.hpp"
 #include "util/stats.hpp"
@@ -126,6 +128,41 @@ TEST(Machine, AllMissCyclesCountsEveryAccess) {
     EXPECT_LE(two_level.run_once(compact, s),
               two_level.all_miss_cycles(trace));
   }
+}
+
+TEST(Machine, HugeSetCountsReplayInBoundedMemory) {
+  // Single-level replay holds tag state only for the sets this run's lines
+  // share, so a 2^30-set 8-way L1 (a 256 GiB cache) replays with scratch
+  // buffers sized by the trace's lines, not by sets·ways.
+  const auto b = suite::make_crc();
+  const MemTrace trace =
+      ir::lower_and_execute(b.program, b.default_input).trace;
+  const CompactTrace compact = CompactTrace::from(trace);
+  MachineConfig cfg;
+  cfg.il1 = CacheConfig{1u << 30, 8, 32};
+  cfg.dl1 = cfg.il1;
+  const Machine machine(cfg);
+  const TimingParams& t = cfg.timing;
+  const std::size_t lines =
+      std::max(compact.ilines.size(), compact.dlines.size());
+  // Every line misses at least once: its compulsory miss.
+  std::uint64_t compulsory =
+      (compact.ilines.size() + compact.dlines.size()) * t.mem_latency;
+  for (const Access& a : trace.accesses) {
+    compulsory += t.cost(a.kind, /*hit=*/true);
+  }
+  RunWorkspace ws;
+  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+    const std::uint64_t cycles = machine.run_once(compact, seed, ws);
+    EXPECT_GE(cycles, compulsory);
+    EXPECT_LE(cycles, machine.all_miss_cycles(trace));
+  }
+  EXPECT_LE(ws.line_slot.capacity(), lines);
+  EXPECT_LE(ws.set_table.capacity(), 4 * lines);
+  EXPECT_LE(ws.shared_tags.capacity(), lines * cfg.il1.ways);
+  EXPECT_EQ(ws.il1_tags.capacity() + ws.dl1_tags.capacity() +
+                ws.l2_tags.capacity(),
+            0u);
 }
 
 TEST(Machine, ValidatesConfig) {
