@@ -64,6 +64,23 @@ CompactTrace CompactTrace::from(const MemTrace& trace, Addr line_bytes) {
       out.dseq.push_back(it->second | (inserted ? kFirstUse : 0));
     }
   }
+  // Group the entries by line (a counting sort over the line ids).
+  const std::size_t ni = out.ilines.size();
+  const auto line_of_entry = [ni](const Entry& e) {
+    return e.line_id + (e.is_instr ? 0 : ni);
+  };
+  out.line_begin.assign(ni + out.dlines.size() + 1, 0);
+  for (const Entry& e : out.entries) ++out.line_begin[line_of_entry(e) + 1];
+  for (std::size_t c = 1; c < out.line_begin.size(); ++c) {
+    out.line_begin[c] += out.line_begin[c - 1];
+  }
+  std::vector<std::uint32_t> next(out.line_begin.begin(),
+                                  out.line_begin.end() - 1);
+  out.line_entries.resize(out.entries.size());
+  for (std::size_t i = 0; i < out.entries.size(); ++i) {
+    out.line_entries[next[line_of_entry(out.entries[i])]++] =
+        static_cast<std::uint32_t>(i);
+  }
   std::unordered_map<Addr, std::uint32_t> umap;
   const auto unify = [&](const std::vector<Addr>& lines,
                          std::vector<std::uint32_t>& uid) {

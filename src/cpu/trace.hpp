@@ -9,7 +9,10 @@
 // replayed accesses twice: interleaved in trace order (`entries`, for the
 // two-level replay, whose L2 sees both sides' misses in that order) and
 // split per side (`iseq`/`dseq`, for the single-level replay, which
-// simulates each L1 on its own).
+// simulates each L1 on its own). Both replays skip every access but the
+// first of a line that is alone in its L1 set, so both forms can find a
+// line's first use: `iseq`/`dseq` mark it, and `line_entries` lists each
+// line's positions in `entries`, first use first.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +60,12 @@ struct CompactTrace {
   std::uint64_t folded_loads = 0;
   /// Every access of the source trace: entries plus folded hits.
   std::uint64_t accesses = 0;
+  /// Each L1 line's accesses as positions in `entries`, ascending: line
+  /// c's are `line_entries[line_begin[c]]` up to `line_begin[c + 1]`, where
+  /// c is its IL1 dense id, or `ilines.size()` plus its DL1 dense id. The
+  /// first is the line's first use on its side.
+  std::vector<std::uint32_t> line_begin;
+  std::vector<std::uint32_t> line_entries;
   std::vector<Addr> ilines;  ///< line number per IL1 dense id
   std::vector<Addr> dlines;  ///< line number per DL1 dense id
 

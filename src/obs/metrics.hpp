@@ -63,27 +63,16 @@ public:
 
 private:
   friend Counter counter(std::string_view name);
-  friend void add_pair(const Counter& a, std::uint64_t na, const Counter& b,
-                       std::uint64_t nb) noexcept;
   friend void add_triple(const Counter& a, std::uint64_t na,
                          const Counter& b, std::uint64_t nb,
                          const Counter& c, std::uint64_t nc) noexcept;
   std::uint32_t slot_ = 0;
 };
 
-/// Adds to two counters with a single enabled-gate check and a single
-/// thread-local shard lookup. Use where a pair is always bumped together
+/// Adds to three counters with a single enabled-gate check and a single
+/// thread-local shard lookup. Use where a triple is always bumped together
 /// on a per-run hot path; everywhere else plain `Counter::add` reads
 /// better.
-inline void add_pair(const Counter& a, std::uint64_t na, const Counter& b,
-                     std::uint64_t nb) noexcept {
-  if (!enabled()) return;
-  const std::uint32_t slots[] = {a.slot_, b.slot_};
-  const std::uint64_t values[] = {na, nb};
-  detail::shard_add_n(slots, values, 2);
-}
-
-/// `add_pair` for three counters.
 inline void add_triple(const Counter& a, std::uint64_t na, const Counter& b,
                        std::uint64_t nb, const Counter& c,
                        std::uint64_t nc) noexcept {

@@ -20,9 +20,15 @@
 // sets only.
 //
 // Two levels, the sides do not split, because the L2 sees both sides'
-// misses in trace order: the placement hash is evaluated once per unique
-// line per level (the L2's once per unique *unified* line), accesses replay
-// through flat tag arrays, and an L1 miss probes the L2 by dense unified id.
+// misses in trace order. But the same skip is exact: an L1 hit never
+// reaches the L2, and the L2 never reaches back into an L1, so once a lone
+// L1 line's first access is done, its later accesses are L1 hits with no
+// draw and no L2 probe. The run classifies both sides as above, marks line
+// by line the interleaved entries to keep (every access of a shared line,
+// the first access of a lone one) and replays those in trace order, so its
+// cost follows the kept entries; an L1 miss probes the L2 by dense unified
+// id. The L2 holds tags only for the sets its unified lines land in, so no
+// level's state scales with its number of sets.
 #pragma once
 
 #include <cstdint>
@@ -43,19 +49,31 @@ namespace mbcr::platform {
 /// runs (or between machines/traces of different geometry — buffers just
 /// grow).
 struct RunWorkspace {
-  /// Two levels: flat sets·ways tag arrays and per-line set maps for both
-  /// L1 sides plus the unified L2 (empty while the hierarchy is disabled).
-  std::vector<std::uint32_t> il1_tags, il1_set_of;
-  std::vector<std::uint32_t> dl1_tags, dl1_set_of;
-  std::vector<std::uint32_t> l2_tags, l2_set_of;
-  /// Single level, one side at a time; every buffer is O(lines·ways).
   struct SetCount {
     std::uint32_t set;    ///< set index, or empty
-    std::uint32_t lines;  ///< lines placed in it, then its shared-set slot
+    std::uint32_t lines;  ///< lines placed in it, then its slot
   };
-  std::vector<SetCount> set_table;         ///< open addressing over sets
-  std::vector<std::uint32_t> line_slot;    ///< per line: shared slot or lone
-  std::vector<std::uint32_t> shared_tags;  ///< `ways` tags per shared set
+  /// Lines counted per set, one level or side at a time: open addressing
+  /// over set indices, >= 2 entries per line.
+  std::vector<SetCount> set_table;
+  /// Per L1 line: its shared set's slot, or lone. Single level holds one
+  /// side at a time; two levels hold the IL1 lines, then the DL1 lines.
+  std::vector<std::uint32_t> line_slot;
+  /// `ways` tags per shared L1 set (two levels: the IL1's, then the DL1's,
+  /// each `max(ways)` apart).
+  std::vector<std::uint32_t> shared_tags;
+  /// Two levels, per L1 line (IL1 lines, then DL1 lines): its shared set,
+  /// numbered over both sides, or lone; and its unified id.
+  struct L1Line {
+    std::uint32_t set;
+    std::uint32_t uid;
+  };
+  std::vector<L1Line> l1_lines;
+  /// Two levels: one byte per compact entry, set on the entries to replay.
+  std::vector<std::uint8_t> keep;
+  /// Two levels: per unified line, the slot of its L2 set, and `ways` L2
+  /// tags per slot. Every buffer is O(lines·ways) or O(entries).
+  std::vector<std::uint32_t> l2_slot, l2_tags;
 };
 
 struct MachineConfig {

@@ -110,6 +110,26 @@ TEST(CompactTrace, PerSideSequencesMarkFirstUses) {
   EXPECT_EQ(c.dlines[1], kY / 32);
 }
 
+TEST(CompactTrace, LineIndexListsEachLinesEntries) {
+  // line_entries groups the positions in `entries` by line: IL1 ids
+  // first, then DL1 ids after ilines.size(), each line's ascending, so its
+  // first position is the line's first use.
+  constexpr Addr kA = 0x1000, kB = 0x1040, kX = 0x8000, kY = 0x8080;
+  MemTrace t;
+  t.emit(kA, AccessKind::kIFetch);      // entry 0
+  t.emit(kX, AccessKind::kLoad);        // entry 1
+  t.emit(kA + 4, AccessKind::kIFetch);  // folded
+  t.emit(kB, AccessKind::kIFetch);      // entry 2
+  t.emit(kA, AccessKind::kIFetch);      // entry 3
+  t.emit(kY, AccessKind::kStore);       // entry 4
+  t.emit(kX, AccessKind::kLoad);        // entry 5
+  const CompactTrace c = CompactTrace::from(t);
+  EXPECT_EQ(c.line_begin, (std::vector<std::uint32_t>{0, 2, 3, 5, 6}));
+  EXPECT_EQ(c.line_entries,
+            (std::vector<std::uint32_t>{0, 3, 2, 1, 5, 4}));
+  EXPECT_TRUE(CompactTrace::from(MemTrace{}).line_entries.empty());
+}
+
 TEST(CompactTrace, FoldingFollowsTheLineSize) {
   MemTrace t;
   t.emit(0x1000, AccessKind::kIFetch);

@@ -125,6 +125,34 @@ TEST(CliObs, MeasureCsvStdoutStaysMachineReadableWithProgressOn) {
       << result.out.substr(0, 200);
 }
 
+TEST(CliObs, TwoLevelReplayCountsTheEntriesItSimulates) {
+  // Behind an L2, a run replays only the accesses of L1 lines that share a
+  // set plus every other line's first access. crc's lines are mostly alone
+  // in the paper's 64-set L1s, so the runs simulate some entries, never
+  // all of them.
+  for (const char* policy : {"random", "lru"}) {
+    const std::string metrics_path = temp_path("mbcr_cli_obs_l2.json");
+    const std::string cmd =
+        std::string(MBCR_MBCR_BINARY) +
+        " analyze --suite crc --mode measure --runs 2000" +
+        " --l2-sets 256 --l2-ways 8 --l2-policy " + policy +
+        " --json /dev/null --metrics-json " + metrics_path + " 2>/dev/null";
+    const CommandResult result = run_command(cmd);
+    ASSERT_EQ(result.exit_code, 0) << cmd;
+    const json::Value metrics = parse_file(metrics_path);
+    const json::Value& counters = metrics.at("counters");
+    const std::string flavor = std::string("replay.l2_") + policy;
+    const double runs = counters.at(flavor + ".runs").as_number();
+    const double entries = counters.at(flavor + ".entries").as_number();
+    const double simulated =
+        counters.at(flavor + ".simulated_entries").as_number();
+    EXPECT_GE(runs, 2000.0) << policy;
+    EXPECT_GT(simulated, 0.0) << policy;
+    EXPECT_LT(simulated, entries) << policy;
+    std::remove(metrics_path.c_str());
+  }
+}
+
 #else
 
 TEST(CliObs, SkippedWithoutPosixPopen) { GTEST_SKIP(); }

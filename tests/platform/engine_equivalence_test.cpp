@@ -305,6 +305,143 @@ TEST(EngineEquivalence, SideSplitReplayHandlesAnEmptySide) {
   }
 }
 
+TEST(EngineEquivalence, TwoLevelSkipReplayMatchesReferenceOnEverySuiteKernel) {
+  // Behind an L2, a run replays only the accesses of L1 lines that share a
+  // set and every other line's first access. Every suite kernel, original
+  // and pubbed trace, random and LRU L2, hash and modulo placement on
+  // every level, 500 seeds each. The runs must skip some entries but not
+  // all of them.
+  obs::reset_metrics();
+  obs::set_enabled(true);
+  for (const suite::SuiteEntry& entry : suite::all()) {
+    const suite::SuiteBenchmark b = entry.make();
+    for (const bool pubbed : {false, true}) {
+      TestWorkload w;
+      w.mem = ir::lower_and_execute(pubbed ? pub::apply_pub(b.program)
+                                           : b.program,
+                                    b.default_input)
+                  .trace;
+      w.trace = CompactTrace::from(w.mem);
+      for (const L2Policy policy : {L2Policy::kRandom, L2Policy::kLru}) {
+        for (const Placement placement :
+             {Placement::kHash, Placement::kModulo}) {
+          MachineConfig cfg;
+          cfg.il1.placement = placement;
+          cfg.dl1.placement = placement;
+          cfg.l2.enabled = true;
+          cfg.l2.policy = policy;
+          cfg.l2.l2.placement = placement;
+          expect_matches_reference(
+              Machine(cfg), w, 500,
+              std::string(entry.name) + (pubbed ? " pubbed " : " orig ") +
+                  to_string(policy) + " L2 " + to_string(placement));
+        }
+      }
+    }
+  }
+  std::uint64_t runs = 0;
+  std::uint64_t entries = 0;
+  std::uint64_t simulated = 0;
+  for (const char* flavor : {"replay.l2_random.", "replay.l2_lru."}) {
+    runs += counter_value(std::string(flavor) + "runs");
+    entries += counter_value(std::string(flavor) + "entries");
+    simulated += counter_value(std::string(flavor) + "simulated_entries");
+  }
+  obs::set_enabled(false);
+  obs::reset_metrics();
+  EXPECT_EQ(runs, suite::all().size() * 2 * 2 * 2 * 500);
+  EXPECT_GT(simulated, 0u);
+  EXPECT_LT(simulated, entries);
+}
+
+TEST(EngineEquivalence, LoneLineFirstMissReachesTheL2BetweenSharedMisses) {
+  // A hand-built trace on a 4-set 2-way IL1 under random-modulo placement
+  // (as in LoneLineFirstMissDrawsBetweenSharedMisses: lines 4, 5, 8, 9
+  // always share a set with a block-0 line, and in 3 of 4 runs some
+  // block-0 line is alone), behind a random L2 of one 2-way set that every
+  // line maps to. A lone line's first access misses between misses of the
+  // shared lines: it draws its IL1 victim, probes the L2, misses there and
+  // draws an L2 victim that may evict a shared line. Skipping either its
+  // IL1 draw or its L2 probe would change the later outcomes. One data
+  // line, alone in its DL1, is loaded every round and reaches the L2 once.
+  MemTrace mem;
+  for (int round = 0; round < 6; ++round) {
+    for (const Addr line : {4, 5, 8, 9, 0, 1, 2, 3}) {
+      mem.emit(line * 32, AccessKind::kIFetch);
+    }
+    mem.emit(0x10000, AccessKind::kLoad);
+  }
+  TestWorkload w;
+  w.mem = mem;
+  w.trace = CompactTrace::from(mem);
+  ASSERT_EQ(w.trace.dlines.size(), 1u);
+  MachineConfig cfg;
+  cfg.il1 = CacheConfig{4, 2, 32, Placement::kModulo};
+  cfg.l2.enabled = true;
+  cfg.l2.l2 = CacheConfig{1, 2, 32};
+  expect_matches_reference(Machine(cfg), w, 2000, "hand-built");
+}
+
+TEST(EngineEquivalence, TwoLevelSkipReplayHandlesEdgeGeometries) {
+  // Direct-mapped and single-set L1s in front of a one-set L2 (1 and 8
+  // ways) and the default L2, under both policies; then traces with only
+  // instruction fetches or only data loads, whose missing side replays
+  // nothing and costs nothing.
+  const CacheConfig l1_geometries[] = {CacheConfig{64, 1, 32},
+                                       CacheConfig{1, 2, 32},
+                                       CacheConfig::paper_l1()};
+  const CacheConfig l2_geometries[] = {CacheConfig{1, 1, 32},
+                                       CacheConfig{1, 8, 32},
+                                       CacheConfig{256, 8, 32}};
+  for (const char* kernel : {"bs", "crc", "ns"}) {
+    const auto b = suite::make_benchmark(kernel);
+    TestWorkload w;
+    w.mem = ir::lower_and_execute(pub::apply_pub(b.program), b.default_input)
+                .trace;
+    w.trace = CompactTrace::from(w.mem);
+    for (const CacheConfig& l1 : l1_geometries) {
+      for (const CacheConfig& l2 : l2_geometries) {
+        for (const L2Policy policy : {L2Policy::kRandom, L2Policy::kLru}) {
+          MachineConfig cfg;
+          cfg.il1 = l1;
+          cfg.dl1 = l1;
+          cfg.l2.enabled = true;
+          cfg.l2.l2 = l2;
+          cfg.l2.policy = policy;
+          expect_matches_reference(
+              Machine(cfg), w, 300,
+              std::string(kernel) + " L1 " + std::to_string(l1.sets) + "x" +
+                  std::to_string(l1.ways) + " " + to_string(policy) +
+                  " L2 " + std::to_string(l2.sets) + "x" +
+                  std::to_string(l2.ways));
+        }
+      }
+    }
+  }
+  for (const AccessKind kind : {AccessKind::kIFetch, AccessKind::kLoad}) {
+    MemTrace mem;
+    for (int round = 0; round < 20; ++round) {
+      for (Addr line = 0; line < 40; line += 3) mem.emit(line * 32, kind);
+    }
+    TestWorkload w;
+    w.mem = mem;
+    w.trace = CompactTrace::from(mem);
+    for (const L2Policy policy : {L2Policy::kRandom, L2Policy::kLru}) {
+      MachineConfig cfg;
+      cfg.il1 = CacheConfig{8, 2, 32};
+      cfg.dl1 = CacheConfig{8, 2, 32};
+      cfg.l2.enabled = true;
+      cfg.l2.l2 = CacheConfig{4, 2, 32};
+      cfg.l2.policy = policy;
+      expect_matches_reference(
+          Machine(cfg), w, 500,
+          std::string(kind == AccessKind::kIFetch ? "ifetch only "
+                                                  : "loads only ") +
+              to_string(policy));
+    }
+  }
+}
+
 TEST(EngineEquivalence, DisabledL2IsBitIdenticalToSingleLevelMachine) {
   // A configured-but-disabled hierarchy must not perturb a single sample.
   const TestWorkload w = test_workload();

@@ -131,38 +131,59 @@ TEST(Machine, AllMissCyclesCountsEveryAccess) {
 }
 
 TEST(Machine, HugeSetCountsReplayInBoundedMemory) {
-  // Single-level replay holds tag state only for the sets this run's lines
-  // share, so a 2^30-set 8-way L1 (a 256 GiB cache) replays with scratch
-  // buffers sized by the trace's lines, not by sets·ways.
+  // Replay holds tag state only for the sets this run's lines touch, so a
+  // 2^30-set 8-way L1 (a 256 GiB cache), alone or behind a 2^30-set 8-way
+  // L2 of either policy, replays with scratch buffers sized by the trace's
+  // lines (and, behind an L2, its entries), not by sets·ways.
   const auto b = suite::make_crc();
   const MemTrace trace =
       ir::lower_and_execute(b.program, b.default_input).trace;
   const CompactTrace compact = CompactTrace::from(trace);
-  MachineConfig cfg;
-  cfg.il1 = CacheConfig{1u << 30, 8, 32};
-  cfg.dl1 = cfg.il1;
-  const Machine machine(cfg);
-  const TimingParams& t = cfg.timing;
-  const std::size_t lines =
-      std::max(compact.ilines.size(), compact.dlines.size());
-  // Every line misses at least once: its compulsory miss.
-  std::uint64_t compulsory =
-      (compact.ilines.size() + compact.dlines.size()) * t.mem_latency;
-  for (const Access& a : trace.accesses) {
-    compulsory += t.cost(a.kind, /*hit=*/true);
+  const std::size_t ni = compact.ilines.size();
+  const std::size_t nd = compact.dlines.size();
+  const std::size_t nu = compact.ulines.size();
+  const CacheConfig huge{1u << 30, 8, 32};
+  for (const int level : {0, 1, 2}) {
+    MachineConfig cfg;
+    cfg.il1 = huge;
+    cfg.dl1 = huge;
+    cfg.l2.enabled = level != 0;
+    cfg.l2.l2 = huge;
+    cfg.l2.policy = level == 1 ? L2Policy::kRandom : L2Policy::kLru;
+    const Machine machine(cfg);
+    const TimingParams& t = cfg.timing;
+    // Every line misses at least once in its L1 and, behind an L2, every
+    // unified line misses there at least once: the compulsory misses.
+    std::uint64_t compulsory =
+        level == 0 ? (ni + nd) * t.mem_latency
+                   : (ni + nd) * cfg.l2.latency + nu * t.mem_latency;
+    for (const Access& a : trace.accesses) {
+      compulsory += t.cost(a.kind, /*hit=*/true);
+    }
+    RunWorkspace ws;
+    for (std::uint64_t seed = 0; seed < 100; ++seed) {
+      const std::uint64_t cycles = machine.run_once(compact, seed, ws);
+      EXPECT_GE(cycles, compulsory) << "level " << level;
+      EXPECT_LE(cycles, machine.all_miss_cycles(trace)) << "level " << level;
+    }
+    const std::size_t l1_lines = level == 0 ? std::max(ni, nd) : ni + nd;
+    EXPECT_LE(ws.line_slot.capacity(), l1_lines) << "level " << level;
+    // Single level numbers one side's sets at a time; behind an L2 the
+    // L2's unified lines are numbered too.
+    EXPECT_LE(ws.set_table.capacity(),
+              level == 0 ? 4 * std::max(ni, nd) : 4 * std::max({ni, nd, nu}))
+        << "level " << level;
+    EXPECT_LE(ws.shared_tags.capacity(), l1_lines * huge.ways)
+        << "level " << level;
+    EXPECT_LE(ws.l1_lines.capacity(), level == 0 ? 0 : ni + nd)
+        << "level " << level;
+    EXPECT_LE(ws.keep.capacity(), level == 0 ? 0 : compact.size() + 63)
+        << "level " << level;
+    EXPECT_LE(ws.l2_slot.capacity(), level == 0 ? 0 : nu)
+        << "level " << level;
+    EXPECT_LE(ws.l2_tags.capacity(), level == 0 ? 0 : nu * huge.ways)
+        << "level " << level;
   }
-  RunWorkspace ws;
-  for (std::uint64_t seed = 0; seed < 100; ++seed) {
-    const std::uint64_t cycles = machine.run_once(compact, seed, ws);
-    EXPECT_GE(cycles, compulsory);
-    EXPECT_LE(cycles, machine.all_miss_cycles(trace));
-  }
-  EXPECT_LE(ws.line_slot.capacity(), lines);
-  EXPECT_LE(ws.set_table.capacity(), 4 * lines);
-  EXPECT_LE(ws.shared_tags.capacity(), lines * cfg.il1.ways);
-  EXPECT_EQ(ws.il1_tags.capacity() + ws.dl1_tags.capacity() +
-                ws.l2_tags.capacity(),
-            0u);
 }
 
 TEST(Machine, ValidatesConfig) {
