@@ -79,7 +79,10 @@ PathAnalysis Analyzer::analyze_program(const ir::Program& program,
     out.pwcet_converged_only = mbpta::PwcetCurve(
         std::span<const double>(convergence.sample.data(), out.r_mbpta),
         conv.evt);
-    out.pwcet = mbpta::PwcetCurve(convergence.sample, conv.evt);
+    // An unextended campaign fits the same runs twice: copy the curve.
+    out.pwcet = convergence.sample.size() == out.r_mbpta
+                    ? out.pwcet_converged_only
+                    : mbpta::PwcetCurve(convergence.sample, conv.evt);
   }
   // Architectural ceiling: no run can cost more than every access missing
   // at every level (with a hierarchy, a full miss adds the L2 probe on top

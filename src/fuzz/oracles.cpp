@@ -16,6 +16,7 @@
 #include "pub/verify.hpp"
 #include "tac/runs.hpp"
 #include "util/json.hpp"
+#include "util/stats.hpp"
 
 namespace mbcr::fuzz {
 
@@ -396,6 +397,40 @@ bool bits_equal(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+bool tail_fits_equal(const mbpta::ExpTailFit& a, const mbpta::ExpTailFit& b) {
+  return bits_equal(a.threshold, b.threshold) && bits_equal(a.rate, b.rate) &&
+         bits_equal(a.zeta, b.zeta) && a.n_exceedances == b.n_exceedances &&
+         a.n_total == b.n_total && bits_equal(a.cv, b.cv) &&
+         a.cv_accepted == b.cv_accepted;
+}
+
+/// Empty when `curve`'s one-sort fit equals the composition of the free
+/// functions that each sort their own copy of `sample`, field by field.
+std::string one_sort_fit_mismatch(const mbpta::PwcetCurve& curve,
+                                  std::span<const double> sample,
+                                  const mbpta::EvtConfig& evt) {
+  if (!tail_fits_equal(curve.tail(),
+                       mbpta::fit_exponential_tail(sample, evt))) {
+    return "tail() != fit_exponential_tail";
+  }
+  const mbpta::IidReport& iid = curve.iid();
+  const bool testable = sample.size() >= 40;  // check_iid's floor
+  const std::size_t half = sample.size() / 2;
+  const double runs = testable ? runs_test_pvalue(sample) : 1.0;
+  const double lb = testable ? ljung_box_pvalue(sample, 10) : 1.0;
+  const double ks =
+      testable ? ks_pvalue(sample.first(half), sample.subspan(half)) : 1.0;
+  if (!bits_equal(iid.runs_test_p, runs)) return "iid().runs_test_p";
+  if (!bits_equal(iid.ljung_box_p, lb)) return "iid().ljung_box_p";
+  if (!bits_equal(iid.ks_split_p, ks)) return "iid().ks_split_p";
+  constexpr double kAlpha = 0.01;  // PwcetCurve's check_iid default
+  if (iid.independent != (!testable || (runs > kAlpha && lb > kAlpha)) ||
+      iid.identically_distributed != (!testable || ks > kAlpha)) {
+    return "iid() verdicts";
+  }
+  return {};
+}
+
 OracleOutcome oracle_evt(const FuzzCaseData& data, bool) {
   const std::vector<InputTrace> traced = trace_inputs(data);
   if (traced.empty()) return {};
@@ -439,13 +474,21 @@ OracleOutcome oracle_evt(const FuzzCaseData& data, bool) {
     }
 
     // Every incremental (sorted-mirror) refit must equal a from-scratch fit
-    // on the prefix of the sample it saw.
+    // on the prefix of the sample it saw, and that fit's one-sort i.i.d.
+    // report and tail must equal the independently sorting free functions.
     for (std::size_t i = 0; i < inc.estimates.size(); ++i) {
       const std::vector<double> prefix(
           inc.sample.begin(),
           inc.sample.begin() + static_cast<std::ptrdiff_t>(grown_to[i]));
-      const double want =
-          mbpta::PwcetCurve(prefix, cc.evt).at(cc.probability);
+      const mbpta::PwcetCurve curve(prefix, cc.evt);
+      const std::string mismatch =
+          one_sort_fit_mismatch(curve, prefix, cc.evt);
+      if (!mismatch.empty()) {
+        return fail(at + "PwcetCurve on " + std::to_string(grown_to[i]) +
+                    " runs: " + mismatch + " differs from the free "
+                    "functions");
+      }
+      const double want = curve.at(cc.probability);
       if (!bits_equal(want, inc.estimates[i])) {
         std::ostringstream ss;
         ss << at << "incremental refit " << i << " = " << inc.estimates[i]
@@ -467,17 +510,8 @@ OracleOutcome oracle_evt(const FuzzCaseData& data, bool) {
       return fail(at + "pwcet_probe_sorted != PwcetCurve::at on the same "
                        "multiset");
     }
-    const mbpta::ExpTailFit plain =
-        mbpta::fit_exponential_tail(inc.sample, cc.evt);
-    const mbpta::ExpTailFit presorted =
-        mbpta::fit_exponential_tail_sorted(sorted, cc.evt);
-    if (!bits_equal(plain.threshold, presorted.threshold) ||
-        !bits_equal(plain.rate, presorted.rate) ||
-        !bits_equal(plain.zeta, presorted.zeta) ||
-        plain.n_exceedances != presorted.n_exceedances ||
-        plain.n_total != presorted.n_total ||
-        !bits_equal(plain.cv, presorted.cv) ||
-        plain.cv_accepted != presorted.cv_accepted) {
+    if (!tail_fits_equal(mbpta::fit_exponential_tail(inc.sample, cc.evt),
+                         mbpta::fit_exponential_tail_sorted(sorted, cc.evt))) {
       return fail(at + "fit_exponential_tail_sorted differs from the "
                        "unsorted fit");
     }
@@ -504,7 +538,8 @@ constexpr Oracle kOracles[] = {
                "bytecode with an exact max_stack",
      oracle_verify},
     {"evt", "EVT/convergence estimator identities: every incremental refit "
-            "== from-scratch fit on its prefix, sorted-span == unsorted",
+            "== from-scratch fit on its prefix, the one-sort fit's iid and "
+            "tail == the sorting free functions, sorted-span == unsorted",
      oracle_evt},
 };
 

@@ -1,6 +1,7 @@
 #include "mbpta/eccdf.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/stats.hpp"
 
@@ -9,9 +10,9 @@ namespace mbcr::mbpta {
 Eccdf::Eccdf(std::span<const double> sample)
     : sorted_(sorted_copy(sample)) {}
 
-Eccdf Eccdf::from_sorted(std::span<const double> sorted) {
+Eccdf Eccdf::from_sorted(std::vector<double> sorted) {
   Eccdf out;
-  out.sorted_.assign(sorted.begin(), sorted.end());
+  out.sorted_ = std::move(sorted);
   return out;
 }
 

@@ -20,11 +20,10 @@ public:
   Eccdf() = default;
   explicit Eccdf(std::span<const double> sample);
 
-  /// Builds from a sample that is ALREADY sorted ascending: one copy, no
-  /// sort. For equal multisets of values the result is identical to the
-  /// sorting constructor — callers (the convergence driver) that maintain
-  /// a sorted sample incrementally use this to skip the O(n log n) step.
-  static Eccdf from_sorted(std::span<const double> sorted);
+  /// Adopts a sample that is ALREADY sorted ascending: no copy, no sort.
+  /// For equal multisets of values the result is identical to the
+  /// sorting constructor — `PwcetCurve` moves its one sorted buffer in.
+  static Eccdf from_sorted(std::vector<double> sorted);
 
   /// P(X > t) in the sample.
   double exceedance_prob(double t) const;

@@ -5,6 +5,7 @@
 
 #include <span>
 #include <string>
+#include <vector>
 
 namespace mbcr::mbpta {
 
@@ -21,5 +22,17 @@ struct IidReport {
 
 /// Runs all tests at significance `alpha` (tests must NOT reject).
 IidReport check_iid(std::span<const double> sample, double alpha = 0.01);
+
+/// `check_iid(sample, alpha)` together with the sample sorted ascending,
+/// from one copy and one sort: the two run-order halves (the split-KS
+/// halves) are sorted apart, feed the KS test, and are merged in place
+/// into the full ascending sample, whose median dichotomizes the runs
+/// test. `PwcetCurve` fits its tail and ECCDF on `sorted`.
+struct SortedIidCheck {
+  IidReport report;
+  std::vector<double> sorted;
+};
+SortedIidCheck check_iid_and_sort(std::span<const double> sample,
+                                  double alpha = 0.01);
 
 }  // namespace mbcr::mbpta

@@ -2,21 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace mbcr::mbpta {
 
 PwcetCurve::PwcetCurve(std::span<const double> sample,
-                       const EvtConfig& config)
-    : eccdf_(sample),
-      tail_(fit_exponential_tail(sample, config)),
-      iid_(check_iid(sample)) {}
-
-PwcetCurve PwcetCurve::from_sorted(std::span<const double> sorted,
-                                   const EvtConfig& config) {
-  PwcetCurve out;
-  out.eccdf_ = Eccdf::from_sorted(sorted);
-  out.tail_ = fit_exponential_tail_sorted(sorted, config);
-  return out;
+                       const EvtConfig& config) {
+  SortedIidCheck check = check_iid_and_sort(sample);
+  iid_ = check.report;
+  tail_ = fit_exponential_tail_sorted(check.sorted, config);
+  eccdf_ = Eccdf::from_sorted(std::move(check.sorted));
 }
 
 namespace {

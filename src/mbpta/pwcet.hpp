@@ -22,17 +22,11 @@ public:
   PwcetCurve() = default;
 
   /// Fits the curve on `sample` (execution times of one path campaign).
+  /// One copy, one sort: `check_iid_and_sort` sorts the two run-order
+  /// halves for the split KS and merges them; the tail fit and the ECCDF
+  /// then share that ascending buffer, which the ECCDF adopts.
   explicit PwcetCurve(std::span<const double> sample,
                       const EvtConfig& config = {});
-
-  /// Fits the curve on a sample that is ALREADY sorted ascending: skips
-  /// both internal sorts (ECCDF + tail fit), so a refit over a growing
-  /// sorted sample is near-linear. The i.i.d. diagnostics need the
-  /// run-order sequence, which a sorted sample no longer carries, so
-  /// `iid()` stays at its defaults here; `at()`/`tail()`/`eccdf()` are
-  /// identical to the sorting constructor's for equal multisets.
-  static PwcetCurve from_sorted(std::span<const double> sorted,
-                                const EvtConfig& config = {});
 
   /// pWCET at exceedance probability `p` per run.
   double at(double p) const;

@@ -50,10 +50,9 @@ double quantile(std::span<const double> xs, double q) {
   return quantile_sorted(sorted, q);
 }
 
-double ks_statistic(std::span<const double> a, std::span<const double> b) {
-  if (a.empty() || b.empty()) return 0.0;
-  const std::vector<double> sa = sorted_copy(a);
-  const std::vector<double> sb = sorted_copy(b);
+double ks_statistic_sorted(std::span<const double> sa,
+                           std::span<const double> sb) {
+  if (sa.empty() || sb.empty()) return 0.0;
   std::size_t ia = 0;
   std::size_t ib = 0;
   double d = 0.0;
@@ -66,6 +65,10 @@ double ks_statistic(std::span<const double> a, std::span<const double> b) {
     d = std::max(d, std::abs(fa - fb));
   }
   return d;
+}
+
+double ks_statistic(std::span<const double> a, std::span<const double> b) {
+  return ks_statistic_sorted(sorted_copy(a), sorted_copy(b));
 }
 
 namespace {
@@ -85,46 +88,55 @@ double kolmogorov_sf(double t) {
 
 }  // namespace
 
-double ks_pvalue(std::span<const double> a, std::span<const double> b) {
-  if (a.empty() || b.empty()) return 1.0;
-  const double d = ks_statistic(a, b);
-  const double na = static_cast<double>(a.size());
-  const double nb = static_cast<double>(b.size());
+double ks_pvalue_sorted(std::span<const double> sa,
+                        std::span<const double> sb) {
+  if (sa.empty() || sb.empty()) return 1.0;
+  const double d = ks_statistic_sorted(sa, sb);
+  const double na = static_cast<double>(sa.size());
+  const double nb = static_cast<double>(sb.size());
   const double ne = na * nb / (na + nb);
   const double t = (std::sqrt(ne) + 0.12 + 0.11 / std::sqrt(ne)) * d;
   return kolmogorov_sf(t);
 }
 
+double ks_pvalue(std::span<const double> a, std::span<const double> b) {
+  return ks_pvalue_sorted(sorted_copy(a), sorted_copy(b));
+}
+
 double normal_cdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
 
-double runs_test_pvalue(std::span<const double> xs) {
+double runs_test_pvalue_at(std::span<const double> xs, double median) {
   if (xs.size() < 20) return 1.0;  // too small to dichotomize meaningfully
-  const double med = quantile(xs, 0.5);
-  // Drop values exactly at the median (standard treatment of ties).
-  std::vector<int> signs;
-  signs.reserve(xs.size());
+  // One pass over the run order: values exactly at the median are dropped
+  // (standard treatment of ties); a run ends wherever the side changes.
+  std::size_t kept = 0;
+  std::size_t above = 0;
+  std::size_t changes = 0;
+  bool last_above = false;
   for (double x : xs) {
-    if (x > med) {
-      signs.push_back(1);
-    } else if (x < med) {
-      signs.push_back(0);
-    }
+    const bool is_above = x > median;
+    if (!is_above && !(x < median)) continue;
+    if (kept > 0 && is_above != last_above) ++changes;
+    last_above = is_above;
+    ++kept;
+    above += is_above ? 1 : 0;
   }
-  const auto n = static_cast<double>(signs.size());
+  const auto n = static_cast<double>(kept);
   if (n < 20) return 1.0;
-  double n1 = 0.0;
-  for (int s : signs) n1 += s;
+  const auto n1 = static_cast<double>(above);
   const double n0 = n - n1;
   if (n0 == 0.0 || n1 == 0.0) return 1.0;
-  double runs = 1.0;
-  for (std::size_t i = 1; i < signs.size(); ++i) {
-    if (signs[i] != signs[i - 1]) runs += 1.0;
-  }
+  const double runs = 1.0 + static_cast<double>(changes);
   const double mu = 2.0 * n0 * n1 / n + 1.0;
   const double var = 2.0 * n0 * n1 * (2.0 * n0 * n1 - n) / (n * n * (n - 1.0));
   if (var <= 0.0) return 1.0;
   const double z = (runs - mu) / std::sqrt(var);
   return 2.0 * (1.0 - normal_cdf(std::abs(z)));
+}
+
+double runs_test_pvalue(std::span<const double> xs) {
+  if (xs.size() < 20) return 1.0;  // skip the sort: the result is fixed
+  return runs_test_pvalue_at(xs, quantile(xs, 0.5));
 }
 
 double autocorrelation(std::span<const double> xs, std::size_t lag) {
@@ -201,9 +213,22 @@ double chi2_sf(double x, std::size_t k) {
 double ljung_box_pvalue(std::span<const double> xs, std::size_t lags) {
   const auto n = static_cast<double>(xs.size());
   if (xs.size() < 3 * lags || lags == 0) return 1.0;
+  // One pass for every lag. Each sum takes the same terms in the same
+  // index order as `autocorrelation`, so every rho is bit-identical to
+  // autocorrelation(xs, h); n >= 3*lags keeps every lag below n.
+  const double m = mean(xs);
+  std::vector<double> num(lags, 0.0);
+  double den = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    den += (xs[i] - m) * (xs[i] - m);
+    const std::size_t reach = std::min(lags, xs.size() - 1 - i);
+    for (std::size_t h = 1; h <= reach; ++h) {
+      num[h - 1] += (xs[i] - m) * (xs[i + h] - m);
+    }
+  }
   double q = 0.0;
   for (std::size_t h = 1; h <= lags; ++h) {
-    const double rho = autocorrelation(xs, h);
+    const double rho = den == 0.0 ? 0.0 : num[h - 1] / den;
     q += rho * rho / (n - static_cast<double>(h));
   }
   q *= n * (n + 2.0);

@@ -22,18 +22,32 @@ double quantile(std::span<const double> xs, double q);
 /// Quantile assuming `sorted` is already ascending (no copy).
 double quantile_sorted(std::span<const double> sorted, double q);
 
-/// Two-sample Kolmogorov-Smirnov statistic sup|F1 - F2|.
+/// Two-sample Kolmogorov-Smirnov statistic sup|F1 - F2| of two samples
+/// that are ALREADY sorted ascending (no copy, no sort).
+double ks_statistic_sorted(std::span<const double> sa,
+                           std::span<const double> sb);
+
+/// `ks_statistic_sorted` on sorted copies of `a` and `b`.
 double ks_statistic(std::span<const double> a, std::span<const double> b);
 
-/// Asymptotic p-value for the two-sample KS test.
+/// Asymptotic p-value for the two-sample KS test on two ascending samples.
+double ks_pvalue_sorted(std::span<const double> sa,
+                        std::span<const double> sb);
+
+/// `ks_pvalue_sorted` on sorted copies of `a` and `b`.
 double ks_pvalue(std::span<const double> a, std::span<const double> b);
 
-/// Wald-Wolfowitz runs test for randomness (independence) of a sequence,
-/// dichotomized around its median. Returns the two-sided p-value under the
+/// Wald-Wolfowitz runs test for randomness (independence) of the sequence
+/// `xs` (in run order), dichotomized around `median`, which the caller
+/// computed from the same values. Returns the two-sided p-value under the
 /// normal approximation; values very close to 0 indicate serial dependence.
+double runs_test_pvalue_at(std::span<const double> xs, double median);
+
+/// `runs_test_pvalue_at` around `quantile(xs, 0.5)`.
 double runs_test_pvalue(std::span<const double> xs);
 
-/// Ljung-Box portmanteau test p-value on the first `lags` autocorrelations.
+/// Ljung-Box portmanteau test p-value on the first `lags` autocorrelations,
+/// all computed in one pass; each is bit-identical to `autocorrelation`.
 double ljung_box_pvalue(std::span<const double> xs, std::size_t lags);
 
 /// Standard normal CDF.

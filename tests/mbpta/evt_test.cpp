@@ -158,20 +158,17 @@ TEST(ExpTailFit, SortedEntryPointMatchesUnsorted) {
 }
 
 TEST(PwcetCurve, FromSortedAndProbeMatchFullCurve) {
-  // The incremental-refit entry points (from_sorted, pwcet_probe_sorted)
-  // must reproduce the full curve's quantiles bit for bit — that is what
-  // lets the convergence driver probe a merged mirror instead of
-  // re-sorting every delta.
+  // The convergence driver's per-delta probe (pwcet_probe_sorted) must
+  // reproduce the full curve's quantiles bit for bit — that is what lets
+  // it probe a merged mirror instead of re-sorting every delta.
   const auto xs = exponential_sample(0.02, 5000, 12, 2000.0);
   auto sorted = xs;
   std::sort(sorted.begin(), sorted.end());
   const PwcetCurve full(xs);
-  const PwcetCurve adopted = PwcetCurve::from_sorted(sorted);
   for (const double p : {1e-3, 1e-6, 1e-12}) {
-    EXPECT_EQ(adopted.at(p), full.at(p)) << "p " << p;
     EXPECT_EQ(pwcet_probe_sorted(sorted, p), full.at(p)) << "p " << p;
   }
-  EXPECT_EQ(adopted.sample_size(), full.sample_size());
+  EXPECT_EQ(full.eccdf().sorted(), sorted);
 }
 
 }  // namespace
