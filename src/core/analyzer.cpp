@@ -79,7 +79,8 @@ PathAnalysis Analyzer::analyze_program(const ir::Program& program,
     out.pwcet_converged_only = mbpta::PwcetCurve(
         std::span<const double>(convergence.sample.data(), out.r_mbpta),
         conv.evt);
-    // An unextended campaign fits the same runs twice: copy the curve.
+    // An unextended campaign fits the same runs twice: copy the curve
+    // (its ECCDF is the O(d) counted form).
     out.pwcet = convergence.sample.size() == out.r_mbpta
                     ? out.pwcet_converged_only
                     : mbpta::PwcetCurve(convergence.sample, conv.evt);

@@ -257,6 +257,24 @@ void StudySpec::validate() const {
   if (!(config.convergence.tolerance > 0.0)) {
     throw std::invalid_argument("convergence tolerance must be positive");
   }
+  // Every mode but measure converges: a max-runs below min-runs would be
+  // ignored, an empty window can never hold a stable estimate (the whole
+  // max-runs budget would be spent), and a zero delta is no growth step
+  // (`mbcr analyze --min-runs 0 --delta 0` once never returned).
+  if (mode != StudyMode::kMeasure) {
+    const mbpta::ConvergenceConfig& conv = config.convergence;
+    if (conv.min_runs > conv.max_runs) {
+      throw std::invalid_argument(
+          "convergence min-runs (" + std::to_string(conv.min_runs) +
+          ") exceeds max-runs (" + std::to_string(conv.max_runs) + ")");
+    }
+    if (conv.window == 0) {
+      throw std::invalid_argument("convergence window must be at least 1");
+    }
+    if (conv.delta == 0) {
+      throw std::invalid_argument("convergence delta must be at least 1");
+    }
+  }
   config.machine.il1.validate();
   config.machine.dl1.validate();
   config.machine.l2.validate(config.machine.il1.line_bytes);

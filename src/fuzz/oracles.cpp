@@ -404,28 +404,26 @@ bool tail_fits_equal(const mbpta::ExpTailFit& a, const mbpta::ExpTailFit& b) {
          a.cv_accepted == b.cv_accepted;
 }
 
-/// Empty when `curve`'s one-sort fit equals the composition of the free
+/// Empty when `curve`'s counted fit equals the composition of the free
 /// functions that each sort their own copy of `sample`, field by field.
-std::string one_sort_fit_mismatch(const mbpta::PwcetCurve& curve,
-                                  std::span<const double> sample,
-                                  const mbpta::EvtConfig& evt) {
+std::string counted_fit_mismatch(const mbpta::PwcetCurve& curve,
+                                 std::span<const double> sample,
+                                 const mbpta::EvtConfig& evt) {
   if (!tail_fits_equal(curve.tail(),
                        mbpta::fit_exponential_tail(sample, evt))) {
     return "tail() != fit_exponential_tail";
   }
   const mbpta::IidReport& iid = curve.iid();
-  const bool testable = sample.size() >= 40;  // check_iid's floor
-  const std::size_t half = sample.size() / 2;
-  const double runs = testable ? runs_test_pvalue(sample) : 1.0;
-  const double lb = testable ? ljung_box_pvalue(sample, 10) : 1.0;
-  const double ks =
-      testable ? ks_pvalue(sample.first(half), sample.subspan(half)) : 1.0;
-  if (!bits_equal(iid.runs_test_p, runs)) return "iid().runs_test_p";
-  if (!bits_equal(iid.ljung_box_p, lb)) return "iid().ljung_box_p";
-  if (!bits_equal(iid.ks_split_p, ks)) return "iid().ks_split_p";
-  constexpr double kAlpha = 0.01;  // PwcetCurve's check_iid default
-  if (iid.independent != (!testable || (runs > kAlpha && lb > kAlpha)) ||
-      iid.identically_distributed != (!testable || ks > kAlpha)) {
+  const mbpta::IidReport want = mbpta::check_iid(sample);
+  if (!bits_equal(iid.runs_test_p, want.runs_test_p)) {
+    return "iid().runs_test_p";
+  }
+  if (!bits_equal(iid.ljung_box_p, want.ljung_box_p)) {
+    return "iid().ljung_box_p";
+  }
+  if (!bits_equal(iid.ks_split_p, want.ks_split_p)) return "iid().ks_split_p";
+  if (iid.independent != want.independent ||
+      iid.identically_distributed != want.identically_distributed) {
     return "iid() verdicts";
   }
   return {};
@@ -473,16 +471,26 @@ OracleOutcome oracle_evt(const FuzzCaseData& data, bool) {
                   " sample growths");
     }
 
-    // Every incremental (sorted-mirror) refit must equal a from-scratch fit
-    // on the prefix of the sample it saw, and that fit's one-sort i.i.d.
-    // report and tail must equal the independently sorting free functions.
+    // Every incremental (counted) refit must equal the sorting probe and a
+    // fresh fit on the prefix of the sample it saw, and that fit's
+    // counted i.i.d. report and tail must equal the independently sorting
+    // free functions.
     for (std::size_t i = 0; i < inc.estimates.size(); ++i) {
       const std::vector<double> prefix(
           inc.sample.begin(),
           inc.sample.begin() + static_cast<std::ptrdiff_t>(grown_to[i]));
+      const double sorted_probe = mbpta::pwcet_probe_sorted(
+          sorted_copy(prefix), cc.probability, cc.evt);
+      if (!bits_equal(sorted_probe, inc.estimates[i])) {
+        std::ostringstream ss;
+        ss << at << "incremental refit " << i << " = " << inc.estimates[i]
+           << " != pwcet_probe_sorted " << sorted_probe << " on "
+           << grown_to[i] << " runs";
+        return fail(ss.str());
+      }
       const mbpta::PwcetCurve curve(prefix, cc.evt);
       const std::string mismatch =
-          one_sort_fit_mismatch(curve, prefix, cc.evt);
+          counted_fit_mismatch(curve, prefix, cc.evt);
       if (!mismatch.empty()) {
         return fail(at + "PwcetCurve on " + std::to_string(grown_to[i]) +
                     " runs: " + mismatch + " differs from the free "
@@ -497,21 +505,12 @@ OracleOutcome oracle_evt(const FuzzCaseData& data, bool) {
         return fail(ss.str());
       }
     }
-    // The last growth left the whole sample, so the last refit is pinned
-    // to the from-scratch fit on all of it.
-    const double scratch = inc.estimates.back();
-
-    // Sorted-span entry points are bit-identical to their unsorted twins,
-    // field by field.
-    std::vector<double> sorted = inc.sample;
-    std::sort(sorted.begin(), sorted.end());
-    if (!bits_equal(mbpta::pwcet_probe_sorted(sorted, cc.probability, cc.evt),
-                    scratch)) {
-      return fail(at + "pwcet_probe_sorted != PwcetCurve::at on the same "
-                       "multiset");
-    }
-    if (!tail_fits_equal(mbpta::fit_exponential_tail(inc.sample, cc.evt),
-                         mbpta::fit_exponential_tail_sorted(sorted, cc.evt))) {
+    // The sorted-span tail fit is bit-identical to its unsorted twin, field
+    // by field.
+    if (!tail_fits_equal(
+            mbpta::fit_exponential_tail(inc.sample, cc.evt),
+            mbpta::fit_exponential_tail_sorted(sorted_copy(inc.sample),
+                                               cc.evt))) {
       return fail(at + "fit_exponential_tail_sorted differs from the "
                        "unsorted fit");
     }
@@ -538,8 +537,9 @@ constexpr Oracle kOracles[] = {
                "bytecode with an exact max_stack",
      oracle_verify},
     {"evt", "EVT/convergence estimator identities: every incremental refit "
-            "== from-scratch fit on its prefix, the one-sort fit's iid and "
-            "tail == the sorting free functions, sorted-span == unsorted",
+            "== sorted probe and fresh fit on its prefix, the counted "
+            "fit's iid and tail == the sorting free functions, sorted-span "
+            "== unsorted",
      oracle_evt},
 };
 

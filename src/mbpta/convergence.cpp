@@ -40,22 +40,17 @@ ConvergenceResult converge_stream(const StreamSampler& sampler,
     }
   };
 
-  // Sorted mirror of result.sample, maintained incrementally: each delta
-  // sorts only the new chunk and merges it in, so the whole refit
-  // schedule costs O(n) per step instead of a fresh O(n log n) sort — the
-  // sample itself stays in run order (the analyzer slices it by run
-  // index). Probes on the mirror are bit-identical to probes on a
-  // freshly sorted copy: both are the same multiset in ascending order.
-  std::vector<double> sorted;
+  // Counted form of result.sample, kept up to date: each delta counts only
+  // the new runs and merges their counts in, so a refit costs O(chunk + d)
+  // on top of the tail fit, with no sort. The sample itself stays in run
+  // order (the analyzer slices it by run index). Probes on the counts are
+  // bit-identical to `pwcet_probe_sorted` on a freshly sorted copy.
+  Eccdf counted;
   auto probe = [&]() {
     obs::Span span("refit");
     if (obs::enabled()) convergence_metrics().refits.add(1);
-    const std::size_t merged = sorted.size();
-    sorted.insert(sorted.end(), result.sample.begin() + merged,
-                  result.sample.end());
-    std::sort(sorted.begin() + merged, sorted.end());
-    std::inplace_merge(sorted.begin(), sorted.begin() + merged, sorted.end());
-    return pwcet_probe_sorted(sorted, config.probability, config.evt);
+    counted.add(std::span<const double>(result.sample).subspan(counted.size()));
+    return pwcet_probe(counted, config.probability, config.evt);
   };
 
   std::uint64_t refit_count = 0;
@@ -103,9 +98,10 @@ ConvergenceResult converge_stream(const StreamSampler& sampler,
     }
     // Geometric-ish growth: fixed deltas at small sizes (fine resolution
     // where convergence typically happens), proportional steps later so
-    // the refit cost stays near-linear overall.
-    const std::size_t step =
-        std::max(config.delta, result.sample.size() / 5);
+    // the refit cost stays near-linear overall. At least one run, so a
+    // zero delta on a sample under five runs still makes progress.
+    const std::size_t step = std::max(
+        {config.delta, result.sample.size() / 5, std::size_t{1}});
     if (result.sample.size() + step > config.max_runs) break;
     grow_to(result.sample.size() + step);
   }

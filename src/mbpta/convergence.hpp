@@ -7,10 +7,10 @@
 // when the last `window` estimates stay within `tolerance` of their
 // median.
 //
-// Refits are incremental: the driver keeps a sorted mirror of the growing
-// sample (each delta sorts only the new chunk and merges it in) and probes
-// it through the sorted-span entry points of mbpta/{pwcet,evt}, so a refit
-// is O(n) instead of O(n log n) — bit-identical estimates either way.
+// Refits are incremental: converge_stream keeps the growing sample in
+// counted form (`Eccdf`: each delta counts only the new runs and merges
+// their counts in) and probes it through `pwcet_probe`, so a refit needs no
+// sort — bit-identical to `pwcet_probe_sorted` on a sorted copy.
 #pragma once
 
 #include <cstddef>

@@ -23,20 +23,110 @@ double ExpTailFit::exceedance_prob(double t) const {
   return zeta * std::exp(-rate * (t - threshold));
 }
 
-ExpTailFit fit_exponential_tail(std::span<const double> sample,
-                                const EvtConfig& config) {
-  if (sample.empty()) return {};
-  const std::vector<double> sorted = sorted_copy(sample);
-  return fit_exponential_tail_sorted(sorted, config);
+namespace {
+
+/// Mean and coefficient of variation of the excesses over a threshold.
+struct ExcessMoments {
+  double mean = 0.0;
+  double cv = 0.0;  ///< 0 unless mean > 0
+};
+
+/// Order statistics of an ascending span: the reference. The excesses are
+/// materialized and handed to `mean` and `coefficient_of_variation`.
+class SortedRanks {
+public:
+  explicit SortedRanks(std::span<const double> sorted) : sorted_(sorted) {}
+  std::size_t size() const { return sorted_.size(); }
+  double at(std::size_t rank) const { return sorted_[rank]; }
+
+  /// Moments of the excesses over `u` of the observations of rank
+  /// >= `first`.
+  ExcessMoments excess_moments(std::size_t first, double u) const {
+    std::vector<double> excess;
+    excess.reserve(size() - first);
+    for (std::size_t i = first; i < size(); ++i) {
+      excess.push_back(sorted_[i] - u);
+    }
+    const double m = mean(excess);
+    return {m, m > 0.0 ? coefficient_of_variation(excess) : 0.0};
+  }
+
+private:
+  std::span<const double> sorted_;
+};
+
+/// Order statistics of a counted sample. The excess sums add each excess
+/// once per occurrence, in ascending order, with the arithmetic of `mean`,
+/// `variance` and `coefficient_of_variation` on the expanded excesses
+/// (never as count * excess), so both moments are bit-identical to
+/// SortedRanks'.
+class CountedRanks {
+public:
+  explicit CountedRanks(const Eccdf& eccdf) : eccdf_(eccdf) {}
+  std::size_t size() const { return eccdf_.size(); }
+  double at(std::size_t rank) const { return eccdf_.value_at_rank(rank); }
+
+  ExcessMoments excess_moments(std::size_t first, double u) const {
+    const std::size_t count = size() - first;
+    if (count == 0) return {};
+    double sum = 0.0;
+    for_each_excess(first, u, [&sum](double e) { sum += e; });
+    const double m = sum / static_cast<double>(count);
+    if (!(m > 0.0) || count < 2) return {m, 0.0};
+    double acc = 0.0;
+    for_each_excess(first, u,
+                    [&acc, m](double e) { acc += (e - m) * (e - m); });
+    return {m, std::sqrt(acc / static_cast<double>(count - 1)) / m};
+  }
+
+private:
+  /// Calls `add(v - u)` once for every observation v of rank >= `first`,
+  /// ascending.
+  template <class Add>
+  void for_each_excess(std::size_t first, double u, Add add) const {
+    const std::span<const Eccdf::Step> steps = eccdf_.steps();
+    std::size_t rank = first;
+    for (auto step = std::ranges::upper_bound(steps, first, {},
+                                              &Eccdf::Step::at_or_below);
+         step != steps.end(); ++step) {
+      const double excess = step->value - u;
+      for (; rank < step->at_or_below; ++rank) add(excess);
+    }
+  }
+
+  const Eccdf& eccdf_;
+};
+
+/// The tail model over the top `n_exc` observations, and its mean excess.
+struct Candidate {
+  ExpTailFit fit;
+  double mean_excess = 0.0;
+};
+
+template <class Ranks>
+Candidate tail_candidate(const Ranks& ranks, std::size_t n_exc) {
+  const std::size_t n = ranks.size();
+  Candidate out;
+  ExpTailFit& fit = out.fit;
+  fit.threshold = ranks.at(n - n_exc - 1);
+  fit.n_exceedances = n_exc;
+  fit.n_total = n;
+  fit.zeta = static_cast<double>(n_exc) / static_cast<double>(n);
+  const ExcessMoments moments = ranks.excess_moments(n - n_exc, fit.threshold);
+  out.mean_excess = moments.mean;
+  fit.rate = moments.mean > 0.0 ? 1.0 / moments.mean
+                                : std::numeric_limits<double>::infinity();
+  fit.cv = moments.cv;
+  return out;
 }
 
-ExpTailFit fit_exponential_tail_sorted(std::span<const double> sorted,
-                                       const EvtConfig& config) {
+template <class Ranks>
+ExpTailFit fit_tail(const Ranks& ranks, const EvtConfig& config) {
   ExpTailFit fit;
-  fit.n_total = sorted.size();
-  if (sorted.empty()) return fit;
+  fit.n_total = ranks.size();
+  if (ranks.size() == 0) return fit;
 
-  const auto n = sorted.size();
+  const std::size_t n = ranks.size();
 
   // Candidate thresholds: progressively higher quantiles. Accept the first
   // that (a) has excess CV within the confidence band and (b) is
@@ -45,7 +135,7 @@ ExpTailFit fit_exponential_tail_sorted(std::span<const double> sorted,
   // observations already exceed it has its threshold below a tail knee
   // (staircase mixtures from rare cache layouts) and must move up.
   // Remember the best (closest to CV 1) consistent candidate as fallback.
-  const double sample_max = sorted.back();
+  const double sample_max = ranks.at(n - 1);
   const double probe_p = 0.1 / static_cast<double>(n);
   double tail_fraction = config.initial_tail_fraction;
   ExpTailFit best;
@@ -55,26 +145,13 @@ ExpTailFit fit_exponential_tail_sorted(std::span<const double> sorted,
         config.min_exceedances,
         static_cast<std::size_t>(static_cast<double>(n) * tail_fraction));
     if (n_exc >= n || n_exc < config.min_exceedances) break;
-    const double u = sorted[n - n_exc - 1];
-    std::vector<double> excess;
-    excess.reserve(n_exc);
-    for (std::size_t i = n - n_exc; i < n; ++i) {
-      excess.push_back(sorted[i] - u);
-    }
-    const double m = mean(excess);
-    ExpTailFit cand;
-    cand.threshold = u;
-    cand.n_exceedances = excess.size();
-    cand.n_total = n;
-    cand.zeta =
-        static_cast<double>(excess.size()) / static_cast<double>(n);
-    cand.rate = m > 0.0 ? 1.0 / m : std::numeric_limits<double>::infinity();
-    cand.cv = m > 0.0 ? coefficient_of_variation(excess) : 0.0;
+    const Candidate candidate = tail_candidate(ranks, n_exc);
+    ExpTailFit cand = candidate.fit;
     const double band =
-        config.cv_band_sigmas / std::sqrt(static_cast<double>(excess.size()));
+        config.cv_band_sigmas / std::sqrt(static_cast<double>(n_exc));
     cand.cv_accepted = std::abs(cand.cv - 1.0) <= band;
-    const bool consistent =
-        m == 0.0 || cand.quantile(probe_p) >= sample_max;
+    const bool consistent = candidate.mean_excess == 0.0 ||
+                            cand.quantile(probe_p) >= sample_max;
     const double dist = std::abs(cand.cv - 1.0);
     if (consistent && dist < best_cv_dist) {
       best_cv_dist = dist;
@@ -90,37 +167,34 @@ ExpTailFit fit_exponential_tail_sorted(std::span<const double> sorted,
   // (top min_exceedances observations) — conservative by construction on
   // staircase mixtures.
   if (best.n_exceedances == 0 && n > 2 * config.min_exceedances) {
-    const std::size_t n_exc = config.min_exceedances;
-    const double u = sorted[n - n_exc - 1];
-    std::vector<double> excess;
-    for (std::size_t i = n - n_exc; i < n; ++i) excess.push_back(sorted[i] - u);
-    const double m = mean(excess);
-    best.threshold = u;
-    best.n_exceedances = n_exc;
-    best.n_total = n;
-    best.zeta = static_cast<double>(n_exc) / static_cast<double>(n);
-    best.rate = m > 0.0 ? 1.0 / m : std::numeric_limits<double>::infinity();
-    best.cv = m > 0.0 ? coefficient_of_variation(excess) : 0.0;
-    best.cv_accepted = false;
+    best = tail_candidate(ranks, config.min_exceedances).fit;
   }
   // No threshold passed the CV band (heavily discrete or short tails):
   // use the closest candidate — still an exponential upper-tail model,
   // flagged as not CV-accepted.
   if (best.n_exceedances == 0 && n >= 2) {
     // Sample too small for the loop: fit on the top half.
-    const std::size_t n_exc = n / 2;
-    const double u = sorted[n - n_exc - 1];
-    std::vector<double> excess;
-    for (std::size_t i = n - n_exc; i < n; ++i) excess.push_back(sorted[i] - u);
-    const double m = mean(excess);
-    best.threshold = u;
-    best.n_exceedances = n_exc;
-    best.n_total = n;
-    best.zeta = static_cast<double>(n_exc) / static_cast<double>(n);
-    best.rate = m > 0.0 ? 1.0 / m : std::numeric_limits<double>::infinity();
-    best.cv = m > 0.0 ? coefficient_of_variation(excess) : 0.0;
+    best = tail_candidate(ranks, n / 2).fit;
   }
   return best;
+}
+
+}  // namespace
+
+ExpTailFit fit_exponential_tail(std::span<const double> sample,
+                                const EvtConfig& config) {
+  if (sample.empty()) return {};
+  const std::vector<double> sorted = sorted_copy(sample);
+  return fit_exponential_tail_sorted(sorted, config);
+}
+
+ExpTailFit fit_exponential_tail_sorted(std::span<const double> sorted,
+                                       const EvtConfig& config) {
+  return fit_tail(SortedRanks(sorted), config);
+}
+
+ExpTailFit fit_exponential_tail(const Eccdf& eccdf, const EvtConfig& config) {
+  return fit_tail(CountedRanks(eccdf), config);
 }
 
 double GumbelFit::quantile(double p) const {

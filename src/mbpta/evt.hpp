@@ -19,6 +19,8 @@
 #include <cstddef>
 #include <span>
 
+#include "mbpta/eccdf.hpp"
+
 namespace mbcr::mbpta {
 
 struct EvtConfig {
@@ -49,14 +51,20 @@ struct ExpTailFit {
 ExpTailFit fit_exponential_tail(std::span<const double> sample,
                                 const EvtConfig& config = {});
 
-/// Same fit on a sample that is ALREADY sorted ascending — skips the
-/// internal `sorted_copy`. The convergence driver keeps its growing
-/// sample sorted across deltas and refits through this entry point, so a
-/// probe refit is O(n) instead of O(n log n). The fit depends only on the
-/// sample's order statistics, so for equal multisets of values this is
-/// bit-identical to `fit_exponential_tail`.
+/// Same fit on a sample that is ALREADY sorted ascending: skips the
+/// internal `sorted_copy`. The fit depends only on the sample's order
+/// statistics, so for equal multisets of values this is bit-identical to
+/// `fit_exponential_tail`. With it, the sorting form is the reference the
+/// counted fit below is held to.
 ExpTailFit fit_exponential_tail_sorted(std::span<const double> sorted,
                                        const EvtConfig& config = {});
+
+/// Same fit on a counted sample (`PwcetCurve` and `converge_stream`'s
+/// per-delta probe): thresholds are rank lookups on the counts,
+/// and each excess is added once per occurrence, in ascending order, so
+/// the tail's mean and CV are bit-identical to the sorted fit's.
+ExpTailFit fit_exponential_tail(const Eccdf& eccdf,
+                                const EvtConfig& config = {});
 
 struct GumbelFit {
   double mu = 0.0;    ///< location

@@ -1,6 +1,5 @@
 #include "mbpta/iid.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "util/stats.hpp"
@@ -15,38 +14,53 @@ std::string IidReport::summary() const {
   return ss.str();
 }
 
-IidReport check_iid(std::span<const double> sample, double alpha) {
-  return check_iid_and_sort(sample, alpha).report;
+namespace {
+
+// Too small to reject anything: treated as passing (MBPTA requires far
+// larger samples anyway).
+constexpr std::size_t kTestableSize = 40;
+
+void set_verdicts(IidReport& report, double alpha) {
+  report.independent =
+      report.runs_test_p > alpha && report.ljung_box_p > alpha;
+  report.identically_distributed = report.ks_split_p > alpha;
 }
 
-SortedIidCheck check_iid_and_sort(std::span<const double> sample,
-                                  double alpha) {
-  SortedIidCheck out{{}, std::vector<double>(sample.begin(), sample.end())};
-  std::vector<double>& sorted = out.sorted;
-  IidReport& report = out.report;
-  const std::size_t half = sample.size() / 2;
-  const auto mid = sorted.begin() + static_cast<std::ptrdiff_t>(half);
-  std::sort(sorted.begin(), mid);
-  std::sort(mid, sorted.end());
-  // Too small to reject anything; treat as passing (MBPTA requires far
-  // larger samples anyway).
-  const bool testable = sample.size() >= 40;
-  if (testable) {
-    const std::span<const double> all(sorted);
-    report.ks_split_p = ks_pvalue_sorted(all.first(half), all.subspan(half));
+}  // namespace
+
+IidReport check_iid(std::span<const double> sample, double alpha) {
+  IidReport report;
+  if (sample.size() < kTestableSize) {
+    report.independent = true;
+    report.identically_distributed = true;
+    return report;
   }
-  std::inplace_merge(sorted.begin(), mid, sorted.end());
-  if (!testable) {
+  const std::size_t half = sample.size() / 2;
+  report.runs_test_p = runs_test_pvalue(sample);
+  report.ljung_box_p = ljung_box_pvalue(sample, 10);
+  report.ks_split_p = ks_pvalue(sample.first(half), sample.subspan(half));
+  set_verdicts(report, alpha);
+  return report;
+}
+
+CountedIidCheck check_iid_counted(std::span<const double> sample,
+                                  double alpha) {
+  const std::size_t half = sample.size() / 2;
+  const Eccdf first(sample.first(half));
+  const Eccdf second(sample.subspan(half));
+  double ks_statistic = 0.0;
+  CountedIidCheck out{{}, Eccdf::merge(first, second, &ks_statistic)};
+  IidReport& report = out.report;
+  if (sample.size() < kTestableSize) {
     report.independent = true;
     report.identically_distributed = true;
     return out;
   }
-  report.runs_test_p =
-      runs_test_pvalue_at(sample, quantile_sorted(sorted, 0.5));
+  report.ks_split_p =
+      ks_pvalue_from_statistic(ks_statistic, first.size(), second.size());
+  report.runs_test_p = runs_test_pvalue_at(sample, out.eccdf.quantile(0.5));
   report.ljung_box_p = ljung_box_pvalue(sample, 10);
-  report.independent =
-      report.runs_test_p > alpha && report.ljung_box_p > alpha;
-  report.identically_distributed = report.ks_split_p > alpha;
+  set_verdicts(report, alpha);
   return out;
 }
 

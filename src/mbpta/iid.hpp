@@ -5,7 +5,8 @@
 
 #include <span>
 #include <string>
-#include <vector>
+
+#include "mbpta/eccdf.hpp"
 
 namespace mbcr::mbpta {
 
@@ -20,19 +21,24 @@ struct IidReport {
   std::string summary() const;
 };
 
-/// Runs all tests at significance `alpha` (tests must NOT reject).
+/// Runs all tests at significance `alpha` (tests must NOT reject). Built
+/// from the free functions that sort their own copies (`runs_test_pvalue`,
+/// `ljung_box_pvalue`, `ks_pvalue` on the run-order halves): the
+/// reference that `check_iid_counted` is held bit-equal to.
 IidReport check_iid(std::span<const double> sample, double alpha = 0.01);
 
-/// `check_iid(sample, alpha)` together with the sample sorted ascending,
-/// from one copy and one sort: the two run-order halves (the split-KS
-/// halves) are sorted apart, feed the KS test, and are merged in place
-/// into the full ascending sample, whose median dichotomizes the runs
-/// test. `PwcetCurve` fits its tail and ECCDF on `sorted`.
-struct SortedIidCheck {
+/// `check_iid(sample, alpha)` together with the sample's counted form,
+/// with no sort of the sample: the two run-order halves (the split-KS
+/// halves) are counted apart and merged into the full distribution; the
+/// merge's walk yields the KS statistic, and the merged median
+/// dichotomizes the runs test. Ljung-Box and the runs test read the
+/// sample in run order. `PwcetCurve` fits its tail on `eccdf` and keeps
+/// it.
+struct CountedIidCheck {
   IidReport report;
-  std::vector<double> sorted;
+  Eccdf eccdf;
 };
-SortedIidCheck check_iid_and_sort(std::span<const double> sample,
+CountedIidCheck check_iid_counted(std::span<const double> sample,
                                   double alpha = 0.01);
 
 }  // namespace mbcr::mbpta

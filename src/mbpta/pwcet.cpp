@@ -8,10 +8,10 @@ namespace mbcr::mbpta {
 
 PwcetCurve::PwcetCurve(std::span<const double> sample,
                        const EvtConfig& config) {
-  SortedIidCheck check = check_iid_and_sort(sample);
+  CountedIidCheck check = check_iid_counted(sample);
   iid_ = check.report;
-  tail_ = fit_exponential_tail_sorted(check.sorted, config);
-  eccdf_ = Eccdf::from_sorted(std::move(check.sorted));
+  tail_ = fit_exponential_tail(check.eccdf, config);
+  eccdf_ = std::move(check.eccdf);
 }
 
 namespace {
@@ -19,7 +19,7 @@ namespace {
 /// Within the resolution of the sample the empirical quantile is used;
 /// past it, the fitted exponential tail extrapolates. The blend is the
 /// max of both so the model never undercuts an actual observation —
-/// shared by PwcetCurve::at and the convergence driver's sorted probe.
+/// shared by PwcetCurve::at and the probes.
 double empirical_tail_blend(double empirical, const ExpTailFit& tail,
                             double p) {
   if (p >= tail.zeta) return empirical;
@@ -27,6 +27,12 @@ double empirical_tail_blend(double empirical, const ExpTailFit& tail,
 }
 
 }  // namespace
+
+double pwcet_probe(const Eccdf& eccdf, double p, const EvtConfig& config) {
+  if (eccdf.size() == 0) return 0.0;
+  const ExpTailFit tail = fit_exponential_tail(eccdf, config);
+  return empirical_tail_blend(eccdf.value_at_exceedance(p), tail, p);
+}
 
 double pwcet_probe_sorted(std::span<const double> sorted, double p,
                           const EvtConfig& config) {

@@ -21,10 +21,11 @@ class PwcetCurve {
 public:
   PwcetCurve() = default;
 
-  /// Fits the curve on `sample` (execution times of one path campaign).
-  /// One copy, one sort: `check_iid_and_sort` sorts the two run-order
-  /// halves for the split KS and merges them; the tail fit and the ECCDF
-  /// then share that ascending buffer, which the ECCDF adopts.
+  /// Fits the curve on `sample` (execution times of one path campaign)
+  /// with no sort of the sample: `check_iid_counted` counts the two
+  /// run-order halves for the split KS and merges their counts; the tail
+  /// is fitted on that counted form, which the ECCDF keeps (O(d) for d
+  /// distinct values).
   explicit PwcetCurve(std::span<const double> sample,
                       const EvtConfig& config = {});
 
@@ -67,12 +68,14 @@ private:
   double upper_bound_ = std::numeric_limits<double>::infinity();
 };
 
-/// `PwcetCurve(sample).at(p)` (no upper bound) evaluated directly on an
-/// already-sorted sample: empirical upper-tail quantile + fitted
-/// exponential tail, with no ECCDF copy and no i.i.d. tests. This is the
-/// convergence driver's per-delta probe — one O(n) pass per refit instead
-/// of a fresh O(n log n) sort. Bit-identical to the full curve's `at` for
-/// equal multisets of values.
+/// `PwcetCurve(sample).at(p)` (no upper bound) evaluated on the sample's
+/// counted form: empirical upper-tail quantile + fitted exponential tail,
+/// with no i.i.d. tests. This is `converge_stream`'s per-delta probe on
+/// the counts it keeps up to date.
+double pwcet_probe(const Eccdf& eccdf, double p, const EvtConfig& config = {});
+
+/// `pwcet_probe` on an already-sorted sample: the sorting reference it is
+/// held bit-equal to for equal multisets of values.
 double pwcet_probe_sorted(std::span<const double> sorted, double p,
                           const EvtConfig& config = {});
 

@@ -88,15 +88,18 @@ double kolmogorov_sf(double t) {
 
 }  // namespace
 
+double ks_pvalue_from_statistic(double d, std::size_t na, std::size_t nb) {
+  const double ne = static_cast<double>(na) * static_cast<double>(nb) /
+                    (static_cast<double>(na) + static_cast<double>(nb));
+  const double t = (std::sqrt(ne) + 0.12 + 0.11 / std::sqrt(ne)) * d;
+  return kolmogorov_sf(t);
+}
+
 double ks_pvalue_sorted(std::span<const double> sa,
                         std::span<const double> sb) {
   if (sa.empty() || sb.empty()) return 1.0;
-  const double d = ks_statistic_sorted(sa, sb);
-  const double na = static_cast<double>(sa.size());
-  const double nb = static_cast<double>(sb.size());
-  const double ne = na * nb / (na + nb);
-  const double t = (std::sqrt(ne) + 0.12 + 0.11 / std::sqrt(ne)) * d;
-  return kolmogorov_sf(t);
+  return ks_pvalue_from_statistic(ks_statistic_sorted(sa, sb), sa.size(),
+                                  sb.size());
 }
 
 double ks_pvalue(std::span<const double> a, std::span<const double> b) {

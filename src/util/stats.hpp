@@ -30,6 +30,10 @@ double ks_statistic_sorted(std::span<const double> sa,
 /// `ks_statistic_sorted` on sorted copies of `a` and `b`.
 double ks_statistic(std::span<const double> a, std::span<const double> b);
 
+/// Asymptotic p-value of a two-sample KS statistic `d` between samples of
+/// `na` and `nb` observations.
+double ks_pvalue_from_statistic(double d, std::size_t na, std::size_t nb);
+
 /// Asymptotic p-value for the two-sample KS test on two ascending samples.
 double ks_pvalue_sorted(std::span<const double> sa,
                         std::span<const double> sb);

@@ -353,6 +353,60 @@ TEST(StudySpec, ValidateRejectsInconsistentSpecs) {
   EXPECT_NO_THROW(ok.validate());
 }
 
+TEST(StudySpec, ValidateRejectsConvergenceItCannotReach) {
+  // A max-runs below min-runs used to be ignored (the study ran min-runs
+  // and exited 0), and a zero window spent the whole max-runs budget.
+  for (const StudyMode mode : {StudyMode::kOrig, StudyMode::kPub,
+                               StudyMode::kPubTac, StudyMode::kMultipath}) {
+    SCOPED_TRACE(to_string(mode));
+    StudySpec inverted;
+    inverted.suite = "bs";
+    inverted.mode = mode;
+    inverted.config.convergence.min_runs = 5000;
+    inverted.config.convergence.max_runs = 100;
+    EXPECT_THROW(inverted.validate(), std::invalid_argument);
+
+    StudySpec no_window;
+    no_window.suite = "bs";
+    no_window.mode = mode;
+    no_window.config.convergence.window = 0;
+    EXPECT_THROW(no_window.validate(), std::invalid_argument);
+
+    // A zero growth step: min-runs 0 with delta 0 once never returned.
+    StudySpec no_delta;
+    no_delta.suite = "bs";
+    no_delta.mode = mode;
+    no_delta.config.convergence.min_runs = 0;
+    no_delta.config.convergence.delta = 0;
+    EXPECT_THROW(no_delta.validate(), std::invalid_argument);
+
+    StudySpec equal;
+    equal.suite = "bs";
+    equal.mode = mode;
+    equal.config.convergence.min_runs = 400;
+    equal.config.convergence.max_runs = 400;
+    equal.config.convergence.window = 1;
+    EXPECT_NO_THROW(equal.validate());
+  }
+  // Measure mode runs a fixed campaign: the convergence knobs are unused.
+  StudySpec measure;
+  measure.suite = "bs";
+  measure.mode = StudyMode::kMeasure;
+  measure.config.convergence.min_runs = 5000;
+  measure.config.convergence.max_runs = 100;
+  measure.config.convergence.window = 0;
+  measure.config.convergence.delta = 0;
+  EXPECT_NO_THROW(measure.validate());
+
+  // The CLI surface: the flags reach the same check.
+  auto flags = StudySpec::flag_spec();
+  flags["suite"] = "bs";
+  flags["mode"] = "orig";
+  flags["min-runs"] = "5000";
+  flags["max-runs"] = "100";
+  EXPECT_THROW(StudySpec::from_flags(flags).validate(), std::invalid_argument);
+}
+
 // The acceptance pin: the declarative surface must produce exactly the
 // numbers of the direct Analyzer call it wraps (`mbcr analyze --suite bs
 // --mode pub_tac` == Analyzer::analyze_pubbed).

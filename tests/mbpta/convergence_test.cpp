@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <vector>
 
 #include "mbpta/pwcet.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace mbcr::mbpta {
 namespace {
@@ -178,7 +184,7 @@ TEST(Convergence, WindowToleranceGovernsStability) {
 }
 
 TEST(Convergence, FinalEstimateMatchesFromScratchRefit) {
-  // The incremental sorted-merge probe must equal a full PwcetCurve fit
+  // The incremental counted probe must equal a full PwcetCurve fit
   // of the final sample, bit for bit.
   ConvergenceConfig cfg;
   const ConvergenceResult res =
@@ -187,6 +193,61 @@ TEST(Convergence, FinalEstimateMatchesFromScratchRefit) {
   ASSERT_FALSE(res.estimates.empty());
   const PwcetCurve full(res.sample, cfg.evt);
   EXPECT_EQ(res.estimates.back(), full.at(cfg.probability));
+}
+
+/// Runs `sampler` through `converge_stream` and holds every estimate to
+/// the sorting reference on the sample prefix that refit saw.
+void expect_every_estimate_matches_sorted_probe(const StreamSampler& sampler,
+                                                const ConvergenceConfig& cfg) {
+  std::vector<std::size_t> grown_to;  // sample size after each growth
+  const ConvergenceResult res = converge_stream(
+      [&](std::vector<double>& sample, std::size_t k) {
+        sampler(sample, k);
+        grown_to.push_back(sample.size());
+      },
+      cfg);
+  ASSERT_EQ(res.estimates.size(), grown_to.size());
+  for (std::size_t i = 0; i < res.estimates.size(); ++i) {
+    const std::span<const double> prefix(res.sample.data(), grown_to[i]);
+    const double want =
+        pwcet_probe_sorted(sorted_copy(prefix), cfg.probability, cfg.evt);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(res.estimates[i]),
+              std::bit_cast<std::uint64_t>(want))
+        << "refit " << i << " on " << grown_to[i] << " runs: "
+        << res.estimates[i] << " != " << want;
+  }
+}
+
+TEST(Convergence, EveryEstimateMatchesTheSortedProbeOnItsPrefix) {
+  ConvergenceConfig cfg;
+  cfg.max_runs = 20000;
+  cfg.tolerance = 0.001;  // never stable: every growth step is refit
+  expect_every_estimate_matches_sorted_probe(exponential_sampler(0.05, 21),
+                                             cfg);
+  // Few distinct values, as a campaign's cycle counts have: the counts
+  // merged per delta carry long ties.
+  auto rng = std::make_shared<Xoshiro256>(22);
+  expect_every_estimate_matches_sorted_probe(
+      [rng](std::vector<double>& sample, std::size_t k) {
+        for (std::size_t i = 0; i < k; ++i) {
+          const auto level = static_cast<double>(rng->uniform(15));
+          sample.push_back(400.0 + 10.0 * level);
+        }
+      },
+      cfg);
+}
+
+TEST(Convergence, ZeroDeltaOnAnEmptyStartStillGrows) {
+  // The step was max(delta, n/5) = 0 here, and the refit loop spun forever
+  // without drawing a run.
+  ConvergenceConfig cfg;
+  cfg.min_runs = 0;
+  cfg.delta = 0;
+  cfg.max_runs = 2000;
+  const ConvergenceResult res =
+      converge_stream(exponential_sampler(0.05, 23), cfg);
+  EXPECT_GT(res.sample.size(), 0u);
+  EXPECT_LE(res.sample.size(), cfg.max_runs);
 }
 
 TEST(Convergence, TighterToleranceNeedsMoreRuns) {

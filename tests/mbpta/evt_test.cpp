@@ -157,18 +157,25 @@ TEST(ExpTailFit, SortedEntryPointMatchesUnsorted) {
   EXPECT_EQ(a.cv_accepted, b.cv_accepted);
 }
 
-TEST(PwcetCurve, FromSortedAndProbeMatchFullCurve) {
-  // The convergence driver's per-delta probe (pwcet_probe_sorted) must
-  // reproduce the full curve's quantiles bit for bit — that is what lets
-  // it probe a merged mirror instead of re-sorting every delta.
+TEST(PwcetCurve, SortedAndCountedProbesMatchFullCurve) {
+  // converge_stream's per-delta probe (pwcet_probe on the counts)
+  // and its sorting reference (pwcet_probe_sorted) must reproduce the
+  // full curve's quantiles bit for bit.
   const auto xs = exponential_sample(0.02, 5000, 12, 2000.0);
   auto sorted = xs;
   std::sort(sorted.begin(), sorted.end());
   const PwcetCurve full(xs);
+  const Eccdf counted(xs);
   for (const double p : {1e-3, 1e-6, 1e-12}) {
     EXPECT_EQ(pwcet_probe_sorted(sorted, p), full.at(p)) << "p " << p;
+    EXPECT_EQ(pwcet_probe(counted, p), full.at(p)) << "p " << p;
   }
-  EXPECT_EQ(full.eccdf().sorted(), sorted);
+  // The curve's counts expand to the sorted sample.
+  std::vector<double> expanded;
+  for (const Eccdf::Step& step : full.eccdf().steps()) {
+    expanded.resize(step.at_or_below, step.value);
+  }
+  EXPECT_EQ(expanded, sorted);
 }
 
 }  // namespace
