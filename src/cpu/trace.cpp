@@ -31,13 +31,13 @@ std::size_t MemTrace::unique_lines(bool instruction_side,
 CompactTrace CompactTrace::from(const MemTrace& trace, Addr line_bytes) {
   CompactTrace out;
   out.accesses = trace.accesses.size();
-  out.entries.reserve(trace.accesses.size());
   std::unordered_map<Addr, std::uint32_t> imap;
   std::unordered_map<Addr, std::uint32_t> dmap;
   // Line id of the previous access per side; kNone before the first.
   constexpr std::uint32_t kNone = 0xffffffffu;
   std::uint32_t last_iline = kNone;
   std::uint32_t last_dline = kNone;
+  std::uint32_t pos = 0;  // entries so far, both sides
   for (const Access& a : trace.accesses) {
     const Addr line = line_of(a.addr, line_bytes);
     if (a.is_instruction()) {
@@ -49,8 +49,8 @@ CompactTrace CompactTrace::from(const MemTrace& trace, Addr line_bytes) {
         continue;
       }
       last_iline = it->second;
-      out.entries.push_back({it->second, 1});
-      out.iseq.push_back(it->second | (inserted ? kFirstUse : 0));
+      out.iseq.push_back(it->second);
+      out.ipos.push_back(pos++);
     } else {
       auto [it, inserted] =
           dmap.try_emplace(line, static_cast<std::uint32_t>(out.dlines.size()));
@@ -60,26 +60,27 @@ CompactTrace CompactTrace::from(const MemTrace& trace, Addr line_bytes) {
         continue;
       }
       last_dline = it->second;
-      out.entries.push_back({it->second, 0});
-      out.dseq.push_back(it->second | (inserted ? kFirstUse : 0));
+      out.dseq.push_back(it->second);
+      out.dpos.push_back(pos++);
     }
   }
-  // Group the entries by line (a counting sort over the line ids).
+  // Group each side's positions by line (a counting sort over the line
+  // ids, the DL1's after the IL1's).
   const std::size_t ni = out.ilines.size();
-  const auto line_of_entry = [ni](const Entry& e) {
-    return e.line_id + (e.is_instr ? 0 : ni);
-  };
   out.line_begin.assign(ni + out.dlines.size() + 1, 0);
-  for (const Entry& e : out.entries) ++out.line_begin[line_of_entry(e) + 1];
+  for (const std::uint32_t id : out.iseq) ++out.line_begin[id + 1];
+  for (const std::uint32_t id : out.dseq) ++out.line_begin[ni + id + 1];
   for (std::size_t c = 1; c < out.line_begin.size(); ++c) {
     out.line_begin[c] += out.line_begin[c - 1];
   }
   std::vector<std::uint32_t> next(out.line_begin.begin(),
                                   out.line_begin.end() - 1);
-  out.line_entries.resize(out.entries.size());
-  for (std::size_t i = 0; i < out.entries.size(); ++i) {
-    out.line_entries[next[line_of_entry(out.entries[i])]++] =
-        static_cast<std::uint32_t>(i);
+  out.line_entries.resize(out.size());
+  for (std::uint32_t k = 0; k < out.iseq.size(); ++k) {
+    out.line_entries[next[out.iseq[k]]++] = k;
+  }
+  for (std::uint32_t k = 0; k < out.dseq.size(); ++k) {
+    out.line_entries[next[ni + out.dseq[k]]++] = k;
   }
   std::unordered_map<Addr, std::uint32_t> umap;
   const auto unify = [&](const std::vector<Addr>& lines,

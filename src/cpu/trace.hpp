@@ -5,14 +5,13 @@
 // thousands of times under fresh random placements; `CompactTrace`
 // pre-resolves every access to a dense per-cache line id so replay is a
 // table lookup instead of a hash per access, and folds out the accesses
-// that hit under every placement (see `CompactTrace::from`). It keeps the
-// replayed accesses twice: interleaved in trace order (`entries`, for the
-// two-level replay, whose L2 sees both sides' misses in that order) and
-// split per side (`iseq`/`dseq`, for the single-level replay, which
-// simulates each L1 on its own). Both replays skip every access but the
-// first of a line that is alone in its L1 set, so both forms can find a
-// line's first use: `iseq`/`dseq` mark it, and `line_entries` lists each
-// line's positions in `entries`, first use first.
+// that hit under every placement (see `CompactTrace::from`). Its layout is
+// per side, because each L1 is replayed on its own: `iseq`/`dseq` hold a
+// side's line ids in trace order, and `line_begin`/`line_entries` list
+// each line's positions in its side's sequence, first use first, so a
+// replay can keep just the accesses it must simulate. `ipos`/`dpos` give
+// each side entry's position in trace order, for a shared L2, which sees
+// both sides' misses in that order.
 #pragma once
 
 #include <cstdint>
@@ -41,29 +40,28 @@ struct MemTrace {
 /// Replay-optimized trace: every access that can miss becomes (side, dense
 /// line id); the guaranteed hits are only counted.
 struct CompactTrace {
-  struct Entry {
-    std::uint32_t line_id;
-    std::uint8_t is_instr;  // 1 = IL1, 0 = DL1
-  };
-
-  /// The accesses replay must simulate, in trace order.
-  std::vector<Entry> entries;
-  /// The same accesses split per side, in trace order: the dense line id
-  /// of every IL1 (`iseq`) or DL1 (`dseq`) entry, with `kFirstUse` set on
-  /// the entry that touches its line for the first time.
-  static constexpr std::uint32_t kFirstUse = 0x80000000u;
+  /// The accesses replay must simulate, split per side, each in trace
+  /// order: the dense line id of every IL1 (`iseq`) or DL1 (`dseq`) entry.
   std::vector<std::uint32_t> iseq;
   std::vector<std::uint32_t> dseq;
-  /// Guaranteed hits folded out of `entries`, per side (instruction
+  /// Each side entry's position in trace order: `ipos[k]` is where
+  /// `iseq[k]` falls among all `size()` entries of both sides, and
+  /// `dpos[k]` where `dseq[k]` falls. Together they number 0 ... size() - 1
+  /// once each.
+  std::vector<std::uint32_t> ipos;
+  std::vector<std::uint32_t> dpos;
+  /// Guaranteed hits folded out of `iseq`/`dseq`, per side (instruction
   /// fetches; data loads and stores): each costs its base cycles only.
   std::uint64_t folded_ifetches = 0;
   std::uint64_t folded_loads = 0;
   /// Every access of the source trace: entries plus folded hits.
   std::uint64_t accesses = 0;
-  /// Each L1 line's accesses as positions in `entries`, ascending: line
-  /// c's are `line_entries[line_begin[c]]` up to `line_begin[c + 1]`, where
-  /// c is its IL1 dense id, or `ilines.size()` plus its DL1 dense id. The
-  /// first is the line's first use on its side.
+  /// Each L1 line's accesses as positions in its own side's sequence,
+  /// ascending: line c's are `line_entries[line_begin[c]]` up to
+  /// `line_begin[c + 1]`, where c is its IL1 dense id (positions in
+  /// `iseq`), or `ilines.size()` plus its DL1 dense id (positions in
+  /// `dseq`). The first is the line's first use. Dense ids are given in
+  /// first-use order, so first uses ascend with the id.
   std::vector<std::uint32_t> line_begin;
   std::vector<std::uint32_t> line_entries;
   std::vector<Addr> ilines;  ///< line number per IL1 dense id
@@ -89,8 +87,9 @@ struct CompactTrace {
   static CompactTrace from(const MemTrace& trace,
                            Addr line_bytes = kDefaultLineBytes);
 
-  /// Replayed entries (not the source trace's access count: `accesses`).
-  std::size_t size() const { return entries.size(); }
+  /// Replayed entries, both sides (not the source trace's access count:
+  /// `accesses`).
+  std::size_t size() const { return iseq.size() + dseq.size(); }
 };
 
 /// True iff `needle` is a subsequence of `haystack` (order-preserving,

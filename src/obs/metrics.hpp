@@ -18,6 +18,7 @@
 // runs bit-identical to metrics-off runs across the engine grid.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstddef>
@@ -63,23 +64,23 @@ public:
 
 private:
   friend Counter counter(std::string_view name);
-  friend void add_triple(const Counter& a, std::uint64_t na,
-                         const Counter& b, std::uint64_t nb,
-                         const Counter& c, std::uint64_t nc) noexcept;
+  template <std::size_t N>
+  friend void add_all(const std::array<Counter, N>& counters,
+                      const std::array<std::uint64_t, N>& values) noexcept;
   std::uint32_t slot_ = 0;
 };
 
-/// Adds to three counters with a single enabled-gate check and a single
-/// thread-local shard lookup. Use where a triple is always bumped together
-/// on a per-run hot path; everywhere else plain `Counter::add` reads
-/// better.
-inline void add_triple(const Counter& a, std::uint64_t na, const Counter& b,
-                       std::uint64_t nb, const Counter& c,
-                       std::uint64_t nc) noexcept {
+/// Adds `values[i]` to `counters[i]` for every i with a single
+/// enabled-gate check and a single thread-local shard lookup. Use where a
+/// few counters are always bumped together on a per-run hot path;
+/// everywhere else plain `Counter::add` reads better.
+template <std::size_t N>
+inline void add_all(const std::array<Counter, N>& counters,
+                    const std::array<std::uint64_t, N>& values) noexcept {
   if (!enabled()) return;
-  const std::uint32_t slots[] = {a.slot_, b.slot_, c.slot_};
-  const std::uint64_t values[] = {na, nb, nc};
-  detail::shard_add_n(slots, values, 3);
+  std::uint32_t slots[N];
+  for (std::size_t i = 0; i < N; ++i) slots[i] = counters[i].slot_;
+  detail::shard_add_n(slots, values.data(), N);
 }
 
 /// A last-write-wins instantaneous value (queue depth, rates computed at

@@ -1,8 +1,10 @@
 #include "platform/machine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "cache/lru_cache.hpp"
@@ -65,84 +67,133 @@ std::uint32_t number_sets(std::uint32_t n, std::uint32_t min_lines,
   return numbered;
 }
 
-/// Gives each line of one L1 side the slot of its set if it shares that
-/// set, or `kLone`. Returns the number of shared sets.
-std::uint32_t classify_l1_side(const CacheConfig& cfg,
-                               const std::vector<Addr>& lines,
-                               std::uint64_t placement_seed, RunWorkspace& ws,
-                               std::uint32_t* slot) {
-  for (std::size_t l = 0; l < lines.size(); ++l) {
-    slot[l] = placement_set(cfg.placement, lines[l], placement_seed,
-                            cfg.sets);
-  }
-  return number_sets(static_cast<std::uint32_t>(lines.size()), 2,
-                     ws.set_table, slot);
+/// Sizes `v` to `n` and returns its data. A growing buffer gets exactly
+/// `n`, not a geometric step, so each buffer stays bounded by the largest
+/// run it served.
+template <typename T>
+T* sized(std::vector<T>& v, std::size_t n) {
+  v.reserve(n);
+  v.resize(n);
+  return v.data();
 }
 
-/// One L1 side of a single-level run: its misses, and whether any of its
-/// lines shared a set (false means nothing was simulated).
+/// One L1 side of a run: its misses, the entries it kept (every access of
+/// a line that shares its set, the first access of every other line), and
+/// whether any of its lines shared a set (false means nothing was
+/// simulated).
 struct SideRun {
   std::uint64_t misses;
+  std::uint64_t kept;
   bool conflicts;
 };
 
-/// Replays one side of a single-level run, simulating only the lines that
-/// share a set. A lone line misses on its first access and hits ever
-/// after: that first access draws its victim choice, which keeps every
-/// later draw at its stream position, and its other accesses are skipped.
-/// A side whose lines are all alone returns one miss per line without a
-/// scan or a draw. Each shared set gets a dense slot of `ways` tags, so no
-/// buffer grows with the number of sets.
-SideRun replay_side(const CacheConfig& cfg, const std::vector<Addr>& lines,
-                    const std::vector<std::uint32_t>& seq,
-                    std::uint64_t placement_seed,
-                    std::uint64_t replacement_seed, RunWorkspace& ws) {
-  const auto n = static_cast<std::uint32_t>(lines.size());
-  if (n < 2) return {n, false};
-  ws.line_slot.resize(n);
-  const std::uint32_t shared =
-      classify_l1_side(cfg, lines, placement_seed, ws, ws.line_slot.data());
-  if (shared == 0) return {n, false};
+/// The 64 keep marks at `keep` as one word: mark k at bit k. Each byte is
+/// 0 or 1, and the multiply moves the low bit of byte k of `bytes` to bit
+/// 56 + k. Byte k of the load is the k-th byte in memory only on a
+/// little-endian host.
+std::uint64_t gather_marks(const std::uint8_t* keep) {
+  static_assert(std::endian::native == std::endian::little);
+  std::uint64_t marked = 0;
+  for (int j = 0; j < 8; ++j) {
+    std::uint64_t bytes;
+    std::memcpy(&bytes, keep + 8 * j, sizeof bytes);
+    marked |= ((bytes * 0x0102040810204080ULL) >> 56) << (8 * j);
+  }
+  return marked;
+}
 
-  const std::uint32_t ways = cfg.ways;
-  ws.shared_tags.assign(static_cast<std::size_t>(shared) * ways, kEmpty);
-  Xoshiro256 rng(replacement_seed);
-  std::uint64_t misses = 0;
-  // Block by block, first keep (without a branch) the accesses that need
-  // work: every shared-line access and each lone line's first one. Then
-  // replay those in trace order. Which lines are lone changes every run,
-  // so deciding per access in one loop would mispredict on every change.
-  constexpr std::size_t kBlock = 512;
-  std::uint32_t kept[kBlock];
-  for (std::size_t begin = 0; begin < seq.size(); begin += kBlock) {
-    const std::size_t end = std::min(seq.size(), begin + kBlock);
-    std::size_t m = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint32_t e = seq[i];
-      kept[m] = e;
-      m += static_cast<std::size_t>(
-          (ws.line_slot[e & ~CompactTrace::kFirstUse] != kLone) |
-          (e >= CompactTrace::kFirstUse));
+/// Replays one L1 side of a run (`instr` picks IL1 or DL1), simulating
+/// only the lines that share a set, and hands each miss to
+/// `sink(position in the side's sequence, dense line id)` in trace order.
+///
+/// A lone line misses on its first access and hits ever after: that first
+/// access draws its victim choice, which keeps every later draw at its
+/// stream position, and its other accesses are skipped. The entries to
+/// replay are marked line by line (see `CompactTrace::line_begin`) in a
+/// byte map over the side's sequence, then walked in order, 64 marks at a
+/// time, so the cost follows the entries kept rather than the entries
+/// skipped. A side whose lines are all alone draws nothing and sinks each
+/// line's first use, in line order, which is trace order; with a sink that
+/// does nothing, as at one level, that costs nothing. Each shared set gets
+/// a dense slot of `ways` tags, and the lone lines one spare slot, so no
+/// buffer grows with the number of sets.
+template <typename Sink>
+SideRun replay_l1_side(const CacheConfig& cfg, const CompactTrace& trace,
+                       bool instr, std::uint64_t run_seed, RunWorkspace& ws,
+                       Sink&& sink) {
+  const std::vector<Addr>& lines = instr ? trace.ilines : trace.dlines;
+  const std::vector<std::uint32_t>& seq = instr ? trace.iseq : trace.dseq;
+  const std::uint32_t* const line_begin =
+      trace.line_begin.data() + (instr ? 0 : trace.ilines.size());
+  const std::uint32_t* const positions = trace.line_entries.data();
+  const auto n = static_cast<std::uint32_t>(lines.size());
+
+  std::uint32_t* const slot = sized(ws.line_slot, n);
+  std::uint32_t shared = 0;
+  if (n >= 2) {
+    const std::uint64_t placement_seed =
+        mix64(instr ? kIl1Placement : kDl1Placement, run_seed);
+    for (std::uint32_t l = 0; l < n; ++l) {
+      slot[l] =
+          placement_set(cfg.placement, lines[l], placement_seed, cfg.sets);
     }
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::uint32_t id = kept[j] & ~CompactTrace::kFirstUse;
-      const std::uint32_t slot = ws.line_slot[id];
-      if (slot == kLone) {  // its one miss
-        rng.uniform(ways);
-        ++misses;
-        continue;
-      }
-      std::uint32_t* tags =
-          ws.shared_tags.data() + static_cast<std::size_t>(slot) * ways;
+    shared = number_sets(n, 2, ws.set_table, slot);
+  }
+  if (shared == 0) {
+    for (std::uint32_t l = 0; l < n; ++l) sink(positions[line_begin[l]], l);
+    return {n, n, false};
+  }
+
+  // The map is all zero between runs: the walk below clears every block
+  // it finds marked, so a run only has to grow it.
+  const std::size_t m = seq.size();
+  const std::size_t padded = (m + 63) & ~std::size_t{63};
+  if (ws.keep.size() < padded) sized(ws.keep, padded);
+  std::uint8_t* const keep = ws.keep.data();
+  std::uint64_t kept = 0;
+  for (std::uint32_t l = 0; l < n; ++l) {
+    // All of a shared line's positions, the first of a lone one, chosen
+    // without a branch: which lines are lone changes every run. The first
+    // four are stored without a loop branch too (a line with fewer stores
+    // its last one again), as most lines keep only a few.
+    const std::uint32_t first = line_begin[l];
+    const std::uint32_t shared_mask = 0u - std::uint32_t{slot[l] != kLone};
+    const std::uint32_t count =
+        1 + ((line_begin[l + 1] - first - 1) & shared_mask);
+    kept += count;
+    const std::uint32_t* const at = positions + first;
+    for (std::uint32_t k = 0; k < 4; ++k) keep[at[std::min(k, count - 1)]] = 1;
+    for (std::uint32_t k = 4; k < count; ++k) keep[at[k]] = 1;
+  }
+
+  // One slot of `ways` tags per shared set, and a spare slot after them
+  // for the lone lines (`kLone` is above every slot, so `min` picks it): a
+  // lone line's one kept access finds only other lines' tags there, so it
+  // misses and draws as in a set of its own.
+  const std::uint32_t ways = cfg.ways;
+  ws.shared_tags.assign(static_cast<std::size_t>(shared + 1) * ways, kEmpty);
+  std::uint32_t* const shared_tags = ws.shared_tags.data();
+  Xoshiro256 rng(mix64(instr ? kIl1Replacement : kDl1Replacement, run_seed));
+  std::uint64_t misses = 0;
+  for (std::size_t base = 0; base < m; base += 64) {
+    std::uint64_t marked = gather_marks(keep + base);
+    if (marked != 0) std::memset(keep + base, 0, 64);
+    for (; marked != 0; marked &= marked - 1) {
+      const auto p = static_cast<std::uint32_t>(
+          base + static_cast<std::size_t>(std::countr_zero(marked)));
+      const std::uint32_t id = seq[p];
+      std::uint32_t* const tags =
+          shared_tags + static_cast<std::size_t>(std::min(slot[id], shared)) *
+                            ways;
       bool hit = false;
       for (std::uint32_t w = 0; w < ways; ++w) hit |= tags[w] == id;
-      if (!hit) {
-        tags[rng.uniform(ways)] = id;
-        ++misses;
-      }
+      if (hit) continue;
+      tags[rng.uniform(ways)] = id;
+      ++misses;
+      sink(p, id);
     }
   }
-  return {misses, true};
+  return {misses, kept, true};
 }
 
 /// The unified L2 of a two-level run under random replacement: `ways`
@@ -199,137 +250,56 @@ private:
   std::uint32_t* tags_;
 };
 
-/// What a two-level run counted.
-struct HierarchyRun {
-  std::uint64_t l1_misses = 0;
-  std::uint64_t l2_misses = 0;
-  std::uint64_t simulated = 0;  ///< entries replayed
-};
-
-/// Two-level replay of the entries that can change state: every access of
-/// an L1 line that shares its set, and the first access of every other
-/// line. A lone line's later accesses are L1 hits, and an L1 hit neither
-/// draws nor reaches the L2, so skipping them leaves every other outcome
-/// as it was, the L2's draws and LRU order included.
-///
-/// `ws.l1_lines` holds each line's state by combined id (see
-/// `CompactTrace::line_begin`). The entries to replay are marked line by
-/// line in a byte map over `entries`, then replayed in trace order, 64
-/// entries at a time, so the cost follows the entries replayed rather than
-/// the entries skipped. An L1 miss draws from its side's stream and probes
-/// the L2 by unified id. Templated on the L2 model so the loop stays
-/// branch-free on policy.
+/// Probes the L2 with both sides' L1 misses merged into trace order, and
+/// returns its misses.
 template <typename L2Model>
-HierarchyRun replay_hierarchy(const CompactTrace& trace,
-                              const MachineConfig& config,
-                              std::uint64_t run_seed, RunWorkspace& ws,
-                              L2Model& l2) {
-  HierarchyRun run;
-  const std::size_t n = trace.entries.size();
-  ws.keep.assign((n + 63) & ~std::size_t{63}, 0);
-  std::uint8_t* const keep = ws.keep.data();
-  const RunWorkspace::L1Line* const lines = ws.l1_lines.data();
-  for (std::size_t c = 0; c + 1 < trace.line_begin.size(); ++c) {
-    const std::uint32_t* at = trace.line_entries.data() + trace.line_begin[c];
-    const std::uint32_t* const end =
-        lines[c].set == kLone ? at + 1
-                               : trace.line_entries.data() +
-                                     trace.line_begin[c + 1];
-    run.simulated += static_cast<std::uint64_t>(end - at);
-    for (; at != end; ++at) keep[*at] = 1;
+std::uint64_t probe_l2(L2Model l2, const RunWorkspace::L1Miss* i,
+                       const RunWorkspace::L1Miss* const iend,
+                       const RunWorkspace::L1Miss* d,
+                       const RunWorkspace::L1Miss* const dend) {
+  std::uint64_t misses = 0;
+  while (i != iend || d != dend) {
+    const bool instr = d == dend || (i != iend && i->pos < d->pos);
+    misses += !l2.access((instr ? i++ : d++)->uid);
   }
-
-  // Indexed by `Entry::is_instr`.
-  const std::uint32_t ways[2] = {config.dl1.ways, config.il1.ways};
-  Xoshiro256 rng[2] = {Xoshiro256(mix64(kDl1Replacement, run_seed)),
-                       Xoshiro256(mix64(kIl1Replacement, run_seed))};
-  const auto dl1_offset = static_cast<std::uint32_t>(trace.ilines.size());
-  std::uint32_t* const shared_tags = ws.shared_tags.data();
-  const std::uint32_t stride = std::max(ways[0], ways[1]);
-  for (std::size_t base = 0; base < n; base += 64) {
-    // Gathers the 64 marks into one word: each byte is 0 or 1, and the
-    // multiply moves the low bit of byte k of `bytes` to bit 56 + k, so mark
-    // base + 8·j + k lands at bit 8·j + k. Byte k of the load is the k-th
-    // byte in memory only on a little-endian host.
-    static_assert(std::endian::native == std::endian::little);
-    std::uint64_t marked = 0;
-    for (int j = 0; j < 8; ++j) {
-      std::uint64_t bytes;
-      std::memcpy(&bytes, keep + base + 8 * j, sizeof bytes);
-      marked |= ((bytes * 0x0102040810204080ULL) >> 56) << (8 * j);
-    }
-    for (; marked != 0; marked &= marked - 1) {
-      const CompactTrace::Entry e =
-          trace.entries[base + static_cast<std::size_t>(
-                                   std::countr_zero(marked))];
-      const std::uint32_t side = e.is_instr;
-      const std::uint32_t c = e.line_id + (dl1_offset & (side - 1));
-      const RunWorkspace::L1Line line = lines[c];
-      if (line.set == kLone) {  // its one L1 miss
-        rng[side].uniform(ways[side]);
-      } else {
-        std::uint32_t* const tags =
-            shared_tags + static_cast<std::size_t>(line.set) * stride;
-        bool hit = false;
-        for (std::uint32_t w = 0; w < ways[side]; ++w) hit |= tags[w] == c;
-        if (hit) continue;
-        tags[rng[side].uniform(ways[side])] = c;
-      }
-      ++run.l1_misses;
-      run.l2_misses += !l2.access(line.uid);
-    }
-  }
-  return run;
+  return misses;
 }
 
-/// Replay-path tallies, flushed once per run with one fused add, so the
+/// Per-run replay tallies of one flavor: runs, entries, entries kept (see
+/// `SideRun`), and runs in which every L1 line was alone in its set, so
+/// nothing was simulated. Flushed once per run with one fused add, so the
 /// crc replay path stays within the <2% collection-overhead budget the
 /// bench gate pins.
-struct SingleLevelCounters {
-  obs::Counter runs;
-  obs::Counter entries;
-  /// Runs in which every line on both sides was alone in its set, so
-  /// nothing was simulated.
-  obs::Counter conflict_free_runs;
-};
+using ReplayCounters = std::array<obs::Counter, 4>;
 
-struct TwoLevelCounters {
-  obs::Counter runs;
-  obs::Counter entries;
-  /// Entries the runs kept and simulated.
-  obs::Counter simulated_entries;
-};
-
-const SingleLevelCounters& single_level_counters() {
-  static const SingleLevelCounters c = {
-      obs::counter("replay.single_level.runs"),
-      obs::counter("replay.single_level.entries"),
-      obs::counter("replay.single_level.conflict_free_runs")};
-  return c;
+ReplayCounters replay_counters(const std::string& flavor) {
+  return {obs::counter(flavor + ".runs"), obs::counter(flavor + ".entries"),
+          obs::counter(flavor + ".simulated_entries"),
+          obs::counter(flavor + ".conflict_free_runs")};
 }
 
-const TwoLevelCounters& two_level_counters(bool random_l2) {
-  static const TwoLevelCounters table[2] = {
-      {obs::counter("replay.l2_lru.runs"),
-       obs::counter("replay.l2_lru.entries"),
-       obs::counter("replay.l2_lru.simulated_entries")},
-      {obs::counter("replay.l2_random.runs"),
-       obs::counter("replay.l2_random.entries"),
-       obs::counter("replay.l2_random.simulated_entries")},
-  };
-  return table[random_l2];
+void count_run(const MachineConfig& config, const CompactTrace& trace,
+               const SideRun& il1, const SideRun& dl1) {
+  if (!obs::enabled()) return;
+  static const ReplayCounters single = replay_counters("replay.single_level");
+  static const ReplayCounters lru = replay_counters("replay.l2_lru");
+  static const ReplayCounters random = replay_counters("replay.l2_random");
+  const ReplayCounters& c = !config.l2.enabled ? single
+                            : config.l2.policy == L2Policy::kRandom ? random
+                                                                   : lru;
+  obs::add_all(c, {1, trace.size(), il1.kept + dl1.kept,
+                   !il1.conflicts && !dl1.conflicts});
 }
 
-/// Single-level run: each L1 side replays on its own (see replay_side).
+/// Single-level run: each L1 side replays on its own (see replay_l1_side)
+/// and its misses go nowhere but the count.
 std::uint64_t run_single_level(const MachineConfig& config,
                                const CompactTrace& trace,
                                std::uint64_t run_seed, RunWorkspace& ws) {
-  const SideRun il1 = replay_side(config.il1, trace.ilines, trace.iseq,
-                                  mix64(kIl1Placement, run_seed),
-                                  mix64(kIl1Replacement, run_seed), ws);
-  SideRun dl1 = replay_side(config.dl1, trace.dlines, trace.dseq,
-                            mix64(kDl1Placement, run_seed),
-                            mix64(kDl1Replacement, run_seed), ws);
+  const auto no_sink = [](std::uint32_t, std::uint32_t) {};
+  const SideRun il1 =
+      replay_l1_side(config.il1, trace, true, run_seed, ws, no_sink);
+  SideRun dl1 = replay_l1_side(config.dl1, trace, false, run_seed, ws, no_sink);
 #ifdef MBCR_FAULT_INJECTION
   // Deliberate `replay` fault (fault-injection builds only): the first DL1
   // miss of a run forgets its memory-latency penalty. See util/fault.hpp.
@@ -337,44 +307,35 @@ std::uint64_t run_single_level(const MachineConfig& config,
     --dl1.misses;
   }
 #endif
-  if (obs::enabled()) {
-    const SingleLevelCounters& c = single_level_counters();
-    obs::add_triple(c.runs, 1, c.entries, trace.size(), c.conflict_free_runs,
-                    !il1.conflicts && !dl1.conflicts);
-  }
+  count_run(config, trace, il1, dl1);
   const TimingParams& t = config.timing;
   return (trace.folded_ifetches + trace.iseq.size()) * t.issue_cycles +
          (trace.folded_loads + trace.dseq.size()) * t.dl1_hit_cycles +
          (il1.misses + dl1.misses) * t.mem_latency;
 }
 
-/// Two-level run: both L1 sides are classified as in single level, the
-/// L2 gets one slot of `ways` tags per set its unified lines land in, and
-/// `replay_hierarchy` replays the entries that can change state. Nothing
-/// here scales with the number of sets at any level.
+/// Two-level run: each L1 side replays on its own as in single level,
+/// listing its misses by trace position and unified id; the L2 gets one
+/// slot of `ways` tags per set its unified lines land in, and is probed
+/// with the two lists merged in trace order. Nothing here scales with the
+/// number of sets at any level.
 std::uint64_t run_two_level(const MachineConfig& config,
                             const CompactTrace& trace, std::uint64_t run_seed,
                             RunWorkspace& ws) {
-  const std::size_t ni = trace.ilines.size();
-  const std::size_t nl = ni + trace.dlines.size();
-  ws.line_slot.resize(nl);
-  std::uint32_t* const slot = ws.line_slot.data();
-  const std::uint32_t ishared = classify_l1_side(
-      config.il1, trace.ilines, mix64(kIl1Placement, run_seed), ws, slot);
-  const std::uint32_t dshared =
-      classify_l1_side(config.dl1, trace.dlines,
-                       mix64(kDl1Placement, run_seed), ws, slot + ni);
-  // The DL1's shared sets are numbered after the IL1's.
-  ws.l1_lines.resize(nl);
-  for (std::size_t c = 0; c < nl; ++c) {
-    const bool instr = c < ni;
-    ws.l1_lines[c] = {
-        slot[c] == kLone ? kLone : slot[c] + (instr ? 0 : ishared),
-        instr ? trace.iline_uid[c] : trace.dline_uid[c - ni]};
-  }
-  const std::uint32_t stride = std::max(config.il1.ways, config.dl1.ways);
-  ws.shared_tags.assign(static_cast<std::size_t>(ishared + dshared) * stride,
-                        kEmpty);
+  RunWorkspace::L1Miss* const ibegin = sized(ws.imisses, trace.iseq.size());
+  RunWorkspace::L1Miss* const dbegin = sized(ws.dmisses, trace.dseq.size());
+  RunWorkspace::L1Miss* iend = ibegin;
+  RunWorkspace::L1Miss* dend = dbegin;
+  const SideRun il1 = replay_l1_side(
+      config.il1, trace, true, run_seed, ws,
+      [&](std::uint32_t p, std::uint32_t id) {
+        *iend++ = {trace.ipos[p], trace.iline_uid[id]};
+      });
+  const SideRun dl1 = replay_l1_side(
+      config.dl1, trace, false, run_seed, ws,
+      [&](std::uint32_t p, std::uint32_t id) {
+        *dend++ = {trace.dpos[p], trace.dline_uid[id]};
+      });
 
   const CacheConfig& l2cfg = config.l2.l2;
   const bool random = config.l2.policy == L2Policy::kRandom;
@@ -391,23 +352,17 @@ std::uint64_t run_two_level(const MachineConfig& config,
       number_sets(nu, 1, ws.set_table, ws.l2_slot.data());
   ws.l2_tags.assign(static_cast<std::size_t>(l2_sets) * l2cfg.ways, kEmpty);
 
-  HierarchyRun run;
-  if (random) {
-    RandomL2 l2(l2cfg.ways, mix64(kL2Replacement, run_seed), ws);
-    run = replay_hierarchy(trace, config, run_seed, ws, l2);
-  } else {
-    LruL2 l2(l2cfg.ways, ws);
-    run = replay_hierarchy(trace, config, run_seed, ws, l2);
-  }
-  if (obs::enabled()) {
-    const TwoLevelCounters& c = two_level_counters(random);
-    obs::add_triple(c.runs, 1, c.entries, trace.size(), c.simulated_entries,
-                    run.simulated);
-  }
+  const std::uint64_t l2_misses =
+      random ? probe_l2(RandomL2(l2cfg.ways, mix64(kL2Replacement, run_seed),
+                                 ws),
+                        ibegin, iend, dbegin, dend)
+             : probe_l2(LruL2(l2cfg.ways, ws), ibegin, iend, dbegin, dend);
+  count_run(config, trace, il1, dl1);
   const TimingParams& t = config.timing;
   return (trace.folded_ifetches + trace.iseq.size()) * t.issue_cycles +
          (trace.folded_loads + trace.dseq.size()) * t.dl1_hit_cycles +
-         run.l1_misses * config.l2.latency + run.l2_misses * t.mem_latency;
+         (il1.misses + dl1.misses) * config.l2.latency +
+         l2_misses * t.mem_latency;
 }
 
 }  // namespace

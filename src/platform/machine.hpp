@@ -8,27 +8,26 @@
 // seed) and returns the cycle count. The compact trace's folded guaranteed
 // hits are never replayed: they add a per-trace constant.
 //
-// Single level, each L1 side is replayed on its own: the sides are separate
-// caches with separate replacement streams, and a run's cycles are the
-// per-side base costs plus `mem_latency` per miss on either side. Per side
-// the run places its lines, finds the lines alone in their set, and
-// simulates only the rest. A lone line misses once and then always hits:
-// its first access draws its one victim choice, to keep every later draw
-// where it was, and its later accesses are skipped. A side whose lines are
-// all alone costs one miss per line, with no scan and no draws. Nothing
-// per run scales with the number of sets: tag state is held for the shared
-// sets only.
+// Each L1 side is replayed on its own, by one loop at either level: the
+// sides are separate caches with separate replacement streams. Per side
+// the run places its lines, finds the lines alone in their set, marks the
+// entries to keep (every access of a shared line, the first access of a
+// lone one) and walks only those, so its cost follows the kept entries. A
+// lone line misses once and then always hits: its first access draws its
+// one victim choice, to keep every later draw where it was, and its later
+// accesses are skipped. A side whose lines are all alone draws nothing:
+// it misses once per line. Nothing per run scales with the number of sets:
+// tag state is held for the shared sets only.
 //
-// Two levels, the sides do not split, because the L2 sees both sides'
-// misses in trace order. But the same skip is exact: an L1 hit never
-// reaches the L2, and the L2 never reaches back into an L1, so once a lone
-// L1 line's first access is done, its later accesses are L1 hits with no
-// draw and no L2 probe. The run classifies both sides as above, marks line
-// by line the interleaved entries to keep (every access of a shared line,
-// the first access of a lone one) and replays those in trace order, so its
-// cost follows the kept entries; an L1 miss probes the L2 by dense unified
-// id. The L2 holds tags only for the sets its unified lines land in, so no
-// level's state scales with its number of sets.
+// Single level, a run's cycles are the per-side base costs plus
+// `mem_latency` per miss on either side. Behind an L2 the skip is just as
+// exact: an L1 hit never reaches the L2, and the L2 never reaches back
+// into an L1. So each side hands its misses, with their trace positions,
+// to a list, and the L2 is probed by dense unified id with the two lists
+// merged in trace order: exactly the L1 misses, in the order a
+// trace-order replay of both sides would send them. The L2 holds tags
+// only for the sets its unified lines land in, so no level's state scales
+// with its number of sets.
 #pragma once
 
 #include <cstdint>
@@ -44,10 +43,10 @@ namespace mbcr::platform {
 
 /// Reusable per-thread scratch for `Machine::run_once`. A campaign worker
 /// allocates one workspace and replays hundreds of thousands of runs
-/// through it, instead of paying vector allocations per run. Contents are
-/// fully re-initialized by every run, so reuse never leaks state between
-/// runs (or between machines/traces of different geometry — buffers just
-/// grow).
+/// through it, instead of paying vector allocations per run. Every run
+/// re-initializes the contents it reads, or (`keep`) leaves them as it
+/// found them, so reuse never leaks state between runs (or between
+/// machines/traces of different geometry — buffers just grow).
 struct RunWorkspace {
   struct SetCount {
     std::uint32_t set;    ///< set index, or empty
@@ -56,21 +55,21 @@ struct RunWorkspace {
   /// Lines counted per set, one level or side at a time: open addressing
   /// over set indices, >= 2 entries per line.
   std::vector<SetCount> set_table;
-  /// Per L1 line: its shared set's slot, or lone. Single level holds one
-  /// side at a time; two levels hold the IL1 lines, then the DL1 lines.
+  /// Per line of the L1 side being replayed: its shared set's slot, or
+  /// lone.
   std::vector<std::uint32_t> line_slot;
-  /// `ways` tags per shared L1 set (two levels: the IL1's, then the DL1's,
-  /// each `max(ways)` apart).
+  /// `ways` tags per shared set of the L1 side being replayed.
   std::vector<std::uint32_t> shared_tags;
-  /// Two levels, per L1 line (IL1 lines, then DL1 lines): its shared set,
-  /// numbered over both sides, or lone; and its unified id.
-  struct L1Line {
-    std::uint32_t set;
-    std::uint32_t uid;
-  };
-  std::vector<L1Line> l1_lines;
-  /// Two levels: one byte per compact entry, set on the entries to replay.
+  /// One byte per entry of the L1 side being replayed, set on the entries
+  /// to simulate; all zero between runs.
   std::vector<std::uint8_t> keep;
+  /// Two levels: each side's L1 misses in trace order, at most one per
+  /// side entry, as the L2 will see them.
+  struct L1Miss {
+    std::uint32_t pos;  ///< position in trace order (`CompactTrace::ipos`)
+    std::uint32_t uid;  ///< unified line id
+  };
+  std::vector<L1Miss> imisses, dmisses;
   /// Two levels: per unified line, the slot of its L2 set, and `ways` L2
   /// tags per slot. Every buffer is O(lines·ways) or O(entries).
   std::vector<std::uint32_t> l2_slot, l2_tags;

@@ -354,6 +354,40 @@ TEST(EngineEquivalence, TwoLevelSkipReplayMatchesReferenceOnEverySuiteKernel) {
   EXPECT_LT(simulated, entries);
 }
 
+TEST(EngineEquivalence, BothLevelsKeepTheSameL1Entries) {
+  // One L1 loop serves both levels, and an L2 never reaches back into an
+  // L1. So under the same run seeds a run keeps the same L1 entries, and
+  // finds the same conflict-free runs, with or without an L2 behind it.
+  const TestWorkload w = test_workload("crc");
+  obs::reset_metrics();
+  obs::set_enabled(true);
+  for (const bool l2 : {false, true}) {
+    MachineConfig cfg;
+    cfg.l2.enabled = l2;
+    const Machine machine(cfg);
+    RunWorkspace ws;
+    for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+      machine.run_once(w.trace, seed, ws);
+    }
+  }
+  const std::uint64_t kept =
+      counter_value("replay.single_level.simulated_entries");
+  const std::uint64_t kept_l2 =
+      counter_value("replay.l2_random.simulated_entries");
+  const std::uint64_t free =
+      counter_value("replay.single_level.conflict_free_runs");
+  const std::uint64_t free_l2 =
+      counter_value("replay.l2_random.conflict_free_runs");
+  obs::set_enabled(false);
+  obs::reset_metrics();
+  EXPECT_EQ(kept, kept_l2);
+  EXPECT_EQ(free, free_l2);
+  EXPECT_GT(kept, 0u);
+  EXPECT_LT(kept, 2000 * w.trace.size());
+  EXPECT_GT(free, 0u);
+  EXPECT_LT(free, 2000u);
+}
+
 TEST(EngineEquivalence, LoneLineFirstMissReachesTheL2BetweenSharedMisses) {
   // A hand-built trace on a 4-set 2-way IL1 under random-modulo placement
   // (as in LoneLineFirstMissDrawsBetweenSharedMisses: lines 4, 5, 8, 9

@@ -134,7 +134,7 @@ TEST(Machine, HugeSetCountsReplayInBoundedMemory) {
   // Replay holds tag state only for the sets this run's lines touch, so a
   // 2^30-set 8-way L1 (a 256 GiB cache), alone or behind a 2^30-set 8-way
   // L2 of either policy, replays with scratch buffers sized by the trace's
-  // lines (and, behind an L2, its entries), not by sets·ways.
+  // lines and entries, not by sets·ways.
   const auto b = suite::make_crc();
   const MemTrace trace =
       ir::lower_and_execute(b.program, b.default_input).trace;
@@ -166,7 +166,8 @@ TEST(Machine, HugeSetCountsReplayInBoundedMemory) {
       EXPECT_GE(cycles, compulsory) << "level " << level;
       EXPECT_LE(cycles, machine.all_miss_cycles(trace)) << "level " << level;
     }
-    const std::size_t l1_lines = level == 0 ? std::max(ni, nd) : ni + nd;
+    // Each level replays one L1 side at a time.
+    const std::size_t l1_lines = std::max(ni, nd);
     EXPECT_LE(ws.line_slot.capacity(), l1_lines) << "level " << level;
     // Single level numbers one side's sets at a time; behind an L2 the
     // L2's unified lines are numbered too.
@@ -175,9 +176,13 @@ TEST(Machine, HugeSetCountsReplayInBoundedMemory) {
         << "level " << level;
     EXPECT_LE(ws.shared_tags.capacity(), l1_lines * huge.ways)
         << "level " << level;
-    EXPECT_LE(ws.l1_lines.capacity(), level == 0 ? 0 : ni + nd)
+    EXPECT_LE(ws.keep.capacity(),
+              std::max(compact.iseq.size(), compact.dseq.size()) + 63)
         << "level " << level;
-    EXPECT_LE(ws.keep.capacity(), level == 0 ? 0 : compact.size() + 63)
+    // Behind an L2, at most one miss per side entry.
+    EXPECT_LE(ws.imisses.capacity(), level == 0 ? 0 : compact.iseq.size())
+        << "level " << level;
+    EXPECT_LE(ws.dmisses.capacity(), level == 0 ? 0 : compact.dseq.size())
         << "level " << level;
     EXPECT_LE(ws.l2_slot.capacity(), level == 0 ? 0 : nu)
         << "level " << level;
