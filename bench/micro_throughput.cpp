@@ -11,11 +11,6 @@
 //    std::chrono (no google-benchmark needed) and written as JSON. This is
 //    the `BENCH_replay.json` CI artifact that tracks the perf trajectory.
 //    `--replay-runs N` caps the runs per timed case (CI smoke).
-//  * `--interp-json FILE` — the interpreter-throughput report: complete
-//    functional executions/sec of the tree-walking interpreter vs the
-//    bytecode VM per kernel, equivalence re-verified bit-for-bit before
-//    every timed case. This is the `BENCH_interp.json` CI artifact gating
-//    the VM's speedup. `--interp-execs N` caps executions per timed case.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -26,9 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "ir/bytecode.hpp"
 #include "ir/interp.hpp"
-#include "ir/vm.hpp"
 #include "obs/metrics.hpp"
 #include "platform/campaign.hpp"
 #include "platform/machine.hpp"
@@ -213,105 +206,6 @@ int run_replay_report(const std::string& json_path, std::size_t runs) {
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// Interpreter-throughput report (--interp-json): complete functional
-// executions/sec, tree-walker vs bytecode VM, per kernel. Each case first
-// re-verifies the five-field bit identity (trace, tokens, path, leaf_steps,
-// env) on its exact program/input before any timing — a wrong-but-fast VM
-// must never produce a report.
-
-struct InterpCase {
-  std::string kernel;
-  std::size_t trace_accesses = 0;
-  std::uint64_t leaf_steps = 0;
-  double tree_eps = 0;  ///< executions per second
-  double vm_eps = 0;
-  double speedup = 0;
-};
-
-InterpCase time_interp_case(const std::string& kernel, std::size_t execs) {
-  const auto b = suite::make_benchmark(kernel);
-  const ir::Linked linked = ir::lower(b.program);
-  // Compilation is hoisted out of the timed loop, exactly as the analyzer
-  // amortizes it across a study's executions.
-  const ir::BytecodeProgram bytecode = ir::compile(b.program, linked);
-
-  // Equivalence guard: the VM must agree with the tree-walker.
-  const ir::ExecResult tree =
-      ir::execute_tree(b.program, linked, b.default_input);
-  const ir::ExecResult vm = ir::vm::run(bytecode, b.default_input);
-  if (vm.trace.accesses != tree.trace.accesses || vm.tokens != tree.tokens ||
-      !(vm.path == tree.path) || vm.leaf_steps != tree.leaf_steps ||
-      vm.env.scalars != tree.env.scalars || vm.env.arrays != tree.env.arrays) {
-    std::fprintf(stderr, "vm/tree mismatch on kernel %s\n", kernel.c_str());
-    std::abort();
-  }
-
-  InterpCase out;
-  out.kernel = kernel;
-  out.trace_accesses = tree.trace.accesses.size();
-  out.leaf_steps = tree.leaf_steps;
-
-  std::uint64_t sink = 0;
-  {
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < execs; ++i) {
-      sink ^= ir::execute_tree(b.program, linked, b.default_input).leaf_steps;
-    }
-    out.tree_eps = static_cast<double>(execs) / seconds_since(start);
-  }
-  {
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < execs; ++i) {
-      sink ^= ir::vm::run(bytecode, b.default_input).leaf_steps;
-    }
-    out.vm_eps = static_cast<double>(execs) / seconds_since(start);
-  }
-  if (sink == 0xdeadbeef) std::fprintf(stderr, "...");  // keep `sink` live
-
-  out.speedup = out.vm_eps / out.tree_eps;
-  return out;
-}
-
-int run_interp_report(const std::string& json_path, std::size_t execs) {
-  const std::vector<std::string> kernels = {"bs",  "cnt",     "crc",
-                                            "edn", "matmult", "ns"};
-  json::Array cases;
-  std::printf("interpreter throughput, %zu execs/case\n", execs);
-  std::printf("%-8s %10s %12s %12s %12s %8s\n", "kernel", "accesses",
-              "leaf_steps", "tree e/s", "vm e/s", "speedup");
-  for (const std::string& kernel : kernels) {
-    const InterpCase c = time_interp_case(kernel, execs);
-    std::printf("%-8s %10zu %12llu %12.1f %12.1f %7.2fx\n", c.kernel.c_str(),
-                c.trace_accesses,
-                static_cast<unsigned long long>(c.leaf_steps), c.tree_eps,
-                c.vm_eps, c.speedup);
-    json::Object o;
-    o.emplace_back("kernel", c.kernel);
-    o.emplace_back("trace_accesses", c.trace_accesses);
-    o.emplace_back("leaf_steps", c.leaf_steps);
-    o.emplace_back("tree_execs_per_sec", c.tree_eps);
-    o.emplace_back("vm_execs_per_sec", c.vm_eps);
-    o.emplace_back("speedup", c.speedup);
-    cases.emplace_back(std::move(o));
-  }
-  json::Object doc;
-  doc.emplace_back("schema", "mbcr-bench-interp-v3");
-  doc.emplace_back("dispatch", "switch");
-  doc.emplace_back("execs_per_case", execs);
-  doc.emplace_back("cases", std::move(cases));
-
-  try {
-    util::write_file_atomic(json_path,
-                            json::Value(std::move(doc)).dump(2) + "\n");
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
-  std::printf("[interp report written to %s]\n", json_path.c_str());
-  return 0;
-}
-
 #ifdef MBCR_HAVE_GOOGLE_BENCHMARK
 
 void BM_RandomCacheAccess(benchmark::State& state) {
@@ -388,38 +282,6 @@ void BM_InterpreterTrace(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpreterTrace);
 
-// Tree-walker vs bytecode VM, complete functional executions. items/sec ==
-// executions/sec; args select the kernel like BM_MachineRunOnce.
-const char* interp_bench_kernel(std::int64_t arg) {
-  return arg == 0 ? "bs" : arg == 1 ? "crc" : "matmult";
-}
-
-void BM_IrExecTree(benchmark::State& state) {
-  const auto b = suite::make_benchmark(interp_bench_kernel(state.range(0)));
-  const ir::Linked linked = ir::lower(b.program);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ir::execute_tree(b.program, linked, b.default_input));
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel(b.name);
-}
-BENCHMARK(BM_IrExecTree)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_IrExecVm(benchmark::State& state) {
-  const auto b = suite::make_benchmark(interp_bench_kernel(state.range(0)));
-  const ir::Linked linked = ir::lower(b.program);
-  // Compile once outside the loop — the analyzer amortizes compilation the
-  // same way across a study's executions.
-  const ir::BytecodeProgram bytecode = ir::compile(b.program, linked);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ir::vm::run(bytecode, b.default_input));
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel(b.name);
-}
-BENCHMARK(BM_IrExecVm)->Arg(0)->Arg(1)->Arg(2);
-
 void BM_PubTransform(benchmark::State& state) {
   const auto b = suite::make_benchmark("bs");
   for (auto _ : state) {
@@ -445,9 +307,7 @@ BENCHMARK(BM_TacAnalysis);
 
 int main(int argc, char** argv) {
   std::string json_path;
-  std::string interp_json_path;
   std::size_t replay_runs = 4000;
-  std::size_t interp_execs = 200;
 
   // Strip the replay-report flags; everything else flows through to
   // google-benchmark (when built in).
@@ -472,9 +332,7 @@ int main(int argc, char** argv) {
       return true;
     };
     if (take_value("--json", json_path)) continue;
-    if (take_value("--interp-json", interp_json_path)) continue;
     if (take_count("--replay-runs", replay_runs)) continue;
-    if (take_count("--interp-execs", interp_execs)) continue;
     passthrough.push_back(argv[i]);
   }
 
@@ -484,13 +342,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     return run_replay_report(json_path, replay_runs);
-  }
-  if (!interp_json_path.empty()) {
-    if (interp_execs == 0) {
-      std::fprintf(stderr, "--interp-execs must be positive\n");
-      return 2;
-    }
-    return run_interp_report(interp_json_path, interp_execs);
   }
 
 #ifdef MBCR_HAVE_GOOGLE_BENCHMARK
@@ -505,9 +356,8 @@ int main(int argc, char** argv) {
 #else
   std::fprintf(stderr,
                "micro_throughput was built without google-benchmark; only "
-               "the chrono reports are available: --json FILE "
-               "[--replay-runs N], or --interp-json FILE "
-               "[--interp-execs N]\n");
+               "the chrono report is available: --json FILE "
+               "[--replay-runs N]\n");
   return 2;
 #endif
 }

@@ -21,10 +21,7 @@ PathAnalysis Analyzer::analyze_program(const ir::Program& program,
   out.input_label = input.label;
 
   // 1. One functional execution gives the path's address trace.
-  ir::ExecOptions exec_options;
-  exec_options.executor = config_.executor;
-  const ir::ExecResult exec = ir::lower_and_execute(program, input,
-                                                    exec_options);
+  const ir::ExecResult exec = ir::lower_and_execute(program, input);
   const CompactTrace trace =
       CompactTrace::from(exec.trace, config_.machine.il1.line_bytes);
   out.trace_accesses = trace.accesses;
@@ -164,10 +161,7 @@ std::vector<double> Analyzer::measure(const ir::Program& program,
                                       const ir::InputVector& input,
                                       std::size_t runs,
                                       std::size_t first_run) const {
-  ir::ExecOptions exec_options;
-  exec_options.executor = config_.executor;
-  const ir::ExecResult exec = ir::lower_and_execute(program, input,
-                                                    exec_options);
+  const ir::ExecResult exec = ir::lower_and_execute(program, input);
   const CompactTrace trace =
       CompactTrace::from(exec.trace, config_.machine.il1.line_bytes);
   return platform::run_campaign(machine_, trace, runs, config_.campaign,

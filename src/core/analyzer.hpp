@@ -32,8 +32,8 @@ struct AnalysisConfig {
   /// Probe runs used to estimate the typical execution time that anchors
   /// TAC's relative impact threshold.
   std::size_t baseline_probe_runs = 64;
-  /// IR engine producing the functional traces (bytecode VM by default;
-  /// the tree-walker is the bit-identical differential oracle).
+  /// Unread: the bytecode VM is the only engine. Kept because the
+  /// whole-study benchmark's rebuild (studybench/rebuild.cpp) assigns it.
   ir::Executor executor = ir::Executor::kVm;
 };
 

@@ -327,7 +327,6 @@ std::map<std::string, std::string> StudySpec::flag_spec() {
       {"tac-cap", "2000000"},
       {"probe-runs", "64"},
       {"pwcet-prob", "1e-12"},
-      {"executor", "vm"},
       {"runs", "10000"},   {"measure-pub", "false"},
       {"curve-exp", "15"},
       {"pub-merge", "scs"},
@@ -353,12 +352,11 @@ StudySpec StudySpec::from_flags(
 
   spec.config.campaign.master_seed = parse_u64("seed", get("seed"));
   spec.config.campaign.threads =
-      static_cast<unsigned>(parse_u64("threads", get("threads")));
-  spec.config.campaign.grain =
-      static_cast<std::size_t>(parse_u64("grain", get("grain")));
+      parse_uint<unsigned>("threads", get("threads"));
+  spec.config.campaign.grain = parse_uint<std::size_t>("grain", get("grain"));
 
-  const auto sets = static_cast<std::uint32_t>(parse_u64("sets", get("sets")));
-  const auto ways = static_cast<std::uint32_t>(parse_u64("ways", get("ways")));
+  const auto sets = parse_uint<std::uint32_t>("sets", get("sets"));
+  const auto ways = parse_uint<std::uint32_t>("ways", get("ways"));
   const auto line = parse_u64("line", get("line"));
   const Placement placement = parse_placement(get("placement"));
   spec.config.machine.il1 = CacheConfig{sets, ways, line, placement};
@@ -371,10 +369,8 @@ StudySpec StudySpec::from_flags(
   // The remaining l2 flags are parsed unconditionally so malformed values
   // fail loudly, and non-default values without --l2-sets are rejected
   // rather than silently running a single-level study.
-  const auto l2_sets =
-      static_cast<std::uint32_t>(parse_u64("l2-sets", get("l2-sets")));
-  const auto l2_ways =
-      static_cast<std::uint32_t>(parse_u64("l2-ways", get("l2-ways")));
+  const auto l2_sets = parse_uint<std::uint32_t>("l2-sets", get("l2-sets"));
+  const auto l2_ways = parse_uint<std::uint32_t>("l2-ways", get("l2-ways"));
   const Placement l2_placement = parse_placement(get("l2-placement"));
   const L2Policy l2_policy = parse_l2_policy(get("l2-policy"));
   const std::uint64_t l2_latency = parse_u64("l2-latency", get("l2-latency"));
@@ -395,31 +391,29 @@ StudySpec StudySpec::from_flags(
   }
 
   spec.config.convergence.min_runs =
-      static_cast<std::size_t>(parse_u64("min-runs", get("min-runs")));
+      parse_uint<std::size_t>("min-runs", get("min-runs"));
   spec.config.convergence.delta =
-      static_cast<std::size_t>(parse_u64("delta", get("delta")));
+      parse_uint<std::size_t>("delta", get("delta"));
   spec.config.convergence.window =
-      static_cast<std::size_t>(parse_u64("window", get("window")));
+      parse_uint<std::size_t>("window", get("window"));
   spec.config.convergence.tolerance =
       parse_double("tolerance", get("tolerance"));
   spec.config.convergence.max_runs =
-      static_cast<std::size_t>(parse_u64("max-runs", get("max-runs")));
+      parse_uint<std::size_t>("max-runs", get("max-runs"));
 
   spec.config.tac.target_miss_prob =
       parse_double("tac-target", get("tac-target"));
   spec.config.tac.max_runs_cap =
-      static_cast<std::size_t>(parse_u64("tac-cap", get("tac-cap")));
+      parse_uint<std::size_t>("tac-cap", get("tac-cap"));
 
   spec.config.baseline_probe_runs =
-      static_cast<std::size_t>(parse_u64("probe-runs", get("probe-runs")));
+      parse_uint<std::size_t>("probe-runs", get("probe-runs"));
   spec.config.pwcet_probability =
       parse_double("pwcet-prob", get("pwcet-prob"));
-  spec.config.executor = ir::parse_executor(get("executor"));
 
-  spec.measure_runs = static_cast<std::size_t>(parse_u64("runs", get("runs")));
+  spec.measure_runs = parse_uint<std::size_t>("runs", get("runs"));
   spec.measure_pub = parse_bool("measure-pub", get("measure-pub"));
-  spec.curve_max_exp =
-      static_cast<int>(parse_u64("curve-exp", get("curve-exp")));
+  spec.curve_max_exp = parse_uint<int>("curve-exp", get("curve-exp"));
 
   const std::string& merge = get("pub-merge");
   if (merge == "scs") {
@@ -534,7 +528,8 @@ json::Value StudySpec::to_json() const {
   }
   o.emplace_back("pwcet_probability", config.pwcet_probability);
   o.emplace_back("probe_runs", config.baseline_probe_runs);
-  o.emplace_back("executor", ir::to_string(config.executor));
+  // Schema v4+ keeps this field: the bytecode VM is the only engine.
+  o.emplace_back("executor", "vm");
   o.emplace_back("measure_runs", measure_runs);
   o.emplace_back("measure_pub", measure_pub);
   o.emplace_back("curve_max_exp", curve_max_exp);
@@ -557,8 +552,11 @@ double jnum(const json::Value* v, double dflt) {
   return jabsent(v) ? dflt : v->as_number();
 }
 
-std::size_t jsize(const json::Value* v, std::size_t dflt) {
-  return jabsent(v) ? dflt : static_cast<std::size_t>(v->as_number());
+/// Integer members are range-checked: `"sets": -1` or `2.5` is an error
+/// naming the member, never a wrapped or truncated geometry.
+template <typename T>
+T jint(const json::Value* v, T dflt, const std::string& what) {
+  return jabsent(v) ? dflt : json::as_integer<T>(*v, what);
 }
 
 std::string jstr(const json::Value* v, const std::string& dflt) {
@@ -574,7 +572,7 @@ bool jbool(const json::Value* v, bool dflt) {
 std::uint64_t jseed(const json::Value* v, std::uint64_t dflt) {
   if (jabsent(v)) return dflt;
   if (v->is_string()) return parse_u64("(seed)", v->as_string());
-  if (v->is_number()) return static_cast<std::uint64_t>(v->as_number());
+  if (v->is_number()) return json::as_integer<std::uint64_t>(*v, "seed");
   throw std::runtime_error("seed: expected a number or decimal string");
 }
 
@@ -588,15 +586,16 @@ const json::Value* jblock(const json::Value* v, const char* name) {
   return v;
 }
 
-CacheConfig jcache(const json::Value* v, CacheConfig dflt) {
+CacheConfig jcache(const json::Value* v, CacheConfig dflt,
+                   const std::string& where) {
   if (!v) return dflt;
   if (!v->is_object()) {
     throw std::runtime_error("cache config: expected an object");
   }
-  dflt.sets = static_cast<std::uint32_t>(jnum(v->find("sets"), dflt.sets));
-  dflt.ways = static_cast<std::uint32_t>(jnum(v->find("ways"), dflt.ways));
-  dflt.line_bytes = static_cast<Addr>(
-      jnum(v->find("line_bytes"), static_cast<double>(dflt.line_bytes)));
+  dflt.sets = jint(v->find("sets"), dflt.sets, where + ".sets");
+  dflt.ways = jint(v->find("ways"), dflt.ways, where + ".ways");
+  dflt.line_bytes =
+      jint(v->find("line_bytes"), dflt.line_bytes, where + ".line_bytes");
   if (const json::Value* p = v->find("placement")) {
     dflt.placement = parse_placement(p->as_string());
   }
@@ -622,47 +621,50 @@ StudySpec spec_from_json_unchecked(const json::Value& doc) {
   spec.set_input_selector(jstr(s.find("input"), "default"));
 
   if (const json::Value* m = jblock(s.find("machine"), "machine")) {
-    spec.config.machine.il1 = jcache(m->find("il1"), spec.config.machine.il1);
-    spec.config.machine.dl1 = jcache(m->find("dl1"), spec.config.machine.dl1);
+    spec.config.machine.il1 =
+        jcache(m->find("il1"), spec.config.machine.il1, "machine.il1");
+    spec.config.machine.dl1 =
+        jcache(m->find("dl1"), spec.config.machine.dl1, "machine.dl1");
     if (const json::Value* l2 = jblock(m->find("l2"), "machine.l2")) {
       spec.config.machine.l2.enabled = true;
-      spec.config.machine.l2.l2 = jcache(l2, spec.config.machine.l2.l2);
+      spec.config.machine.l2.l2 =
+          jcache(l2, spec.config.machine.l2.l2, "machine.l2");
       spec.config.machine.l2.policy = parse_l2_policy(
           jstr(l2->find("policy"), to_string(spec.config.machine.l2.policy)));
-      spec.config.machine.l2.latency = static_cast<std::uint64_t>(jnum(
-          l2->find("latency"),
-          static_cast<double>(spec.config.machine.l2.latency)));
+      spec.config.machine.l2.latency =
+          jint(l2->find("latency"), spec.config.machine.l2.latency,
+               "machine.l2.latency");
     }
     if (const json::Value* t = jblock(m->find("timing"), "machine.timing")) {
       TimingParams& timing = spec.config.machine.timing;
-      timing.issue_cycles = static_cast<std::uint64_t>(
-          jnum(t->find("issue_cycles"),
-               static_cast<double>(timing.issue_cycles)));
-      timing.dl1_hit_cycles = static_cast<std::uint64_t>(
-          jnum(t->find("dl1_hit_cycles"),
-               static_cast<double>(timing.dl1_hit_cycles)));
-      timing.mem_latency = static_cast<std::uint64_t>(
-          jnum(t->find("mem_latency"),
-               static_cast<double>(timing.mem_latency)));
+      timing.issue_cycles = jint(t->find("issue_cycles"), timing.issue_cycles,
+                                 "machine.timing.issue_cycles");
+      timing.dl1_hit_cycles =
+          jint(t->find("dl1_hit_cycles"), timing.dl1_hit_cycles,
+               "machine.timing.dl1_hit_cycles");
+      timing.mem_latency = jint(t->find("mem_latency"), timing.mem_latency,
+                                "machine.timing.mem_latency");
     }
   }
   if (const json::Value* c = jblock(s.find("campaign"), "campaign")) {
     spec.config.campaign.master_seed =
         jseed(c->find("master_seed"), spec.config.campaign.master_seed);
-    spec.config.campaign.threads = static_cast<unsigned>(
-        jnum(c->find("threads"), spec.config.campaign.threads));
+    spec.config.campaign.threads = jint(
+        c->find("threads"), spec.config.campaign.threads, "campaign.threads");
     spec.config.campaign.grain =
-        jsize(c->find("grain"), spec.config.campaign.grain);
+        jint(c->find("grain"), spec.config.campaign.grain, "campaign.grain");
     // "batch" is ignored: every width gave the identical sample, so
     // documents written with any width replay exactly.
   }
   if (const json::Value* c = jblock(s.find("convergence"), "convergence")) {
     mbpta::ConvergenceConfig& conv = spec.config.convergence;
-    conv.min_runs = jsize(c->find("min_runs"), conv.min_runs);
-    conv.delta = jsize(c->find("delta"), conv.delta);
-    conv.window = jsize(c->find("window"), conv.window);
+    conv.min_runs =
+        jint(c->find("min_runs"), conv.min_runs, "convergence.min_runs");
+    conv.delta = jint(c->find("delta"), conv.delta, "convergence.delta");
+    conv.window = jint(c->find("window"), conv.window, "convergence.window");
     conv.tolerance = jnum(c->find("tolerance"), conv.tolerance);
-    conv.max_runs = jsize(c->find("max_runs"), conv.max_runs);
+    conv.max_runs =
+        jint(c->find("max_runs"), conv.max_runs, "convergence.max_runs");
   }
   if (const json::Value* e = jblock(s.find("evt"), "evt")) {
     mbpta::EvtConfig& evt = spec.config.convergence.evt;
@@ -670,8 +672,8 @@ StudySpec spec_from_json_unchecked(const json::Value& doc) {
         jnum(e->find("initial_tail_fraction"), evt.initial_tail_fraction);
     evt.min_tail_fraction =
         jnum(e->find("min_tail_fraction"), evt.min_tail_fraction);
-    evt.min_exceedances = jsize(e->find("min_exceedances"),
-                                evt.min_exceedances);
+    evt.min_exceedances = jint(e->find("min_exceedances"),
+                               evt.min_exceedances, "evt.min_exceedances");
     evt.cv_band_sigmas = jnum(e->find("cv_band_sigmas"), evt.cv_band_sigmas);
   }
   if (const json::Value* t = jblock(s.find("tac"), "tac")) {
@@ -686,7 +688,8 @@ StudySpec spec_from_json_unchecked(const json::Value& doc) {
                                 tc.ignore_event_prob);
     tc.larger_group_margin =
         jnum(t->find("larger_group_margin"), tc.larger_group_margin);
-    tc.max_runs_cap = jsize(t->find("max_runs_cap"), tc.max_runs_cap);
+    tc.max_runs_cap =
+        jint(t->find("max_runs_cap"), tc.max_runs_cap, "tac.max_runs_cap");
   }
   if (const json::Value* p = jblock(s.find("pub"), "pub")) {
     const std::string merge = jstr(p->find("merge"), "scs");
@@ -704,15 +707,20 @@ StudySpec spec_from_json_unchecked(const json::Value& doc) {
   spec.config.pwcet_probability =
       jnum(s.find("pwcet_probability"), spec.config.pwcet_probability);
   spec.config.baseline_probe_runs =
-      jsize(s.find("probe_runs"), spec.config.baseline_probe_runs);
-  // v1-v3 documents predate the executor knob; the VM default applies
-  // (bit-identical to the tree-walker, so replays stay exact).
-  spec.config.executor = ir::parse_executor(
-      jstr(s.find("executor"), ir::to_string(spec.config.executor)));
-  spec.measure_runs = jsize(s.find("measure_runs"), spec.measure_runs);
+      jint(s.find("probe_runs"), spec.config.baseline_probe_runs,
+           "probe_runs");
+  // v1-v3 documents have no executor; v4+ ones name "vm" or "tree". Both
+  // engines are bit-identical, so either replays exactly on the VM.
+  if (const std::string executor = jstr(s.find("executor"), "vm");
+      executor != "vm" && executor != "tree") {
+    throw std::invalid_argument("executor: expected vm or tree, got '" +
+                                executor + "'");
+  }
+  spec.measure_runs =
+      jint(s.find("measure_runs"), spec.measure_runs, "measure_runs");
   spec.measure_pub = jbool(s.find("measure_pub"), spec.measure_pub);
-  spec.curve_max_exp = static_cast<int>(
-      jnum(s.find("curve_max_exp"), spec.curve_max_exp));
+  spec.curve_max_exp =
+      jint(s.find("curve_max_exp"), spec.curve_max_exp, "curve_max_exp");
   return spec;
 }
 

@@ -89,8 +89,9 @@ struct StudySpec {
   /// (schema `mbcr-study-v1`, no hierarchy/placement fields) load as
   /// L2-disabled hash-placement specs — exactly what they meant — v2
   /// documents (no campaign batch width) get the default batch, which
-  /// cannot change any replayed sample, and v3 documents (no executor
-  /// member) run on the bytecode VM, which is bit-identical anyway.
+  /// cannot change any replayed sample. The v4+ `executor` member may
+  /// read "vm" or "tree" (the bytecode VM replays both bit-identically);
+  /// any other value is rejected.
   /// Throws std::invalid_argument/std::runtime_error on malformed input.
   static StudySpec from_json(const json::Value& doc);
 };

@@ -28,21 +28,26 @@ json::Value u64_json(std::uint64_t v) {
 }
 
 ir::Value value_from(const json::Value& v, const char* what) {
-  if (v.is_number()) return static_cast<ir::Value>(v.as_number());
+  if (v.is_number()) {
+    return json::as_integer<ir::Value>(v, std::string("repro: ") + what);
+  }
   if (v.is_string()) return std::stoll(v.as_string());
   throw std::invalid_argument(std::string("repro: ") + what +
                               " must be a number or decimal string");
 }
 
 std::uint64_t u64_from(const json::Value& v, const char* what) {
-  if (v.is_number()) return static_cast<std::uint64_t>(v.as_number());
+  if (v.is_number()) {
+    return json::as_integer<std::uint64_t>(v, std::string("repro: ") + what);
+  }
   if (v.is_string()) return std::stoull(v.as_string());
   throw std::invalid_argument(std::string("repro: ") + what +
                               " must be a number or decimal string");
 }
 
-double num_at(const json::Value& obj, const char* key) {
-  return obj.at(key).as_number();
+template <typename T>
+T int_at(const json::Value& obj, const char* key) {
+  return json::as_integer<T>(obj.at(key), std::string("repro: ") + key);
 }
 
 // --- operator tables ------------------------------------------------------
@@ -297,7 +302,7 @@ ir::Program program_from(const json::Value& v) {
   for (const json::Value& a : v.at("arrays").as_array()) {
     ir::ArrayDecl decl;
     decl.name = a.at("name").as_string();
-    decl.size = static_cast<std::size_t>(num_at(a, "size"));
+    decl.size = int_at<std::size_t>(a, "size");
     for (const json::Value& x : a.at("init").as_array()) {
       decl.init.push_back(value_from(x, "array init"));
     }
@@ -358,9 +363,9 @@ json::Value cache_json(const CacheConfig& c) {
 
 CacheConfig cache_from(const json::Value& v) {
   CacheConfig c;
-  c.sets = static_cast<std::uint32_t>(num_at(v, "sets"));
-  c.ways = static_cast<std::uint32_t>(num_at(v, "ways"));
-  c.line_bytes = static_cast<Addr>(num_at(v, "line_bytes"));
+  c.sets = int_at<std::uint32_t>(v, "sets");
+  c.ways = int_at<std::uint32_t>(v, "ways");
+  c.line_bytes = int_at<Addr>(v, "line_bytes");
   c.placement = parse_placement(v.at("placement").as_string());
   c.validate();
   return c;
@@ -398,12 +403,11 @@ platform::MachineConfig machine_from(const json::Value& v) {
   m.l2.enabled = l2.at("enabled").as_bool();
   m.l2.l2 = cache_from(l2.at("geometry"));
   m.l2.policy = parse_l2_policy(l2.at("policy").as_string());
-  m.l2.latency = static_cast<std::uint64_t>(num_at(l2, "latency"));
+  m.l2.latency = int_at<std::uint64_t>(l2, "latency");
   const json::Value& t = v.at("timing");
-  m.timing.issue_cycles = static_cast<std::uint64_t>(num_at(t, "issue_cycles"));
-  m.timing.dl1_hit_cycles =
-      static_cast<std::uint64_t>(num_at(t, "dl1_hit_cycles"));
-  m.timing.mem_latency = static_cast<std::uint64_t>(num_at(t, "mem_latency"));
+  m.timing.issue_cycles = int_at<std::uint64_t>(t, "issue_cycles");
+  m.timing.dl1_hit_cycles = int_at<std::uint64_t>(t, "dl1_hit_cycles");
+  m.timing.mem_latency = int_at<std::uint64_t>(t, "mem_latency");
   return m;
 }
 

@@ -269,7 +269,6 @@ private:
   }
 
   void fetch(std::uint64_t code_key, std::uint64_t origin_key) {
-    if (!opt_.record_trace) return;
     const CodeSpan& span = linked_.span(code_key);
     for (std::uint32_t k = 0; k < span.n_instr; ++k) {
       trace_.emit(span.base + static_cast<Addr>(k) * kInstrBytes,
@@ -279,7 +278,6 @@ private:
   }
 
   void emit_data(const std::string& array, Value idx, AccessKind kind) {
-    if (!opt_.record_trace) return;
     const Addr base = linked_.array_base.at(array);
     const Addr addr = base + static_cast<Addr>(idx) * 4;
     trace_.emit(addr, kind);
@@ -303,26 +301,12 @@ private:
 
 }  // namespace
 
-const char* to_string(Executor executor) {
-  return executor == Executor::kTree ? "tree" : "vm";
-}
-
-Executor parse_executor(const std::string& text) {
-  if (text == "tree") return Executor::kTree;
-  if (text == "vm") return Executor::kVm;
-  throw std::invalid_argument("unknown executor '" + text +
-                              "' (expected tree or vm)");
-}
-
 ExecResult execute(const Program& program, const Linked& linked,
                    const InputVector& input, const ExecOptions& options) {
   obs::Span span("execute");
-  if (options.executor == Executor::kVm) {
-    // Fail-closed pipeline: the verifier gates every program before the VM
-    // sees it, which keeps the VM's unchecked operand stack safe.
-    return vm::run(compile_verified(program, linked), input, options);
-  }
-  return execute_tree(program, linked, input, options);
+  // Fail-closed pipeline: the verifier gates every program before the VM
+  // sees it, which keeps the VM's unchecked operand stack safe.
+  return vm::run(compile_verified(program, linked), input, options);
 }
 
 ExecResult execute_tree(const Program& program, const Linked& linked,

@@ -28,22 +28,19 @@ struct Env {
   std::map<std::string, std::vector<Value>> arrays;
 };
 
-/// Which engine runs the program. kVm — compile to flat bytecode
-/// (ir/bytecode) and execute on the dispatch-loop VM (ir/vm); the default
-/// everywhere. kTree — the original tree-walking interpreter, retained as
-/// the differential oracle (`execute_tree`). Both produce bit-identical
-/// ExecResults; the choice is purely a throughput knob, surfaced as
-/// StudySpec/mbcr `--executor {tree,vm}`.
-enum class Executor { kTree, kVm };
-
-const char* to_string(Executor executor);
-/// Parses "tree" / "vm"; throws std::invalid_argument on anything else.
-Executor parse_executor(const std::string& text);
+/// The product runs one IR engine: compile to flat bytecode (ir/bytecode),
+/// verify, and execute on the dispatch-loop VM (ir/vm). The tree-walker
+/// (`execute_tree`) is the reference the VM is pinned to, called directly
+/// by tests and the `vm` fuzz oracle.
+///
+/// Nothing in src/ reads this enum or the `executor` fields typed by it;
+/// they exist because the whole-study benchmark's rebuild
+/// (studybench/rebuild.cpp) still assigns them.
+enum class Executor { kVm };
 
 struct ExecOptions {
-  bool record_trace = true;
   std::uint64_t max_leaf_steps = 50'000'000;  ///< runaway guard
-  Executor executor = Executor::kVm;
+  Executor executor = Executor::kVm;          ///< unread; see Executor
 };
 
 struct ExecResult {
@@ -76,13 +73,13 @@ public:
   using std::runtime_error::runtime_error;
 };
 
-/// Executes `program` (laid out as `linked`) on `input` with the engine
-/// selected by `options.executor`.
+/// Executes `program` (laid out as `linked`) on `input`: compile, verify,
+/// then run on the bytecode VM.
 ExecResult execute(const Program& program, const Linked& linked,
                    const InputVector& input, const ExecOptions& options = {});
 
 /// The tree-walking reference interpreter — the oracle the bytecode VM is
-/// differentially pinned to. Ignores `options.executor`.
+/// differentially pinned to.
 ExecResult execute_tree(const Program& program, const Linked& linked,
                         const InputVector& input,
                         const ExecOptions& options = {});

@@ -22,8 +22,8 @@ struct GhostFrame {
 };
 
 /// One counter per opcode, "vm.op.kHalt" style, registered on first use.
-/// Tally machines accumulate dispatch counts in a local array and flush
-/// them here once per run, so the dispatch loop never touches a shard.
+/// The machine counts dispatches in a local array and flushes them here
+/// once per run, so the dispatch loop never touches a shard.
 const obs::Counter* op_counters() {
   static const std::vector<obs::Counter>* table = [] {
     auto* t = new std::vector<obs::Counter>;
@@ -37,7 +37,6 @@ const obs::Counter* op_counters() {
   return table->data();
 }
 
-template <bool RecordTrace, bool Tally = false>
 class Machine {
 public:
   Machine(const BytecodeProgram& bc, const ExecOptions& options)
@@ -72,7 +71,7 @@ public:
 
     exec_loop();
 
-    if constexpr (Tally) {
+    if (tally_on_) {
       const obs::Counter* ops = op_counters();
       for (std::size_t i = 0; i < kOpCodeCount; ++i) {
         if (tally_[i] != 0) ops[i].add(tally_[i]);
@@ -155,24 +154,23 @@ private:
   std::vector<std::uint64_t> tokens_;
   PathSignature path_;
   std::uint64_t steps_ = 0;
-  // Per-opcode dispatch counts; dead weight (never read) unless Tally.
+  // Per-opcode dispatch counts, flushed to vm.op.* only when collection
+  // was on as the run started.
   std::array<std::uint64_t, kOpCodeCount> tally_{};
+  bool tally_on_ = obs::enabled();
   // Deliberate `vm` fault (see util/fault.hpp): when compiled in and
   // armed, the first element load of a run yields value+1.
   bool vm_fault_pending_ =
       fault::compiled_in() && fault::armed().kind == fault::Kind::kVm;
 };
 
-template <bool RecordTrace, bool Tally>
-void Machine<RecordTrace, Tally>::exec_loop() {
+void Machine::exec_loop() {
   const Op* const base = bc_.ops.data();
   const Op* ip = base;
   Value* sp = stack_.data();
 
   for (;;) {
-    // The tally increment compiles away entirely unless this Machine was
-    // instantiated with Tally (which only happens while obs is enabled).
-    if constexpr (Tally) ++tally_[static_cast<std::size_t>(ip->code)];
+    ++tally_[static_cast<std::size_t>(ip->code)];
     switch (ip->code) {
       case OpCode::kHalt:
         return;
@@ -205,7 +203,7 @@ void Machine<RecordTrace, Tally>::exec_loop() {
         } else if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size) {
           raise_oob(arr, idx);
         }
-        if constexpr (RecordTrace) emit_data(arr, idx, AccessKind::kLoad);
+        emit_data(arr, idx, AccessKind::kLoad);
         Value v = heap_[arr.offset + static_cast<std::size_t>(idx)];
         if constexpr (fault::compiled_in()) {
           if (vm_fault_pending_) {
@@ -228,10 +226,8 @@ void Machine<RecordTrace, Tally>::exec_loop() {
         }
         // Ghost stores are demoted to loads: same line touched, no
         // architectural effect outside the shadow frame.
-        if constexpr (RecordTrace) {
-          emit_data(arr, idx,
-                    ghost_depth_ > 0 ? AccessKind::kLoad : AccessKind::kStore);
-        }
+        emit_data(arr, idx,
+                  ghost_depth_ > 0 ? AccessKind::kLoad : AccessKind::kStore);
         heap_[arr.offset + static_cast<std::size_t>(idx)] = value;
         ++ip;
         continue;
@@ -378,12 +374,12 @@ void Machine<RecordTrace, Tally>::exec_loop() {
 
       case OpCode::kStepFetch: {
         step();
-        if constexpr (RecordTrace) do_fetch(bc_.sites[ip->a]);
+        do_fetch(bc_.sites[ip->a]);
         ++ip;
         continue;
       }
       case OpCode::kFetch: {
-        if constexpr (RecordTrace) do_fetch(bc_.sites[ip->a]);
+        do_fetch(bc_.sites[ip->a]);
         ++ip;
         continue;
       }
@@ -467,21 +463,7 @@ void Machine<RecordTrace, Tally>::exec_loop() {
 
 ExecResult run(const BytecodeProgram& bytecode, const InputVector& input,
                const ExecOptions& options) {
-  // Tally machines are separate instantiations so the default dispatch
-  // loops carry zero instrumentation; selected only while obs is on.
-  if (obs::enabled()) {
-    if (options.record_trace) {
-      Machine<true, true> machine(bytecode, options);
-      return machine.run(input);
-    }
-    Machine<false, true> machine(bytecode, options);
-    return machine.run(input);
-  }
-  if (options.record_trace) {
-    Machine<true> machine(bytecode, options);
-    return machine.run(input);
-  }
-  Machine<false> machine(bytecode, options);
+  Machine machine(bytecode, options);
   return machine.run(input);
 }
 

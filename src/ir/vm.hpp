@@ -19,9 +19,9 @@
 
 namespace mbcr::ir::vm {
 
-/// Executes compiled bytecode on `input`. `options.executor` is ignored
-/// (this IS the VM); record_trace and max_leaf_steps behave exactly as in
-/// the tree-walker.
+/// Executes compiled bytecode on `input`; max_leaf_steps behaves exactly
+/// as in the tree-walker. While obs collection is on, each run adds its
+/// per-opcode dispatch counts to the vm.op.* counters.
 ExecResult run(const BytecodeProgram& bytecode, const InputVector& input,
                const ExecOptions& options = {});
 

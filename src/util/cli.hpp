@@ -15,7 +15,9 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -57,6 +59,21 @@ bool parse_bool(const char* flag, const std::string& value);
 /// decimal integer in [0, 2^64) — no sign, no whitespace, no trailing
 /// text. Throws std::invalid_argument naming the flag otherwise.
 std::uint64_t parse_u64(const char* flag, const std::string& value);
+
+/// `parse_u64` narrowed to the integer type `T`: a value above T's maximum
+/// throws std::invalid_argument naming the flag instead of wrapping
+/// (`--sets 4294967297` must not run a 1-set cache).
+template <typename T>
+T parse_uint(const char* flag, const std::string& value) {
+  const std::uint64_t v = parse_u64(flag, value);
+  const auto max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  if (v > max) {
+    throw std::invalid_argument(std::string("flag --") + flag + ": " + value +
+                                " is out of range (at most " +
+                                std::to_string(max) + ")");
+  }
+  return static_cast<T>(v);
+}
 
 /// The CLI usage-error exit path: prints `program: message` plus a help
 /// hint to stderr and exits 2 — the same contract as Cli/SubcommandCli

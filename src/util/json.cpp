@@ -242,6 +242,14 @@ struct Parser {
 
 }  // namespace
 
+void integer_range_error(const std::string& what, double got,
+                         const std::string& lo, const std::string& hi) {
+  std::ostringstream os;
+  write_number(os, got);
+  throw std::invalid_argument(what + ": expected an integer in [" + lo +
+                              ", " + hi + "], got " + os.str());
+}
+
 bool Value::as_bool() const {
   if (!is_bool()) type_error("a bool");
   return std::get<bool>(data_);

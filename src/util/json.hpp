@@ -10,8 +10,10 @@
 // rather than rejected.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -78,5 +80,26 @@ private:
 /// Parses one JSON document (trailing whitespace only after it).
 /// Throws std::invalid_argument with a byte offset on malformed input.
 Value parse(std::string_view text);
+
+[[noreturn]] void integer_range_error(const std::string& what, double got,
+                                      const std::string& lo,
+                                      const std::string& hi);
+
+/// `v`'s number as the integer type `T`. Throws std::invalid_argument
+/// naming `what` unless the number is whole and `T` holds it: a cast would
+/// silently drop a fraction, and an out-of-range one is undefined.
+template <typename T>
+T as_integer(const Value& v, const std::string& what) {
+  using Limits = std::numeric_limits<T>;
+  // T's max + 1 is 2^digits, so both bounds are exact doubles.
+  const double lo = static_cast<double>(Limits::min());
+  const double hi = std::ldexp(1.0, Limits::digits);
+  const double d = v.as_number();
+  if (!(d >= lo && d < hi && std::trunc(d) == d)) {
+    integer_range_error(what, d, std::to_string(Limits::min()),
+                        std::to_string(Limits::max()));
+  }
+  return static_cast<T>(d);
+}
 
 }  // namespace mbcr::json

@@ -3,12 +3,14 @@
 // non-atomic writer leaves behind) must raise std::invalid_argument with
 // a byte offset, never a half-default spec, a bare runtime_error (exit 1
 // instead of 2) or a crash. Same contract for type-mangled specs and for
-// the fuzz repro loader over its committed corpus.
+// the fuzz repro loader over its committed corpus, and for integer
+// members that do not fit their field.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/study.hpp"
 #include "fuzz/repro.hpp"
@@ -70,6 +72,61 @@ TEST(SpecHardening, TypeMangledSpecsAreUsageErrorsNotRuntimeErrors) {
            R"([1, 2, 3])",
        }) {
     EXPECT_THROW(load_spec_text(doc), std::invalid_argument) << doc;
+  }
+}
+
+TEST(SpecHardening, OutOfRangeIntegersAreUsageErrorsNamingTheMember) {
+  // A double-to-integer cast out of range is undefined behaviour, and a
+  // fraction is dropped: "sets": -1 used to run 4294967295 sets, 2.5 ran
+  // 2, 1e12 ran 3567587328, "max_runs": -5 read as 2^64.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"suite": "bs", "machine": {"il1": {"sets": -1}}})",
+       "machine.il1.sets"},
+      {R"({"suite": "bs", "machine": {"il1": {"sets": 2.5}}})",
+       "machine.il1.sets"},
+      {R"({"suite": "bs", "machine": {"dl1": {"sets": 1e12}}})",
+       "machine.dl1.sets"},
+      {R"({"suite": "bs", "machine": {"l2": {"ways": 4294967296}}})",
+       "machine.l2.ways"},
+      {R"({"suite": "bs", "convergence": {"max_runs": -5}})",
+       "convergence.max_runs"},
+      {R"({"suite": "bs", "campaign": {"threads": -1}})", "campaign.threads"},
+      {R"({"suite": "bs", "campaign": {"master_seed": -1}})", "seed"},
+      {R"({"suite": "bs", "curve_max_exp": 2147483648})", "curve_max_exp"},
+      {R"({"suite": "bs", "measure_runs": 1e300})", "measure_runs"},
+  };
+  for (const auto& [doc, member] : cases) {
+    try {
+      load_spec_text(doc);
+      FAIL() << doc << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(member), std::string::npos)
+          << doc << ": " << e.what();
+    }
+  }
+  // Whole numbers in range still load, written in any JSON spelling.
+  const StudySpec spec = load_spec_text(
+      R"({"suite": "bs", "machine": {"il1": {"sets": 4294967295}},)"
+      R"( "convergence": {"max_runs": 2e3}})");
+  EXPECT_EQ(spec.config.machine.il1.sets, 4294967295u);
+  EXPECT_EQ(spec.config.convergence.max_runs, 2000u);
+}
+
+TEST(SpecHardening, ReproLoaderRejectsOutOfRangeIntegers) {
+  const std::string full = read_all(
+      std::string(MBCR_SOURCE_DIR) +
+      "/tests/fuzz_corpus/corpus/seed-all-nested.json");
+  for (const auto& [from, to] :
+       {std::pair<const char*, const char*>{"\"sets\": 4", "\"sets\": -1"},
+        {"\"ways\": 8", "\"ways\": 2.5"},
+        {"\"mem_latency\": 100", "\"mem_latency\": -100"}}) {
+    std::string text = full;
+    const auto at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, std::string(from).size(), to);
+    EXPECT_THROW(fuzz::repro_from_json(json::parse(text)),
+                 std::invalid_argument)
+        << to;
   }
 }
 

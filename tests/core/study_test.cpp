@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "core/report.hpp"
 #include "suite/malardalen.hpp"
@@ -62,8 +64,6 @@ TEST(StudySpec, FlagDefaultsReproduceDefaultSpec) {
   EXPECT_EQ(spec.curve_max_exp, dflt.curve_max_exp);
   EXPECT_EQ(spec.config.pub.merge, dflt.config.pub.merge);
   EXPECT_EQ(spec.config.pub.pad_loops, dflt.config.pub.pad_loops);
-  EXPECT_EQ(spec.config.executor, ir::Executor::kVm);
-  EXPECT_EQ(spec.config.executor, dflt.config.executor);
 }
 
 TEST(StudySpec, FromFlagsParsesOverrides) {
@@ -81,7 +81,6 @@ TEST(StudySpec, FromFlagsParsesOverrides) {
   flags["pwcet-prob"] = "1e-9";
   flags["measure-pub"] = "true";
   flags["pub-merge"] = "append";
-  flags["executor"] = "tree";
   const StudySpec spec = StudySpec::from_flags(flags);
   EXPECT_EQ(spec.suite, "crc");
   EXPECT_EQ(spec.mode, StudyMode::kMultipath);
@@ -96,7 +95,6 @@ TEST(StudySpec, FromFlagsParsesOverrides) {
   EXPECT_DOUBLE_EQ(spec.config.pwcet_probability, 1e-9);
   EXPECT_TRUE(spec.measure_pub);
   EXPECT_EQ(spec.config.pub.merge, pub::BranchMerge::kAppendGhost);
-  EXPECT_EQ(spec.config.executor, ir::Executor::kTree);
 }
 
 TEST(StudySpec, FromFlagsRejectsBadValues) {
@@ -128,9 +126,37 @@ TEST(StudySpec, FromFlagsRejectsBadValues) {
   flags = StudySpec::flag_spec();
   flags["pad-loops"] = "2";
   EXPECT_THROW(StudySpec::from_flags(flags), std::invalid_argument);
-  flags = StudySpec::flag_spec();
-  flags["executor"] = "jit";
-  EXPECT_THROW(StudySpec::from_flags(flags), std::invalid_argument);
+}
+
+TEST(StudySpec, FromFlagsRejectsIntegersTheFieldCannotHold) {
+  // Each of these used to wrap silently: --sets 4294967297 ran a 1-set
+  // L1, --ways 4294967298 two ways, --curve-exp 4294967301 five decades.
+  const std::pair<const char*, const char*> cases[] = {
+      {"sets", "4294967297"},     {"ways", "4294967298"},
+      {"l2-sets", "4294967296"},  {"l2-ways", "4294967296"},
+      {"threads", "4294967297"},  {"curve-exp", "4294967301"},
+      {"curve-exp", "2147483648"},
+  };
+  for (const auto& [flag, value] : cases) {
+    auto flags = StudySpec::flag_spec();
+    flags["suite"] = "bs";
+    flags[flag] = value;
+    try {
+      StudySpec::from_flags(flags);
+      FAIL() << "--" << flag << " " << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + flag),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest value each field holds still parses.
+  auto flags = StudySpec::flag_spec();
+  flags["sets"] = "4294967295";
+  flags["curve-exp"] = "2147483647";
+  const StudySpec spec = StudySpec::from_flags(flags);
+  EXPECT_EQ(spec.config.machine.il1.sets, 4294967295u);
+  EXPECT_EQ(spec.curve_max_exp, 2147483647);
 }
 
 TEST(StudySpec, FromFlagsParsesHierarchyAndPlacement) {
@@ -204,7 +230,6 @@ TEST(StudySpec, JsonRoundTripsExactly) {
   flags["l2-latency"] = "12";
   flags["tolerance"] = "0.07";
   flags["pub-merge"] = "append";
-  flags["executor"] = "tree";
   const StudySpec spec = StudySpec::from_flags(flags);
 
   const json::Value doc = spec.to_json();
@@ -215,7 +240,6 @@ TEST(StudySpec, JsonRoundTripsExactly) {
   EXPECT_EQ(back.config.machine.l2.l2.placement, Placement::kModulo);
   EXPECT_EQ(back.config.machine.il1.placement, Placement::kModulo);
   EXPECT_EQ(back.config.pub.merge, pub::BranchMerge::kAppendGhost);
-  EXPECT_EQ(back.config.executor, ir::Executor::kTree);
 }
 
 TEST(StudySpec, CampaignBatchIsAFixedV6FieldAndIgnoredOnRead) {
@@ -254,34 +278,37 @@ TEST(StudySpec, FromJsonReadsV1DocumentsWithDefaults) {
   const StudySpec dflt;
   EXPECT_EQ(spec.config.convergence.max_runs,
             dflt.config.convergence.max_runs);
-  // Pre-executor documents (v1-v3) run on the bytecode VM: bit-identical
-  // to the tree-walker that produced them, so replays stay exact too.
-  EXPECT_EQ(spec.config.executor, ir::Executor::kVm);
   EXPECT_NO_THROW(spec.validate());
 }
 
-TEST(StudySpec, TreeAndVmExecutorsProduceIdenticalStudies) {
-  // The executor is a pure throughput knob: the whole study document —
-  // traces, campaigns, convergence, TAC, pWCET curves — must be
-  // byte-identical apart from the recorded executor name.
+TEST(StudySpec, ExecutorIsAFixedV6FieldThatStillReadsTree) {
+  // The bytecode VM is the only engine: --executor is not a flag, and
+  // documents always carry "executor": "vm". A v4-v6 document written
+  // with "tree" loads, runs and writes the same bytes as with "vm" (the
+  // two engines were bit-identical); any other value is malformed.
+  EXPECT_EQ(StudySpec::flag_spec().count("executor"), 0u);
   StudySpec spec = fast_spec("bs", StudyMode::kPubTac);
   spec.config.convergence.max_runs = 2000;
   spec.config.tac.max_runs_cap = 2000;
-  spec.config.executor = ir::Executor::kVm;
-  const StudyResult vm = run_study(spec);
-  spec.config.executor = ir::Executor::kTree;
-  const StudyResult tree = run_study(spec);
-
-  std::ostringstream vm_json, tree_json;
-  vm.write_json(vm_json);
-  tree.write_json(tree_json);
-  std::string vm_text = vm_json.str();
-  const std::string tree_text = tree_json.str();
-  const auto at = vm_text.find("\"executor\": \"vm\"");
+  std::ostringstream written;
+  run_study(spec).write_json(written);
+  const std::string vm_doc = written.str();  // a whole mbcr-study-v6 doc
+  const std::string field = "\"executor\": \"vm\"";
+  const auto at = vm_doc.find(field);
   ASSERT_NE(at, std::string::npos);
-  vm_text.replace(at, std::string("\"executor\": \"vm\"").size(),
-                  "\"executor\": \"tree\"");
-  EXPECT_EQ(vm_text, tree_text);
+  const auto with_executor = [&](const char* name) {
+    return std::string(vm_doc).replace(
+        at, field.size(), std::string("\"executor\": \"") + name + "\"");
+  };
+
+  const auto run_text = [](const std::string& doc) {
+    std::ostringstream out;
+    run_study(StudySpec::from_json(json::parse(doc))).write_json(out);
+    return out.str();
+  };
+  EXPECT_EQ(run_text(with_executor("tree")), vm_doc);
+  EXPECT_THROW(StudySpec::from_json(json::parse(with_executor("jit"))),
+               std::invalid_argument);
 }
 
 TEST(StudySpec, FromJsonAcceptsWholeResultDocuments) {

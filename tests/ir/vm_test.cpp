@@ -237,19 +237,6 @@ TEST(VmEquivalence, TwoHundredRandomProgramsOriginalAndPubbed) {
   }
 }
 
-TEST(VmEquivalence, TraceOffRunsAreIdenticalToo) {
-  ExecOptions options;
-  options.record_trace = false;
-  const suite::SuiteBenchmark bs = suite::make_bs();
-  expect_identical(bs.program, bs.default_input, options, "bs trace-off");
-  // And trace-off really is off, but still counts leaf steps.
-  const Program p = sum_program();
-  const ExecResult r = vm::run(compile(p, lower(p)), {}, options);
-  EXPECT_TRUE(r.trace.accesses.empty());
-  EXPECT_TRUE(r.tokens.empty());
-  EXPECT_GT(r.leaf_steps, 0u);
-}
-
 // --- error parity ---------------------------------------------------------
 
 TEST(VmErrors, DivisionAndModuloByZeroTextsMatchTheTreeWalker) {
@@ -348,30 +335,6 @@ TEST(VmErrors, UndeclaredInputTextsMatchTheTreeWalker) {
   overflow.label = "bad";
   overflow.arrays["a"] = {1, 2, 3, 4, 5};
   expect_identical(p, overflow);
-}
-
-// --- executor surface -----------------------------------------------------
-
-TEST(VmExecutor, ExecuteDispatchesOnTheExecutorOption) {
-  const Program p = sum_program();
-  const Linked linked = lower(p);
-  ExecOptions options;
-  options.executor = Executor::kVm;
-  const ExecResult via_vm = execute(p, linked, {}, options);
-  options.executor = Executor::kTree;
-  const ExecResult via_tree = execute(p, linked, {}, options);
-  EXPECT_EQ(via_vm.trace.accesses, via_tree.trace.accesses);
-  EXPECT_EQ(via_vm.env.scalars.at("x"), 100);
-  EXPECT_EQ(via_tree.env.scalars.at("x"), 100);
-}
-
-TEST(VmExecutor, ExecutorNamesParseAndPrint) {
-  EXPECT_STREQ(to_string(Executor::kTree), "tree");
-  EXPECT_STREQ(to_string(Executor::kVm), "vm");
-  EXPECT_EQ(parse_executor("tree"), Executor::kTree);
-  EXPECT_EQ(parse_executor("vm"), Executor::kVm);
-  EXPECT_THROW(parse_executor("jit"), std::invalid_argument);
-  EXPECT_EQ(ExecOptions{}.executor, Executor::kVm);  // the default engine
 }
 
 }  // namespace

@@ -2,12 +2,14 @@
 // result. Instrumentation only reads engine state, so a metrics-on run is
 // bit-identical to a metrics-off run — samples, tokens, estimates, study
 // JSON. These tests pin that over the engine grid (single-level,
-// random-L2, LRU-L2 x hash/modulo placement), the VM's tally
-// instantiations, the convergence driver, and the full Study API.
+// random-L2, LRU-L2 x hash/modulo placement), the VM's opcode tallies,
+// the convergence driver, and the full Study API.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/study.hpp"
@@ -120,9 +122,9 @@ TEST(ObsEquivalence, RunOnceReplayUnaffectedByCollection) {
   }
 }
 
-TEST(ObsEquivalence, VmTallyMachinesProduceIdenticalExecutions) {
-  // obs-on selects the Tally VM instantiations (per-opcode dispatch
-  // counts); trace, tokens, path, and leaf steps must not move.
+TEST(ObsEquivalence, VmExecutionsAreIdenticalWithTalliesFlushed) {
+  // obs-on makes the VM flush its per-opcode dispatch counts after each
+  // run; trace, tokens, path, and leaf steps must not move.
   for (const suite::SuiteEntry& entry : suite::all()) {
     const suite::SuiteBenchmark bench = entry.make();
     const ir::ExecResult off =
@@ -139,19 +141,44 @@ TEST(ObsEquivalence, VmTallyMachinesProduceIdenticalExecutions) {
   }
 }
 
+/// The vm.op.* counters of the current snapshot, by name.
+std::map<std::string, double> vm_op_counters() {
+  std::map<std::string, double> ops;
+  const json::Value snap = metrics_json();
+  for (const auto& [name, value] : snap.at("counters").as_object()) {
+    if (name.rfind("vm.op.", 0) == 0) ops[name] = value.as_number();
+  }
+  return ops;
+}
+
 TEST(ObsEquivalence, VmOpcodeTalliesActuallyCount) {
   // The flip side of the equivalence proof: with collection on, the VM
   // does report dispatches (otherwise the previous test would pass
-  // vacuously with dead instrumentation).
+  // vacuously with dead instrumentation), and exactly. It always counts
+  // but flushes only when collection was on as the run started, so two
+  // armed runs give twice one run's counts and a disarmed run between
+  // them adds nothing.
   const suite::SuiteBenchmark bench = suite::make_benchmark("bs");
   FullObsScope obs_on;
+  const std::uint64_t steps =
+      ir::lower_and_execute(bench.program, bench.default_input).leaf_steps;
+  const std::map<std::string, double> once = vm_op_counters();
+  ASSERT_EQ(once.count("vm.op.kStepFetch"), 1u)
+      << "no vm.op.* dispatch counters collected";
+  // Every leaf step is one kStepFetch dispatch: an independent count.
+  EXPECT_EQ(once.at("vm.op.kStepFetch"), static_cast<double>(steps));
+
+  set_enabled(false);
   (void)ir::lower_and_execute(bench.program, bench.default_input);
-  const json::Value snap = metrics_json();
-  double total = 0;
-  for (const auto& [name, value] : snap.at("counters").as_object()) {
-    if (name.rfind("vm.op.", 0) == 0) total += value.as_number();
+  EXPECT_EQ(vm_op_counters(), once) << "a disarmed run flushed its tally";
+  set_enabled(true);
+
+  (void)ir::lower_and_execute(bench.program, bench.default_input);
+  const std::map<std::string, double> twice = vm_op_counters();
+  ASSERT_EQ(twice.size(), once.size());
+  for (const auto& [name, count] : once) {
+    EXPECT_EQ(twice.at(name), 2 * count) << name;
   }
-  EXPECT_GT(total, 0.0) << "no vm.op.* dispatch counters collected";
 }
 
 TEST(ObsEquivalence, ConvergenceEstimatesAreBitIdentical) {
