@@ -869,6 +869,25 @@ struct UsageSnapshot {
   }
 };
 
+/// A measure study's campaigns: runs [first_run, first_run + count) of
+/// every resolved input, on the pubbed program when the spec asks for it.
+void measure_inputs(const StudySpec& spec, const Resolved& resolved,
+                    const Analyzer& analyzer, std::size_t first_run,
+                    std::size_t count, StudyResult& out) {
+  const ir::Program* program = &resolved.program;
+  ir::Program pubbed;
+  if (spec.measure_pub) {
+    pubbed = pub::apply_pub(resolved.program, spec.config.pub);
+    program = &pubbed;
+  }
+  out.program_name = program->name;
+  for (const ir::InputVector& in : resolved.inputs) {
+    out.samples.push_back(
+        {in.label, analyzer.measure(*program, in, count, first_run)});
+    out.runs_executed += count;
+  }
+}
+
 }  // namespace
 
 StudyResult run_study(const StudySpec& requested) {
@@ -889,21 +908,9 @@ StudyResult run_study(const StudySpec& requested) {
   out.spec = spec;
 
   switch (spec.mode) {
-    case StudyMode::kMeasure: {
-      const ir::Program* program = &resolved.program;
-      ir::Program pubbed;
-      if (spec.measure_pub) {
-        pubbed = pub::apply_pub(resolved.program, spec.config.pub);
-        program = &pubbed;
-      }
-      out.program_name = program->name;
-      for (const ir::InputVector& in : resolved.inputs) {
-        out.samples.push_back(
-            {in.label, analyzer.measure(*program, in, spec.measure_runs)});
-        out.runs_executed += spec.measure_runs;
-      }
+    case StudyMode::kMeasure:
+      measure_inputs(spec, resolved, analyzer, 0, spec.measure_runs, out);
       break;
-    }
     case StudyMode::kMultipath: {
       Analyzer::MultiPathAnalysis multi = analyzer.analyze_pubbed_paths(
           resolved.program, resolved.inputs, /*with_tac=*/true);
@@ -959,22 +966,10 @@ StudyResult run_measure_slice(const StudySpec& spec, std::size_t first_run,
         std::to_string(first_run + count) + ") exceeds measure_runs " +
         std::to_string(spec.measure_runs));
   }
-  Resolved resolved = resolve(spec);
-  const ir::Program* program = &resolved.program;
-  ir::Program pubbed;
-  if (spec.measure_pub) {
-    pubbed = pub::apply_pub(resolved.program, spec.config.pub);
-    program = &pubbed;
-  }
-  const Analyzer analyzer(spec.config);
   StudyResult out;
   out.spec = spec;
-  out.program_name = program->name;
-  for (const ir::InputVector& in : resolved.inputs) {
-    out.samples.push_back(
-        {in.label, analyzer.measure(*program, in, count, first_run)});
-    out.runs_executed += count;
-  }
+  measure_inputs(spec, resolve(spec), Analyzer(spec.config), first_run, count,
+                 out);
   return out;
 }
 

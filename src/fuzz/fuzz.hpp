@@ -6,6 +6,21 @@
 // ceiling conservatism, the Study JSON round trip, and the bytecode VM
 // vs tree-walker differential.
 //
+// One driver, `run_fuzz`, brackets every case with an obs counter
+// snapshot and turns the delta into coverage features (coverage.hpp);
+// cases that light features never seen before become seeds of a corpus.
+// With `guided` set, later cases are mutations of corpus seeds
+// (mutate.hpp), scheduled by energy: a seed's weight is the rarity of its
+// features, so cases that reached uncommon replay/TAC/verifier paths get
+// mutated more. Blind cases (`make_case`) are still interleaved — fresh
+// programs escape plateaus that mutation alone cannot. Without `guided`
+// the driver runs the blind stream only, coverage still measured.
+//
+// Everything — case stream, corpus membership, corpus file bytes, the
+// coverage document — is a pure function of `rng_seed`, whatever the
+// thread count: coverage features exclude time-valued counters, and all
+// scheduling randomness comes from one deterministic generator.
+//
 // On a failure the greedy shrinker (shrink.hpp) minimizes the case while
 // preserving the failure, and the harness emits a self-contained repro
 // document (repro.hpp) that the `FuzzCorpus` test suite replays forever
@@ -15,17 +30,17 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "fuzz/coverage.hpp"
 #include "ir/program.hpp"
 #include "ir/randprog.hpp"
 #include "platform/machine.hpp"
+#include "util/json.hpp"
 
 namespace mbcr::fuzz {
-
-struct Oracle;
-struct OracleOutcome;
 
 /// Everything one fuzz case needs to be replayed: the program, its input
 /// vectors, the platform run seeds the replay oracles sample, and the base
@@ -53,7 +68,9 @@ struct FuzzConfig {
   std::string oracle = "all"; ///< one oracle name, or "all"
   std::string corpus_dir;     ///< where shrunk repros are written ("" = cwd)
   bool shrink = true;
-  std::size_t max_failures = 5;  ///< stop scanning after this many failures
+  bool guided = false;        ///< mutate corpus seeds; false: blind stream
+  std::string corpus_out;     ///< directory for corpus seed files
+                              ///< ("" = keep the corpus in memory only)
   /// Harness self-test: perturbs the fast replay observation inside the
   /// replay oracle so every case fails. Proves the fuzzer can detect,
   /// shrink and emit — without a fault-injection build.
@@ -70,6 +87,13 @@ struct FuzzFailure {
   std::string repro_path;    ///< written repro file ("" if none)
 };
 
+/// One corpus entry, in discovery order.
+struct CorpusSeed {
+  std::uint64_t case_seed = 0;
+  std::size_t new_features = 0;  ///< features this seed lit first
+  std::string file;              ///< written seed file ("" if none)
+};
+
 struct FuzzReport {
   std::size_t cases_run = 0;
   std::size_t oracle_runs = 0;
@@ -78,6 +102,15 @@ struct FuzzReport {
   /// cases were claimed, every repro found so far is already on disk, and
   /// the front-end exits 128+signal instead of 0/1.
   int interrupted_by = 0;
+  std::size_t blind_cases = 0;
+  std::size_t mutated_cases = 0;
+  /// Mutants whose oracles threw (out-of-bounds index, runaway loop, ...):
+  /// discarded, not failures.
+  std::size_t rejected_cases = 0;
+  std::size_t features_discovered = 0;
+  std::vector<CorpusSeed> corpus;
+  std::map<Feature, std::uint64_t> feature_hits;
+  double wall_s = 0;  ///< the loop's wall time (not in coverage_document)
   bool ok() const { return failures.empty(); }
 };
 
@@ -87,30 +120,21 @@ struct FuzzReport {
 FuzzCaseData make_case(std::uint64_t rng_seed, std::size_t index,
                        std::size_t n_seeds);
 
-/// Runs the campaign. Throws std::invalid_argument on a bad config
-/// (unknown oracle name, zero programs/seeds without a time budget).
+/// A copy of `data` whose statement tree is safe to edit in place (the
+/// shrinker's and the mutators' idiom: everything else is value-copied).
+FuzzCaseData editable(const FuzzCaseData& data);
+
+/// Runs the campaign. Arms obs collection for the process — the coverage
+/// signal needs it. Stops after 5 failures. A blind case whose oracle
+/// throws propagates the exception; only mutants are rejected. Throws
+/// std::invalid_argument on a bad config (unknown oracle name, zero
+/// programs/seeds without a time budget).
 FuzzReport run_fuzz(const FuzzConfig& config);
 
-// --- shared driver machinery (run_fuzz + the guided engine) ---------------
-
-/// Resolves "all"/"" or one oracle name to the oracles to run. Throws
-/// std::invalid_argument (listing the known names) on an unknown name.
-std::vector<const Oracle*> select_oracles(const std::string& oracle);
-
-/// Runs one case through `oracles` in order (with per-oracle obs run/wall
-/// tallies), counting into `report.oracle_runs`. Returns the first
-/// failing oracle — its outcome in `*outcome` — or nullptr when every
-/// oracle passes. Oracle exceptions (ExecError on a semantically bad
-/// mutant) propagate to the caller.
-const Oracle* probe_case(const FuzzCaseData& data,
-                         const std::vector<const Oracle*>& oracles,
-                         bool inject_fault, FuzzReport& report,
-                         OracleOutcome* outcome);
-
-/// The failure path both drivers share: logs, shrinks per `config`,
-/// writes the repro document, appends to `report.failures`.
-void record_failure(const FuzzCaseData& data, std::size_t index,
-                    const Oracle& oracle, const OracleOutcome& outcome,
-                    const FuzzConfig& config, FuzzReport& report);
+/// The coverage document (schema `mbcr-fuzz-coverage-v1`): every field is
+/// deterministic under a fixed `rng_seed` — no timings — so two runs'
+/// documents are byte-identical.
+json::Value coverage_document(const FuzzConfig& config,
+                              const FuzzReport& report);
 
 }  // namespace mbcr::fuzz

@@ -14,14 +14,6 @@ namespace mbcr::fuzz {
 
 namespace {
 
-/// A cloned case whose statement tree is safe to edit in place (the
-/// shrinker's idiom: everything else is value-copied).
-FuzzCaseData editable(const FuzzCaseData& data) {
-  FuzzCaseData out = data;
-  out.program.body = ir::clone(data.program.body);
-  return out;
-}
-
 bool validates(const FuzzCaseData& data) {
   try {
     ir::validate(data.program);

@@ -157,13 +157,6 @@ void strip_array_stmt(ir::StmtPtr& s, const std::string& arr) {
 
 // --- candidate generation -------------------------------------------------
 
-/// A cloned case whose statement tree is safe to edit in place.
-FuzzCaseData editable(const FuzzCaseData& data) {
-  FuzzCaseData out = data;
-  out.program.body = ir::clone(data.program.body);
-  return out;
-}
-
 using Candidates = std::vector<FuzzCaseData>;
 
 Candidates input_candidates(const FuzzCaseData& data) {

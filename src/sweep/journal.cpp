@@ -50,9 +50,10 @@ std::vector<SweepUnit> units_from_json(const json::Value& v) {
   std::vector<SweepUnit> out;
   for (const json::Value& item : v.as_array()) {
     SweepUnit u;
-    u.point = static_cast<std::size_t>(item.at("point").as_number());
-    u.first_run = static_cast<std::size_t>(item.at("first_run").as_number());
-    u.runs = static_cast<std::size_t>(item.at("runs").as_number());
+    u.point = json::as_integer<std::size_t>(item.at("point"), "point");
+    u.first_run =
+        json::as_integer<std::size_t>(item.at("first_run"), "first_run");
+    u.runs = json::as_integer<std::size_t>(item.at("runs"), "runs");
     out.push_back(u);
   }
   return out;
@@ -134,9 +135,9 @@ Manifest load_manifest(const std::string& dir) {
     }
     m.sweep_id = doc.at("sweep_id").as_string();
     m.spec = doc.at("spec");
-    m.shards = static_cast<std::size_t>(doc.at("shards").as_number());
-    m.units = static_cast<std::size_t>(doc.at("units").as_number());
-    m.points = static_cast<std::size_t>(doc.at("points").as_number());
+    m.shards = json::as_integer<std::size_t>(doc.at("shards"), "shards");
+    m.units = json::as_integer<std::size_t>(doc.at("units"), "units");
+    m.points = json::as_integer<std::size_t>(doc.at("points"), "points");
     if (m.shards == 0) throw std::runtime_error("zero shards");
     return m;
   } catch (const std::exception& e) {
@@ -188,7 +189,7 @@ std::optional<ShardResult> load_shard_result(const std::string& dir,
                   " does not match " + sweep_id);
     }
     ShardResult result;
-    result.shard = static_cast<std::size_t>(doc.at("shard").as_number());
+    result.shard = json::as_integer<std::size_t>(doc.at("shard"), "shard");
     if (result.shard != shard) {
       return fail(path + ": shard number mismatch");
     }

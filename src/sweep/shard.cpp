@@ -1,27 +1,15 @@
 #include "sweep/shard.hpp"
 
-#include <charconv>
 #include <stdexcept>
 
 #include "cache/cache_config.hpp"
 #include "cache/hierarchy.hpp"
 #include "util/atomic_file.hpp"
+#include "util/cli.hpp"
 
 namespace mbcr::sweep {
 
 namespace {
-
-std::uint32_t parse_dim(std::string_view text, const std::string& whole) {
-  std::uint32_t out = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  if (ec != std::errc() || end != text.data() + text.size() || out == 0) {
-    throw std::invalid_argument("sweep geometry '" + whole +
-                                "': expected SETSxWAYS with positive "
-                                "integers, e.g. 64x2");
-  }
-  return out;
-}
 
 /// "64x2" -> {sets 64, ways 2}.
 std::pair<std::uint32_t, std::uint32_t> parse_geometry(
@@ -31,19 +19,30 @@ std::pair<std::uint32_t, std::uint32_t> parse_geometry(
     throw std::invalid_argument("sweep geometry '" + text +
                                 "': expected SETSxWAYS, e.g. 64x2");
   }
-  return {parse_dim(std::string_view(text).substr(0, x), text),
-          parse_dim(std::string_view(text).substr(x + 1), text)};
+  try {
+    const auto sets =
+        parse_uint<std::uint32_t>("geometries", text.substr(0, x));
+    const auto ways =
+        parse_uint<std::uint32_t>("geometries", text.substr(x + 1));
+    if (sets != 0 && ways != 0) return {sets, ways};
+  } catch (const std::invalid_argument&) {
+    // The geometry may come from a spec document, not a flag: report it
+    // as a geometry, not as `--geometries`.
+  }
+  throw std::invalid_argument("sweep geometry '" + text +
+                              "': expected SETSxWAYS with positive "
+                              "integers, e.g. 64x2");
 }
 
-std::uint64_t parse_seed_text(const std::string& text) {
-  std::uint64_t out = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  if (ec != std::errc() || end != text.data() + text.size()) {
-    throw std::invalid_argument("sweep seed '" + text +
+/// A decimal-string member of the `seeds` array (64-bit seeds are
+/// strings in spec JSON, like StudySpec's).
+std::uint64_t seed_member(const std::string& text) {
+  try {
+    return parse_u64("seeds", text);
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument("sweep spec: seeds member '" + text +
                                 "': expected a non-negative integer");
   }
-  return out;
 }
 
 json::Value string_array(const std::vector<std::string>& items) {
@@ -169,14 +168,14 @@ SweepSpec SweepSpec::from_json(const json::Value& doc) {
     read_strings("placements", spec.placements);
     if (const json::Value* v = doc.find("seeds")) {
       for (const json::Value& item : v->as_array()) {
-        spec.seeds.push_back(item.is_string()
-                                 ? parse_seed_text(item.as_string())
-                                 : static_cast<std::uint64_t>(
-                                       item.as_number()));
+        spec.seeds.push_back(
+            item.is_string()
+                ? seed_member(item.as_string())
+                : json::as_integer<std::uint64_t>(item, "seeds"));
       }
     }
     if (const json::Value* v = doc.find("slice_runs")) {
-      spec.slice_runs = static_cast<std::size_t>(v->as_number());
+      spec.slice_runs = json::as_integer<std::size_t>(*v, "slice_runs");
     }
     return spec;
   } catch (const std::invalid_argument&) {

@@ -2,7 +2,8 @@
 // case generation, all eight oracles green on the healthy build, failure
 // detection + shrinking + repro emission via the synthetic fault switch,
 // and the repro JSON round trip. The replay and vm faults of a
-// fault-injection build have gated tests at the bottom.
+// fault-injection build have gated tests at the bottom. Tests of the
+// driver's failure path run it blind and guided alike.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -101,16 +102,20 @@ TEST(FuzzHarness, OracleRegistryLookup) {
 }
 
 TEST(FuzzHarness, RejectsBadConfig) {
-  FuzzConfig cfg;
-  cfg.oracle = "nosuch";
-  EXPECT_THROW(run_fuzz(cfg), std::invalid_argument);
-  cfg.oracle = "all";
-  cfg.seeds = 0;
-  EXPECT_THROW(run_fuzz(cfg), std::invalid_argument);
-  cfg.seeds = 4;
-  cfg.programs = 0;
-  cfg.time_budget_s = 0;
-  EXPECT_THROW(run_fuzz(cfg), std::invalid_argument);
+  for (const bool guided : {false, true}) {
+    SCOPED_TRACE(guided ? "guided" : "blind");
+    FuzzConfig cfg;
+    cfg.guided = guided;
+    cfg.oracle = "nosuch";
+    EXPECT_THROW(run_fuzz(cfg), std::invalid_argument);
+    cfg.oracle = "all";
+    cfg.seeds = 0;
+    EXPECT_THROW(run_fuzz(cfg), std::invalid_argument);
+    cfg.seeds = 4;
+    cfg.programs = 0;
+    cfg.time_budget_s = 0;
+    EXPECT_THROW(run_fuzz(cfg), std::invalid_argument);
+  }
 }
 
 TEST(FuzzHarness, TimeBudgetModeTerminatesAndRunsCases) {
@@ -126,34 +131,43 @@ TEST(FuzzHarness, TimeBudgetModeTerminatesAndRunsCases) {
 // --- failure path: the synthetic fault proves the harness can fail -------
 
 TEST(FuzzHarness, InjectedFaultIsCaughtShrunkAndEmitted) {
-  FuzzConfig cfg;
-  cfg.programs = 1;
-  cfg.seeds = 4;
-  cfg.rng_seed = 1;
-  cfg.inject_fault_for_test = true;
-  cfg.corpus_dir = ::testing::TempDir();
-  const FuzzReport report = run_fuzz(cfg);
-  ASSERT_EQ(report.failures.size(), 1u);
-  const FuzzFailure& failure = report.failures.front();
-  EXPECT_EQ(failure.oracle, "replay");
-  EXPECT_NE(failure.detail.find("!="), std::string::npos);
+  for (const bool guided : {false, true}) {
+    SCOPED_TRACE(guided ? "guided" : "blind");
+    FuzzConfig cfg;
+    cfg.programs = 2;
+    cfg.seeds = 4;
+    cfg.rng_seed = 1;
+    cfg.guided = guided;
+    cfg.inject_fault_for_test = true;
+    cfg.corpus_dir = ::testing::TempDir();
+    const FuzzReport report = run_fuzz(cfg);
+    // The synthetic fault fails every case, so each one is a failure...
+    ASSERT_EQ(report.failures.size(), cfg.programs);
+    const FuzzFailure& failure = report.failures.front();
+    EXPECT_EQ(failure.oracle, "replay");
+    EXPECT_NE(failure.detail.find("!="), std::string::npos);
 
-  // The shrinker must have made real progress: the synthetic fault fails
-  // on any program, so the minimal case is nearly empty.
-  EXPECT_LE(ir::stmt_count(failure.shrunk.program.body), 3u);
-  EXPECT_EQ(failure.shrunk.inputs.size(), 1u);
-  EXPECT_EQ(failure.shrunk.run_seeds.size(), 1u);
+    // The shrinker must have made real progress: the synthetic fault
+    // fails on any program, so the minimal case is nearly empty.
+    EXPECT_LE(ir::stmt_count(failure.shrunk.program.body), 3u);
+    EXPECT_EQ(failure.shrunk.inputs.size(), 1u);
+    EXPECT_EQ(failure.shrunk.run_seeds.size(), 1u);
 
-  // The emitted repro is self-contained and — in this healthy build —
-  // replays green (the corpus contract for fixed bugs).
-  ASSERT_FALSE(failure.repro_path.empty());
-  const Repro repro = load_repro(failure.repro_path);
-  EXPECT_EQ(repro.oracle, "replay");
-  EXPECT_EQ(ir::to_string(repro.data.program),
-            ir::to_string(failure.shrunk.program));
-  const OracleOutcome replay = run_repro(repro);
-  EXPECT_TRUE(replay.ok) << replay.detail;
-  std::remove(failure.repro_path.c_str());
+    // The emitted repro is self-contained and — in this healthy build —
+    // replays green (the corpus contract for fixed bugs).
+    ASSERT_FALSE(failure.repro_path.empty());
+    const Repro repro = load_repro(failure.repro_path);
+    EXPECT_EQ(repro.oracle, "replay");
+    EXPECT_EQ(ir::to_string(repro.data.program),
+              ir::to_string(failure.shrunk.program));
+    const OracleOutcome replay = run_repro(repro);
+    EXPECT_TRUE(replay.ok) << replay.detail;
+    // ... and failing cases never become corpus seeds.
+    EXPECT_TRUE(report.corpus.empty());
+    for (const FuzzFailure& f : report.failures) {
+      std::remove(f.repro_path.c_str());
+    }
+  }
 }
 
 TEST(FuzzHarness, UnwritableCorpusDirDoesNotAbortTheRun) {
@@ -239,22 +253,33 @@ struct ArmedFault {
 TEST(FuzzFault, ArmedReplayFaultIsCaughtAndShrunkByTheFuzzer) {
   // The replay oracle must catch the deliberate bug with NO synthetic
   // injection (the bug drops a DL1 miss penalty).
-  FuzzConfig cfg;
-  cfg.programs = 5;
-  cfg.seeds = 4;
-  cfg.rng_seed = 1;
-  cfg.corpus_dir = ::testing::TempDir();
-  {
-    const ArmedFault armed(fault::Kind::kReplay);
-    const FuzzReport report = run_fuzz(cfg);
+  for (const bool guided : {false, true}) {
+    SCOPED_TRACE(guided ? "guided" : "blind");
+    FuzzConfig cfg;
+    // Bounded budgets: the blind stream must find the fault within its
+    // first 5 cases; the guided one gets 10, as it always had.
+    cfg.programs = guided ? 10 : 5;
+    cfg.seeds = 4;
+    cfg.rng_seed = 1;
+    cfg.guided = guided;
+    cfg.corpus_dir = ::testing::TempDir();
+    FuzzReport report;
+    {
+      const ArmedFault armed(fault::Kind::kReplay);
+      report = run_fuzz(cfg);
+    }
     ASSERT_FALSE(report.ok());
-    EXPECT_EQ(report.failures.front().oracle, "replay");
+    const FuzzFailure& failure = report.failures.front();
+    EXPECT_EQ(failure.oracle, "replay");
+    ASSERT_FALSE(failure.repro_path.empty());
+    // Disarmed, the platform is healthy again: the repro replays green
+    // and the same run passes.
+    EXPECT_TRUE(run_repro(load_repro(failure.repro_path)).ok);
     for (const FuzzFailure& f : report.failures) {
       std::remove(f.repro_path.c_str());
     }
+    EXPECT_TRUE(run_fuzz(cfg).ok());
   }
-  // Disarmed, the platform is healthy again and the same run passes.
-  EXPECT_TRUE(run_fuzz(cfg).ok());
 }
 
 TEST(FuzzVmFault, ArmedMiscompileIsCaughtShrunkAndEmitted) {
@@ -264,35 +289,43 @@ TEST(FuzzVmFault, ArmedMiscompileIsCaughtShrunkAndEmitted) {
   // it. The shrunk case must still carry an array (the bug lives in
   // element loads), and the emitted repro must be a well-formed corpus
   // candidate targeting the vm oracle.
-  FuzzConfig cfg;
-  cfg.programs = 10;
-  cfg.seeds = 2;
-  cfg.rng_seed = 1;
-  cfg.oracle = "vm";
-  cfg.corpus_dir = ::testing::TempDir();
-  Repro repro;
-  {
-    const ArmedFault armed(fault::Kind::kVm);
-    const FuzzReport report = run_fuzz(cfg);
-    ASSERT_FALSE(report.ok());
-    const FuzzFailure& failure = report.failures.front();
-    EXPECT_EQ(failure.oracle, "vm");
-    EXPECT_FALSE(failure.shrunk.program.arrays.empty());
-    EXPECT_LE(
-        ir::stmt_count(failure.shrunk.program.body),
-        ir::stmt_count(make_case(1, failure.case_index, 2).program.body));
+  for (const bool guided : {false, true}) {
+    SCOPED_TRACE(guided ? "guided" : "blind");
+    FuzzConfig cfg;
+    cfg.programs = 10;
+    cfg.seeds = 2;
+    cfg.rng_seed = 1;
+    cfg.oracle = "vm";
+    cfg.guided = guided;
+    cfg.corpus_dir = ::testing::TempDir();
+    Repro repro;
+    {
+      const ArmedFault armed(fault::Kind::kVm);
+      const FuzzReport report = run_fuzz(cfg);
+      ASSERT_FALSE(report.ok());
+      const FuzzFailure& failure = report.failures.front();
+      EXPECT_EQ(failure.oracle, "vm");
+      EXPECT_FALSE(failure.shrunk.program.arrays.empty());
+      // The first case is always a blind one, and the fault is in every
+      // program with an element load: it fails first, in both modes.
+      EXPECT_EQ(failure.case_index, 0u);
+      EXPECT_LE(ir::stmt_count(failure.shrunk.program.body),
+                ir::stmt_count(make_case(1, 0, 2).program.body));
 
-    ASSERT_FALSE(failure.repro_path.empty());
-    repro = load_repro(failure.repro_path);
-    EXPECT_EQ(repro.oracle, "vm");
-    EXPECT_EQ(ir::to_string(repro.data.program),
-              ir::to_string(failure.shrunk.program));
-    std::remove(failure.repro_path.c_str());
+      ASSERT_FALSE(failure.repro_path.empty());
+      repro = load_repro(failure.repro_path);
+      EXPECT_EQ(repro.oracle, "vm");
+      EXPECT_EQ(ir::to_string(repro.data.program),
+                ir::to_string(failure.shrunk.program));
+      for (const FuzzFailure& f : report.failures) {
+        std::remove(f.repro_path.c_str());
+      }
+    }
+    // Disarmed, the VM is healthy again: the same repro replays green —
+    // exactly what the committed corpus entry checks.
+    const OracleOutcome replay = run_repro(repro);
+    EXPECT_TRUE(replay.ok) << replay.detail;
   }
-  // Disarmed, the VM is healthy again: the same repro replays green —
-  // exactly what the committed corpus entry checks.
-  const OracleOutcome replay = run_repro(repro);
-  EXPECT_TRUE(replay.ok) << replay.detail;
 }
 #endif
 

@@ -1,14 +1,13 @@
 // The coverage-guided layer: feature extraction from counter deltas, the
 // coverage map, the mutation engine, the input-value shrink pass, and the
 // guided driver end to end — determinism (byte-identical corpus and
-// coverage document across runs), the guided-beats-blind acceptance bar,
-// corpus replayability, and the failure path. The compile-time fault
-// hooks get guided-mode e2e twins of the fuzz_test.cpp self-tests.
+// coverage document across runs), the guided-beats-blind acceptance bar
+// and corpus replayability. The failure-path tests in fuzz_test.cpp run
+// the driver guided and blind.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
@@ -18,14 +17,12 @@
 
 #include "fuzz/coverage.hpp"
 #include "fuzz/fuzz.hpp"
-#include "fuzz/guided.hpp"
 #include "fuzz/mutate.hpp"
 #include "fuzz/oracles.hpp"
 #include "fuzz/repro.hpp"
 #include "fuzz/shrink.hpp"
 #include "ir/printer.hpp"
 #include "ir/stmt.hpp"
-#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace mbcr::fuzz {
@@ -219,8 +216,8 @@ std::string slurp(const std::string& path) {
 /// guided runs (determinism), one blind run (the baseline), fixed budget
 /// and seed. ~15s total, paid once for the whole suite.
 struct GuidedRuns {
-  GuidedConfig guided_cfg;
-  GuidedReport guided_a, guided_b, blind;
+  FuzzConfig guided_cfg;
+  FuzzReport guided_a, guided_b, blind;
   std::string dir_a, dir_b;
 };
 
@@ -232,20 +229,21 @@ const GuidedRuns& runs() {
     ::mkdir(r->dir_a.c_str(), 0755);
     ::mkdir(r->dir_b.c_str(), 0755);
 
-    GuidedConfig cfg;
-    cfg.base.programs = 60;
-    cfg.base.seeds = 4;
-    cfg.base.rng_seed = 1;
+    FuzzConfig cfg;
+    cfg.programs = 60;
+    cfg.seeds = 4;
+    cfg.rng_seed = 1;
+    cfg.guided = true;
     r->guided_cfg = cfg;
 
     cfg.corpus_out = r->dir_a;
-    r->guided_a = run_guided(cfg);
+    r->guided_a = run_fuzz(cfg);
     cfg.corpus_out = r->dir_b;
-    r->guided_b = run_guided(cfg);
+    r->guided_b = run_fuzz(cfg);
 
-    GuidedConfig blind = r->guided_cfg;
+    FuzzConfig blind = r->guided_cfg;
     blind.guided = false;
-    r->blind = run_guided(blind);
+    r->blind = run_fuzz(blind);
     return r;
   }();
   return *cached;
@@ -253,11 +251,10 @@ const GuidedRuns& runs() {
 
 TEST(GuidedFuzz, HealthyRunPassesAndAccountsCases) {
   const GuidedRuns& r = runs();
-  EXPECT_TRUE(r.guided_a.ok()) << (r.guided_a.fuzz.failures.empty()
+  EXPECT_TRUE(r.guided_a.ok()) << (r.guided_a.failures.empty()
                                        ? ""
-                                       : r.guided_a.fuzz.failures.front()
-                                             .detail);
-  EXPECT_EQ(r.guided_a.fuzz.cases_run, 60u);
+                                       : r.guided_a.failures.front().detail);
+  EXPECT_EQ(r.guided_a.cases_run, 60u);
   EXPECT_EQ(r.guided_a.blind_cases + r.guided_a.mutated_cases, 60u);
   EXPECT_TRUE(r.blind.ok());
   EXPECT_EQ(r.blind.mutated_cases, 0u);  // guided=false never mutates
@@ -279,9 +276,9 @@ TEST(GuidedFuzz, RerunIsByteIdentical) {
   }
   // ... identical feature map, and a byte-identical coverage document.
   EXPECT_EQ(r.guided_a.feature_hits, r.guided_b.feature_hits);
-  GuidedConfig cfg_a = r.guided_cfg;
+  FuzzConfig cfg_a = r.guided_cfg;
   cfg_a.corpus_out = r.dir_a;
-  GuidedConfig cfg_b = r.guided_cfg;
+  FuzzConfig cfg_b = r.guided_cfg;
   cfg_b.corpus_out = r.dir_b;
   EXPECT_EQ(coverage_document(cfg_a, r.guided_a).dump(2),
             coverage_document(cfg_b, r.guided_b).dump(2));
@@ -299,7 +296,7 @@ TEST(GuidedFuzz, BeatsBlindOnFeaturesForTheSameBudget) {
 TEST(GuidedFuzz, CorpusSeedsReplayGreen) {
   const GuidedRuns& r = runs();
   ASSERT_FALSE(r.guided_a.corpus.empty());
-  for (const GuidedSeed& seed : r.guided_a.corpus) {
+  for (const CorpusSeed& seed : r.guided_a.corpus) {
     ASSERT_FALSE(seed.file.empty());
     const Repro repro = load_repro(seed.file);
     const OracleOutcome outcome = run_repro(repro);
@@ -309,7 +306,7 @@ TEST(GuidedFuzz, CorpusSeedsReplayGreen) {
 
 TEST(GuidedFuzz, CoverageDocumentShape) {
   const GuidedRuns& r = runs();
-  GuidedConfig cfg = r.guided_cfg;
+  FuzzConfig cfg = r.guided_cfg;
   cfg.corpus_out = r.dir_a;
   const json::Value doc = coverage_document(cfg, r.guided_a);
   EXPECT_EQ(doc.at("schema").as_string(), "mbcr-fuzz-coverage-v1");
@@ -323,90 +320,6 @@ TEST(GuidedFuzz, CoverageDocumentShape) {
   // Round-trippable JSON.
   EXPECT_EQ(json::parse(doc.dump(2)).dump(2), doc.dump(2));
 }
-
-TEST(GuidedFuzz, RejectsBadConfigLikeRunFuzz) {
-  GuidedConfig cfg;
-  cfg.base.oracle = "nosuch";
-  EXPECT_THROW(run_guided(cfg), std::invalid_argument);
-  cfg.base.oracle = "all";
-  cfg.base.seeds = 0;
-  EXPECT_THROW(run_guided(cfg), std::invalid_argument);
-}
-
-TEST(GuidedFuzz, InjectedFaultIsFoundShrunkAndEmitted) {
-  GuidedConfig cfg;
-  cfg.base.programs = 2;
-  cfg.base.seeds = 4;
-  cfg.base.rng_seed = 1;
-  cfg.base.inject_fault_for_test = true;
-  cfg.base.corpus_dir = ::testing::TempDir();
-  const GuidedReport report = run_guided(cfg);
-  ASSERT_FALSE(report.ok());
-  const FuzzFailure& failure = report.fuzz.failures.front();
-  EXPECT_EQ(failure.oracle, "replay");
-  EXPECT_LE(failure.shrunk.run_seeds.size(), 1u);
-  ASSERT_FALSE(failure.repro_path.empty());
-  EXPECT_TRUE(run_repro(load_repro(failure.repro_path)).ok);
-  // Failing cases never become corpus seeds.
-  EXPECT_TRUE(report.corpus.empty());
-  for (const FuzzFailure& f : report.fuzz.failures) {
-    std::remove(f.repro_path.c_str());
-  }
-}
-
-// --- guided-mode e2e twins of the fault-injection self-tests --------------
-
-#ifdef MBCR_FAULT_INJECTION
-/// Arms one fault for a test's lifetime (see fuzz_test.cpp).
-struct ArmedFault {
-  explicit ArmedFault(fault::Kind kind) { fault::set_armed({kind}); }
-  ~ArmedFault() { fault::set_armed({}); }
-};
-
-TEST(GuidedFault, GuidedFinderCatchesTheArmedReplayFault) {
-  GuidedConfig cfg;
-  cfg.base.programs = 10;  // bounded budget: found well within it
-  cfg.base.seeds = 4;
-  cfg.base.rng_seed = 1;
-  cfg.base.corpus_dir = ::testing::TempDir();
-  GuidedReport report;
-  {
-    const ArmedFault armed(fault::Kind::kReplay);
-    report = run_guided(cfg);
-  }
-  ASSERT_FALSE(report.ok());
-  const FuzzFailure& failure = report.fuzz.failures.front();
-  EXPECT_EQ(failure.oracle, "replay");
-  ASSERT_FALSE(failure.repro_path.empty());
-  EXPECT_TRUE(run_repro(load_repro(failure.repro_path)).ok);
-  for (const FuzzFailure& f : report.fuzz.failures) {
-    std::remove(f.repro_path.c_str());
-  }
-}
-
-TEST(GuidedFault, GuidedFinderCatchesTheArmedVmMiscompile) {
-  GuidedConfig cfg;
-  cfg.base.programs = 10;
-  cfg.base.seeds = 2;
-  cfg.base.rng_seed = 1;
-  cfg.base.oracle = "vm";
-  cfg.base.corpus_dir = ::testing::TempDir();
-  GuidedReport report;
-  {
-    const ArmedFault armed(fault::Kind::kVm);
-    report = run_guided(cfg);
-  }
-  ASSERT_FALSE(report.ok());
-  const FuzzFailure& failure = report.fuzz.failures.front();
-  EXPECT_EQ(failure.oracle, "vm");
-  EXPECT_FALSE(failure.shrunk.program.arrays.empty());
-  ASSERT_FALSE(failure.repro_path.empty());
-  EXPECT_TRUE(run_repro(load_repro(failure.repro_path)).ok);
-  for (const FuzzFailure& f : report.fuzz.failures) {
-    std::remove(f.repro_path.c_str());
-  }
-}
-#endif
 
 }  // namespace
 }  // namespace mbcr::fuzz

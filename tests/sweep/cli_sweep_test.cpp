@@ -182,6 +182,25 @@ TEST(CliSweep, TornSpecAndReproFilesFailClosedWithExitTwo) {
             2);
 }
 
+TEST(CliSweep, OutOfRangeIntegerFlagsExitTwoNamingTheFlag) {
+  // A count its field cannot hold must not wrap: --retries 4294967296
+  // would otherwise run with 0 retries, and 2^31 would read as a
+  // negative int.
+  const std::string dir = temp_path("mbcr_cs_range");
+  for (const auto& [args, flag] :
+       {std::pair<std::string, std::string>{
+            " sweep --retries 4294967296 --dir " + dir, "--retries"},
+        {" worker --dir " + dir + " --shard 0 --attempt 4294967296",
+         "--attempt"},
+        {" worker --dir " + dir + " --shard 0 --attempt 2147483648",
+         "--attempt"}}) {
+    const std::string err = temp_path("mbcr_cs_range.err");
+    EXPECT_EQ(run_command(kBin + args + " >/dev/null 2>" + err).exit_code, 2)
+        << args;
+    EXPECT_NE(read_all(err).find("flag " + flag), std::string::npos) << args;
+  }
+}
+
 /// Sends `sig` to a spawned CLI once it has had `delay_ms` to get going,
 /// then returns its exit status (guarding against hangs). `exit_after_ns`,
 /// when given, receives how long the child took to end once signalled.

@@ -138,6 +138,64 @@ TEST(Journal, ShardResultRoundTripsAndRejectsEveryDamageMode) {
   EXPECT_NE(why.find("checksum"), std::string::npos);
 }
 
+/// `text` with the first `"member": value` replaced by `"member": bad`.
+std::string with_member(std::string text, const std::string& member,
+                        const std::string& bad) {
+  const std::string key = "\"" + member + "\": ";
+  const std::size_t pos = text.find(key);
+  EXPECT_NE(pos, std::string::npos) << member;
+  if (pos == std::string::npos) return text;
+  const std::size_t begin = pos + key.size();
+  const std::size_t end = text.find_first_of(",\n}", begin);
+  return text.replace(begin, end - begin, bad);
+}
+
+TEST(Journal, NegativeOrFractionalCountsFailClosedNamingTheMember) {
+  const std::string dir = fresh_dir("mbcr_journal_integers");
+  const SweepSpec spec = small_measure_spec();
+  Manifest m;
+  m.sweep_id = spec.id();
+  m.spec = spec.to_json();
+  m.shards = 2;
+  m.units = 2;
+  m.points = 1;
+  write_manifest(dir, m);
+  const std::string manifest = util::read_file(manifest_path(dir));
+  for (const char* member : {"shards", "units", "points"}) {
+    for (const char* bad : {"-1", "2.5"}) {
+      util::write_file_atomic(manifest_path(dir),
+                              with_member(manifest, member, bad));
+      try {
+        load_manifest(dir);
+        ADD_FAILURE() << member << " = " << bad << " loaded";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(member), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+
+  const auto points = spec.expand();
+  const auto units = expand_units(spec, points);
+  ShardResult result;
+  result.shard = 0;
+  result.units = {units[0]};
+  result.studies = {run_unit(points[0], units[0])};
+  const std::string valid = shard_result_text(spec.id(), result);
+  for (const char* member : {"shard", "point", "first_run", "runs"}) {
+    for (const char* bad : {"-1", "2.5"}) {
+      util::write_file_atomic(shard_path(dir, 0),
+                              with_member(valid, member, bad));
+      std::string why;
+      EXPECT_FALSE(load_shard_result(dir, spec.id(), 0, &why).has_value())
+          << member << " = " << bad;
+      EXPECT_NE(why.find(std::string(member) + ": expected an integer"),
+                std::string::npos)
+          << why;
+    }
+  }
+}
+
 TEST(Merge, PartialMultiPointSweepKeepsCompletePointsAndNamesTheRest) {
   const std::string dir = fresh_dir("mbcr_merge_partial");
   SweepSpec spec;

@@ -61,10 +61,24 @@ TEST(SweepSpec, GeometryAndPlacementAxesOverrideBothL1Caches) {
 }
 
 TEST(SweepSpec, ValidateRejectsBadAxes) {
-  SweepSpec spec;
-  spec.base.suite = "bs";
-  spec.geometries = {"64"};
-  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  for (const char* bad : {"64", "0x2", "64x0", "4294967296x2", "-1x2",
+                          "64x2.5"}) {
+    SweepSpec spec;
+    spec.base.suite = "bs";
+    spec.geometries = {bad};
+    try {
+      spec.validate();
+      ADD_FAILURE() << bad << " validated";
+    } catch (const std::invalid_argument& e) {
+      // A geometry may come from a spec document: the error names the
+      // geometry, never a flag.
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("sweep geometry '") + bad + "'"),
+                std::string::npos)
+          << what;
+      EXPECT_EQ(what.find("flag"), std::string::npos) << what;
+    }
+  }
 
   SweepSpec l2 = measure_spec(100);
   l2.l2_policies = {"lru"};  // base has no L2 enabled
@@ -105,6 +119,45 @@ TEST(SweepSpec, FromJsonFailsClosedOnMalformedInput) {
   o.emplace_back("suites", "not-an-array");
   EXPECT_THROW(SweepSpec::from_json(json::Value(std::move(o))),
                std::invalid_argument);
+}
+
+TEST(SweepSpec, FromJsonRejectsNegativeAndFractionalIntegers) {
+  for (const double bad : {-1.0, 2.5}) {
+    json::Value slice = measure_spec(100).to_json();
+    slice.set("slice_runs", bad);
+    json::Array seeds;
+    seeds.emplace_back(bad);
+    json::Value seed = measure_spec(100).to_json();
+    seed.set("seeds", json::Value(std::move(seeds)));
+    for (const auto& [member, doc] :
+         {std::pair<const char*, json::Value>{"slice_runs", slice},
+          std::pair<const char*, json::Value>{"seeds", seed}}) {
+      try {
+        SweepSpec::from_json(doc);
+        ADD_FAILURE() << member << " = " << bad << " loaded";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(member), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // Decimal-string seeds fail the same way, as a member, not a flag.
+  for (const char* bad : {"-1", "2.5", "18446744073709551616"}) {
+    json::Array seeds;
+    seeds.emplace_back(bad);
+    json::Value doc = measure_spec(100).to_json();
+    doc.set("seeds", json::Value(std::move(seeds)));
+    try {
+      SweepSpec::from_json(doc);
+      ADD_FAILURE() << "seed '" << bad << "' loaded";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("seeds member '") + bad + "'"),
+                std::string::npos)
+          << what;
+      EXPECT_EQ(what.find("flag"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(ExpandUnits, SlicesMeasurePointsIntoContiguousRuns) {

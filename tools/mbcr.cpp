@@ -29,7 +29,6 @@
 #include <sys/stat.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -45,7 +44,6 @@
 #include "core/report.hpp"
 #include "core/study.hpp"
 #include "fuzz/fuzz.hpp"
-#include "fuzz/guided.hpp"
 #include "fuzz/oracles.hpp"
 #include "fuzz/repro.hpp"
 #include "ir/bytecode.hpp"
@@ -83,6 +81,13 @@ std::map<std::string, std::string> study_flags(bool with_mode) {
   flags.emplace("json", "");
   flags.emplace("csv", "");
   return flags;
+}
+
+/// An integer flag narrowed to `T`: a value `T` cannot hold is a usage
+/// error naming the flag (exit 2), never a wrapped count.
+template <typename T>
+T uint_flag(const SubcommandCli::Parsed& cmd, const char* name) {
+  return parse_uint<T>(name, cmd.str(name));
 }
 
 void make_dir(const std::string& path) {
@@ -261,29 +266,29 @@ int cmd_list() {
 /// describe the reported run only). `blind`, when present, is a
 /// same-budget same-seed mutation-off re-run — the coverage floor the
 /// guided schedule has to beat, recorded next to the guided numbers.
-json::Value fuzz_bench_document(const fuzz::GuidedConfig& cfg,
-                                const fuzz::GuidedReport& report,
-                                double wall_s, const json::Value& metrics,
-                                const fuzz::GuidedReport* blind,
-                                double blind_wall_s) {
+json::Value fuzz_bench_document(const fuzz::FuzzConfig& cfg,
+                                const fuzz::FuzzReport& report,
+                                const json::Value& metrics,
+                                const fuzz::FuzzReport* blind) {
+  const double wall_s = report.wall_s;
   json::Object doc;
   doc.emplace_back("schema", "mbcr-bench-fuzz-v2");
   doc.emplace_back("obs_compiled_in", true);
-  doc.emplace_back("guided", report.guided);
+  doc.emplace_back("guided", cfg.guided);
   doc.emplace_back("coverage_measured", true);
-  doc.emplace_back("programs", cfg.base.programs);
-  doc.emplace_back("seeds", cfg.base.seeds);
-  doc.emplace_back("oracle", cfg.base.oracle);
-  doc.emplace_back("rng_seed", std::to_string(cfg.base.rng_seed));
-  doc.emplace_back("cases", report.fuzz.cases_run);
-  doc.emplace_back("oracle_runs", report.fuzz.oracle_runs);
+  doc.emplace_back("programs", cfg.programs);
+  doc.emplace_back("seeds", cfg.seeds);
+  doc.emplace_back("oracle", cfg.oracle);
+  doc.emplace_back("rng_seed", std::to_string(cfg.rng_seed));
+  doc.emplace_back("cases", report.cases_run);
+  doc.emplace_back("oracle_runs", report.oracle_runs);
   doc.emplace_back("blind_cases", report.blind_cases);
   doc.emplace_back("mutated_cases", report.mutated_cases);
   doc.emplace_back("rejected_cases", report.rejected_cases);
   doc.emplace_back("wall_s", wall_s);
   doc.emplace_back("cases_per_sec",
                    wall_s > 0.0
-                       ? static_cast<double>(report.fuzz.cases_run) / wall_s
+                       ? static_cast<double>(report.cases_run) / wall_s
                        : 0.0);
   doc.emplace_back("features_discovered", report.features_discovered);
   doc.emplace_back(
@@ -292,26 +297,26 @@ json::Value fuzz_bench_document(const fuzz::GuidedConfig& cfg,
                    : 0.0);
   doc.emplace_back(
       "features_per_case",
-      report.fuzz.cases_run > 0
+      report.cases_run > 0
           ? static_cast<double>(report.features_discovered) /
-                static_cast<double>(report.fuzz.cases_run)
+                static_cast<double>(report.cases_run)
           : 0.0);
   doc.emplace_back("corpus_entries", report.corpus.size());
 
   if (blind != nullptr) {
     json::Object baseline;
-    baseline.emplace_back("cases", blind->fuzz.cases_run);
+    baseline.emplace_back("cases", blind->cases_run);
     baseline.emplace_back("features_discovered", blind->features_discovered);
     baseline.emplace_back(
         "features_per_case",
-        blind->fuzz.cases_run > 0
+        blind->cases_run > 0
             ? static_cast<double>(blind->features_discovered) /
-                  static_cast<double>(blind->fuzz.cases_run)
+                  static_cast<double>(blind->cases_run)
             : 0.0);
     baseline.emplace_back(
         "features_per_sec",
-        blind_wall_s > 0.0
-            ? static_cast<double>(blind->features_discovered) / blind_wall_s
+        blind->wall_s > 0.0
+            ? static_cast<double>(blind->features_discovered) / blind->wall_s
             : 0.0);
     doc.emplace_back("blind_baseline", json::Value(std::move(baseline)));
   }
@@ -360,81 +365,52 @@ int cmd_fuzz(const SubcommandCli::Parsed& cmd) {
     return 1;
   }
 
-  fuzz::GuidedConfig gcfg;
-  fuzz::FuzzConfig& cfg = gcfg.base;
-  cfg.programs = static_cast<std::size_t>(cmd.integer("programs"));
-  cfg.seeds = static_cast<std::size_t>(cmd.integer("seeds"));
+  fuzz::FuzzConfig cfg;
+  cfg.programs = uint_flag<std::size_t>(cmd, "programs");
+  cfg.seeds = uint_flag<std::size_t>(cmd, "seeds");
   cfg.time_budget_s = cmd.real("time-budget");
-  cfg.rng_seed = static_cast<std::uint64_t>(cmd.integer("rng-seed"));
+  cfg.rng_seed = cmd.integer("rng-seed");
   cfg.oracle = cmd.str("oracle");
   cfg.corpus_dir = cmd.str("corpus");
   cfg.shrink = parse_bool("shrink", cmd.str("shrink"));
+  cfg.guided = parse_bool("guided", cmd.str("guided"));
+  cfg.corpus_out = cmd.str("corpus-out");
   cfg.log = &std::cerr;
-  gcfg.guided = parse_bool("guided", cmd.str("guided"));
-  gcfg.corpus_out = cmd.str("corpus-out");
   const std::string& coverage_path = cmd.str("coverage-json");
   const std::string& bench_path = cmd.str("bench-json");
 
-  // The guided/coverage driver measures per-case coverage; --bench-json
-  // (v2 reports features alongside cases/sec) and the coverage/corpus
-  // outputs all route through it. A plain `mbcr fuzz` keeps the blind
-  // driver with zero obs involvement.
-  const bool with_coverage = gcfg.guided || !gcfg.corpus_out.empty() ||
-                             !coverage_path.empty() || !bench_path.empty();
+  // --bench-json reports the per-oracle latency counters of this run
+  // only, so it starts them from a clean slate.
+  if (!bench_path.empty()) obs::reset_metrics();
+  if (!cfg.corpus_out.empty()) make_dir(cfg.corpus_out);
 
-  // --bench-json needs the per-oracle latency counters, so it arms
-  // collection itself (from a clean slate) even without --metrics-json.
-  if (!bench_path.empty()) {
-    obs::reset_metrics();
-    obs::set_enabled(true);
-  }
-  if (!gcfg.corpus_out.empty()) make_dir(gcfg.corpus_out);
-  const auto fuzz_start = std::chrono::steady_clock::now();
+  // run_fuzz validates the config (unknown --oracle names included)
+  // before any case runs; its invalid_argument reaches main's usage-error
+  // path (stderr, exit 2).
+  const fuzz::FuzzReport report = fuzz::run_fuzz(cfg);
 
-  // run_guided/run_fuzz validate the config (unknown --oracle names
-  // included) before any case runs; their invalid_argument reaches main's
-  // usage-error path (stderr, exit 2).
-  fuzz::GuidedReport greport;
-  if (with_coverage) {
-    greport = fuzz::run_guided(gcfg);
-  } else {
-    greport.fuzz = fuzz::run_fuzz(cfg);
-    greport.blind_cases = greport.fuzz.cases_run;
-  }
-  const fuzz::FuzzReport& report = greport.fuzz;
-
-  const double wall_s = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - fuzz_start)
-                            .count();
   if (!bench_path.empty()) {
     // Snapshot the oracle counters before the baseline re-run below so the
     // per-oracle latency rows describe the reported run only.
     const json::Value metrics = obs::metrics_json();
-    fuzz::GuidedReport blind;
-    double blind_wall_s = 0.0;
-    bool have_blind = false;
-    if (greport.guided && report.interrupted_by == 0) {
-      fuzz::GuidedConfig bcfg = gcfg;
+    fuzz::FuzzReport blind;
+    const bool have_blind = cfg.guided && report.interrupted_by == 0;
+    if (have_blind) {
+      fuzz::FuzzConfig bcfg = cfg;
       bcfg.guided = false;
       bcfg.corpus_out.clear();
-      bcfg.base.log = nullptr;
-      const auto blind_start = std::chrono::steady_clock::now();
-      blind = fuzz::run_guided(bcfg);
-      blind_wall_s = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - blind_start)
-                         .count();
-      have_blind = true;
+      bcfg.log = nullptr;
+      blind = fuzz::run_fuzz(bcfg);
     }
-    const json::Value doc =
-        fuzz_bench_document(gcfg, greport, wall_s, metrics,
-                            have_blind ? &blind : nullptr, blind_wall_s);
+    const json::Value doc = fuzz_bench_document(
+        cfg, report, metrics, have_blind ? &blind : nullptr);
     emit_to(bench_path, "fuzz bench", [&](std::ostream& os) {
       doc.write(os, 2);
       os << "\n";
     });
   }
   if (!coverage_path.empty()) {
-    const json::Value doc = fuzz::coverage_document(gcfg, greport);
+    const json::Value doc = fuzz::coverage_document(cfg, report);
     emit_to(coverage_path, "fuzz coverage", [&](std::ostream& os) {
       doc.write(os, 2);
       os << "\n";
@@ -447,13 +423,11 @@ int cmd_fuzz(const SubcommandCli::Parsed& cmd) {
                             : std::to_string(report.failures.size()) +
                                   " FAILURE(S)")
             << "\n";
-  if (with_coverage) {
-    std::cout << "fuzz: " << greport.features_discovered
-              << " coverage feature(s), " << greport.corpus.size()
-              << " corpus seed(s) (" << greport.blind_cases << " blind / "
-              << greport.mutated_cases << " mutated / "
-              << greport.rejected_cases << " rejected case(s))\n";
-  }
+  std::cout << "fuzz: " << report.features_discovered
+            << " coverage feature(s), " << report.corpus.size()
+            << " corpus seed(s) (" << report.blind_cases << " blind / "
+            << report.mutated_cases << " mutated / " << report.rejected_cases
+            << " rejected case(s))\n";
   for (const fuzz::FuzzFailure& f : report.failures) {
     std::cout << "  case " << f.case_index << " oracle " << f.oracle << ": "
               << f.detail << "\n";
@@ -549,14 +523,12 @@ std::map<std::string, std::string> sweep_flags() {
 
 int cmd_sweep(const SubcommandCli::Parsed& cmd, const char* argv0) {
   sweep::SupervisorConfig config;
-  config.shards = static_cast<std::size_t>(cmd.integer("shards"));
-  config.jobs = static_cast<std::size_t>(cmd.integer("jobs"));
-  config.retries = static_cast<int>(cmd.integer("retries"));
+  config.shards = uint_flag<std::size_t>(cmd, "shards");
+  config.jobs = uint_flag<std::size_t>(cmd, "jobs");
+  config.retries = uint_flag<int>(cmd, "retries");
   config.timeout_s = cmd.real("timeout-s");
-  config.backoff_base_ms =
-      static_cast<std::uint64_t>(cmd.integer("backoff-ms"));
-  config.backoff_max_ms =
-      static_cast<std::uint64_t>(cmd.integer("backoff-max-ms"));
+  config.backoff_base_ms = cmd.integer("backoff-ms");
+  config.backoff_max_ms = cmd.integer("backoff-max-ms");
   config.dir = cmd.str("dir");
   config.resume = parse_bool("resume", cmd.str("resume"));
   config.argv0 = argv0;
@@ -578,7 +550,7 @@ int cmd_sweep(const SubcommandCli::Parsed& cmd, const char* argv0) {
     for (const std::string& s : split_list(cmd.str("seeds"))) {
       spec.seeds.push_back(parse_u64("seeds", s));
     }
-    spec.slice_runs = static_cast<std::size_t>(cmd.integer("slice-runs"));
+    spec.slice_runs = uint_flag<std::size_t>(cmd, "slice-runs");
   }
 
   const sweep::SweepOutcome outcome = sweep::run_sweep(spec, config);
@@ -621,8 +593,8 @@ int cmd_sweep(const SubcommandCli::Parsed& cmd, const char* argv0) {
 
 int cmd_worker(const SubcommandCli::Parsed& cmd) {
   return sweep::run_worker(cmd.str("dir"),
-                           static_cast<std::size_t>(cmd.integer("shard")),
-                           static_cast<int>(cmd.integer("attempt")));
+                           uint_flag<std::size_t>(cmd, "shard"),
+                           uint_flag<int>(cmd, "attempt"));
 }
 
 int cmd_report(const SubcommandCli::Parsed& cmd) {
