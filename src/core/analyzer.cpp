@@ -1,14 +1,49 @@
 #include "core/analyzer.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <cstdio>
+#include <new>
+#include <stdexcept>
+#include <string>
 
 #include "obs/trace.hpp"
-#include "util/pool.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace mbcr::core {
+
+namespace {
+
+/// The usage error for `input`'s campaign sample of `runs` runs when it
+/// cannot be allocated: a request the flags made, not an internal failure.
+std::invalid_argument too_large(const ir::InputVector& input,
+                                std::size_t runs, const char* flags) {
+  char bytes[32];
+  std::snprintf(bytes, sizeof bytes, "%.0f",
+                static_cast<double>(runs) * sizeof(double));
+  return std::invalid_argument("path '" + input.label +
+                               "': cannot allocate a campaign of " +
+                               std::to_string(runs) + " runs (" + bytes +
+                               " bytes); lower " + flags);
+}
+
+/// Runs `grow`, which grows `input`'s campaign sample to `runs` runs,
+/// turning an allocation failure into `too_large`.
+template <typename Grow>
+auto grow_sample(const ir::InputVector& input, std::size_t runs,
+                 const char* flags, const Grow& grow) {
+  try {
+    return grow();
+  } catch (const std::bad_alloc&) {
+    throw too_large(input, runs, flags);
+  } catch (const std::length_error&) {
+    throw too_large(input, runs, flags);
+  }
+}
+
+constexpr const char* kAnalysisFlags = "--tac-target, --tac-cap or --max-runs";
+
+}  // namespace
 
 Analyzer::Analyzer(AnalysisConfig config)
     : config_(std::move(config)), machine_(config_.machine) {}
@@ -57,8 +92,9 @@ PathAnalysis Analyzer::analyze_program(const ir::Program& program,
   mbpta::ConvergenceResult convergence = [&] {
     obs::Span span("converge");
     return mbpta::converge_stream(
-        [&sampler](std::vector<double>& sample, std::size_t k) {
-          sampler.append_to(sample, k);
+        [&](std::vector<double>& sample, std::size_t k) {
+          grow_sample(input, sample.size() + k, kAnalysisFlags,
+                      [&] { sampler.append_to(sample, k); });
         },
         conv);
   }();
@@ -68,8 +104,10 @@ PathAnalysis Analyzer::analyze_program(const ir::Program& program,
   out.r_total = std::max(out.r_mbpta, out.r_tac);
   if (convergence.sample.size() < out.r_total) {
     obs::Span span("extend");
-    sampler.append_to(convergence.sample,
-                      out.r_total - convergence.sample.size());
+    grow_sample(input, out.r_total, kAnalysisFlags, [&] {
+      sampler.append_to(convergence.sample,
+                        out.r_total - convergence.sample.size());
+    });
   }
   {
     obs::Span span("evt_fit");
@@ -107,56 +145,6 @@ PathAnalysis Analyzer::analyze_pubbed(const ir::Program& program,
   return analyze_program(pubbed, input, with_tac);
 }
 
-double combined_pwcet_at(std::span<const PathAnalysis> paths, double p) {
-  double best = std::numeric_limits<double>::infinity();
-  for (const PathAnalysis& a : paths) {
-    best = std::min(best, a.pwcet.at(p));
-  }
-  return paths.empty() ? 0.0 : best;
-}
-
-std::size_t tightest_path_index(std::span<const PathAnalysis> paths,
-                                double p) {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < paths.size(); ++i) {
-    if (paths[i].pwcet.at(p) < paths[best].pwcet.at(p)) best = i;
-  }
-  return best;
-}
-
-double Analyzer::MultiPathAnalysis::pwcet_at(double p) const {
-  return combined_pwcet_at(per_path, p);
-}
-
-std::size_t Analyzer::MultiPathAnalysis::tightest_path(double p) const {
-  return tightest_path_index(per_path, p);
-}
-
-Analyzer::MultiPathAnalysis Analyzer::analyze_pubbed_paths(
-    const ir::Program& program, const std::vector<ir::InputVector>& inputs,
-    bool with_tac) const {
-  // PUB is applied once; each input then measures one pubbed path. All
-  // per-path campaigns are batched onto the shared pool concurrently
-  // (grain 1 = one path per claim). Each path's sample is a pure function
-  // of its own run numbering and the master seed, so concurrent scheduling
-  // cannot change any result; per_path order always matches `inputs`.
-  // analyze_program itself runs nested campaigns on the same pool — safe
-  // because parallel_for is re-entrant (the claiming thread participates).
-  const ir::Program pubbed = [&] {
-    obs::Span span("pub");
-    return pub::apply_pub(program, config_.pub);
-  }();
-  MultiPathAnalysis out;
-  out.per_path.resize(inputs.size());
-  ThreadPool::shared().parallel_for(
-      inputs.size(), 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          out.per_path[i] = analyze_program(pubbed, inputs[i], with_tac);
-        }
-      });
-  return out;
-}
-
 std::vector<double> Analyzer::measure(const ir::Program& program,
                                       const ir::InputVector& input,
                                       std::size_t runs,
@@ -164,8 +152,10 @@ std::vector<double> Analyzer::measure(const ir::Program& program,
   const ir::ExecResult exec = ir::lower_and_execute(program, input);
   const CompactTrace trace =
       CompactTrace::from(exec.trace, config_.machine.il1.line_bytes);
-  return platform::run_campaign(machine_, trace, runs, config_.campaign,
-                                first_run);
+  return grow_sample(input, runs, "--runs", [&] {
+    return platform::run_campaign(machine_, trace, runs, config_.campaign,
+                                  first_run);
+  });
 }
 
 }  // namespace mbcr::core

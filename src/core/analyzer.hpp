@@ -8,7 +8,6 @@
 // the pubbed program, without TAC's representativeness runs).
 #pragma once
 
-#include <span>
 #include <string>
 
 #include "ir/interp.hpp"
@@ -56,12 +55,6 @@ struct PathAnalysis {
   double pwcet_at(double p) const { return pwcet.at(p); }
 };
 
-/// Corollary 2 combinators over a set of per-path analyses: the lowest
-/// pWCET at `p` across paths (0 when empty), and the index of the path
-/// providing it. Shared by MultiPathAnalysis and the Study API.
-double combined_pwcet_at(std::span<const PathAnalysis> paths, double p);
-std::size_t tightest_path_index(std::span<const PathAnalysis> paths, double p);
-
 class Analyzer {
 public:
   explicit Analyzer(AnalysisConfig config = {});
@@ -79,36 +72,20 @@ public:
                               bool with_tac = true) const;
 
   /// Analysis of an already-transformed (or deliberately untransformed)
-  /// program; the building block of the two entry points above.
+  /// program; the building block of the two entry points above. Throws
+  /// std::invalid_argument, naming the flags that size the campaign, when
+  /// the convergence or TAC sample cannot be allocated.
   PathAnalysis analyze_program(const ir::Program& program,
                                const ir::InputVector& input,
                                bool with_tac) const;
-
-  /// Corollary 2: every pubbed path's pWCET is an equally reliable and
-  /// representative upper bound, so for any exceedance threshold the
-  /// LOWEST value across analyzed pubbed paths may be taken. Analyzing
-  /// more paths trades analysis cost for tightness (never reliability).
-  struct MultiPathAnalysis {
-    std::vector<PathAnalysis> per_path;
-    /// Pointwise minimum over the analyzed paths' pWCET curves.
-    double pwcet_at(double p) const;
-    /// Index of the path providing the minimum at probability `p`.
-    std::size_t tightest_path(double p) const;
-  };
-
-  /// Runs `analyze_pubbed` for each input and combines per Corollary 2.
-  /// All per-path campaigns are batched concurrently onto the shared
-  /// campaign pool; results are deterministic and ordered like `inputs`.
-  MultiPathAnalysis analyze_pubbed_paths(
-      const ir::Program& program,
-      const std::vector<ir::InputVector>& inputs, bool with_tac = true) const;
 
   /// Ground-truth style campaign: N runs of the program as-is, returning
   /// raw execution times (Fig. 2 / Fig. 4 ECCDFs). `first_run` offsets the
   /// deterministic run numbering — run i uses seed mix64(first_run + i,
   /// master_seed) — so sharded measure campaigns can split one logical
   /// sample into contiguous slices whose concatenation is bit-identical to
-  /// a single `measure(program, input, total)` call.
+  /// a single `measure(program, input, total)` call. Throws
+  /// std::invalid_argument when the sample cannot be allocated.
   std::vector<double> measure(const ir::Program& program,
                               const ir::InputVector& input, std::size_t runs,
                               std::size_t first_run = 0) const;

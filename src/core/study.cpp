@@ -17,6 +17,7 @@
 #include "obs/trace.hpp"
 #include "suite/malardalen.hpp"
 #include "util/cli.hpp"
+#include "util/pool.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -741,11 +742,19 @@ StudySpec StudySpec::from_json(const json::Value& doc) {
 }
 
 double StudyResult::pwcet_at(double p) const {
-  return combined_pwcet_at(paths, p);
+  double best = std::numeric_limits<double>::infinity();
+  for (const PathAnalysis& a : paths) {
+    best = std::min(best, a.pwcet.at(p));
+  }
+  return paths.empty() ? 0.0 : best;
 }
 
 std::size_t StudyResult::tightest_path(double p) const {
-  return tightest_path_index(paths, p);
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < paths.size(); ++i) {
+    if (paths[i].pwcet.at(p) < paths[best].pwcet.at(p)) best = i;
+  }
+  return best;
 }
 
 json::Value StudyResult::to_json() const {
@@ -869,23 +878,56 @@ struct UsageSnapshot {
   }
 };
 
-/// A measure study's campaigns: runs [first_run, first_run + count) of
-/// every resolved input, on the pubbed program when the spec asks for it.
-void measure_inputs(const StudySpec& spec, const Resolved& resolved,
-                    const Analyzer& analyzer, std::size_t first_run,
-                    std::size_t count, StudyResult& out) {
-  const ir::Program* program = &resolved.program;
-  ir::Program pubbed;
-  if (spec.measure_pub) {
-    pubbed = pub::apply_pub(resolved.program, spec.config.pub);
-    program = &pubbed;
+/// The one study driver behind run_study and run_measure_slice. PUB is
+/// applied once when the mode analyzes the pubbed program; every input is
+/// then an independent work unit (Corollary 2) on the shared pool, at most
+/// `config.campaign.threads` in flight. Each path's result is a pure function of its
+/// trace and the master seed, so scheduling never changes the result, and
+/// `paths`/`samples` keep input order. Measure mode takes runs
+/// [first_run, first_run + count) of each input's campaign.
+StudyResult execute(const StudySpec& spec, std::size_t first_run,
+                    std::size_t count) {
+  Resolved resolved = resolve(spec);
+  const bool measure = spec.mode == StudyMode::kMeasure;
+  if (measure ? spec.measure_pub : spec.mode != StudyMode::kOrig) {
+    obs::Span span("pub");
+    resolved.program = pub::apply_pub(resolved.program, spec.config.pub);
   }
-  out.program_name = program->name;
-  for (const ir::InputVector& in : resolved.inputs) {
-    out.samples.push_back(
-        {in.label, analyzer.measure(*program, in, count, first_run)});
-    out.runs_executed += count;
+  const bool with_tac =
+      spec.mode == StudyMode::kPubTac || spec.mode == StudyMode::kMultipath;
+  const Analyzer analyzer(spec.config);
+
+  StudyResult out;
+  out.spec = spec;
+  out.program_name = resolved.program.name;
+  const std::size_t n = resolved.inputs.size();
+  if (measure) {
+    out.samples.resize(n);
+  } else {
+    out.paths.resize(n);
   }
+  ThreadPool::shared().parallel_for(
+      n, 1,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const ir::InputVector& in = resolved.inputs[i];
+          if (measure) {
+            out.samples[i] = {in.label, analyzer.measure(resolved.program, in,
+                                                         count, first_run)};
+          } else {
+            out.paths[i] =
+                analyzer.analyze_program(resolved.program, in, with_tac);
+          }
+        }
+      },
+      ThreadPool::helpers_for(spec.config.campaign.threads));
+
+  for (const PathAnalysis& pa : out.paths) {
+    out.runs_executed += spec.config.baseline_probe_runs +
+                         std::max(pa.r_total, pa.pwcet.sample_size());
+  }
+  out.runs_executed += out.samples.size() * count;
+  return out;
 }
 
 }  // namespace
@@ -901,42 +943,7 @@ StudyResult run_study(const StudySpec& requested) {
     spec.inputs = InputSelection::kAllPaths;
   }
   spec.validate();
-  Resolved resolved = resolve(spec);
-
-  const Analyzer analyzer(spec.config);
-  StudyResult out;
-  out.spec = spec;
-
-  switch (spec.mode) {
-    case StudyMode::kMeasure:
-      measure_inputs(spec, resolved, analyzer, 0, spec.measure_runs, out);
-      break;
-    case StudyMode::kMultipath: {
-      Analyzer::MultiPathAnalysis multi = analyzer.analyze_pubbed_paths(
-          resolved.program, resolved.inputs, /*with_tac=*/true);
-      out.paths = std::move(multi.per_path);
-      break;
-    }
-    case StudyMode::kOrig:
-    case StudyMode::kPub:
-    case StudyMode::kPubTac:
-      for (const ir::InputVector& in : resolved.inputs) {
-        out.paths.push_back(
-            spec.mode == StudyMode::kOrig
-                ? analyzer.analyze_original(resolved.program, in)
-                : analyzer.analyze_pubbed(resolved.program, in,
-                                          spec.mode == StudyMode::kPubTac));
-      }
-      break;
-  }
-
-  if (!out.paths.empty()) {
-    out.program_name = out.paths.front().program_name;
-    for (const PathAnalysis& pa : out.paths) {
-      out.runs_executed += spec.config.baseline_probe_runs +
-                           std::max(pa.r_total, pa.pwcet.sample_size());
-    }
-  }
+  StudyResult out = execute(spec, 0, spec.measure_runs);
 
   if (obs::enabled()) {
     const UsageSnapshot usage_end = UsageSnapshot::now();
@@ -966,11 +973,7 @@ StudyResult run_measure_slice(const StudySpec& spec, std::size_t first_run,
         std::to_string(first_run + count) + ") exceeds measure_runs " +
         std::to_string(spec.measure_runs));
   }
-  StudyResult out;
-  out.spec = spec;
-  measure_inputs(spec, resolve(spec), Analyzer(spec.config), first_run, count,
-                 out);
-  return out;
+  return execute(spec, first_run, count);
 }
 
 StudyResult assemble_measure_result(const StudySpec& spec,

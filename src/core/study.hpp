@@ -8,9 +8,11 @@
 // config override; `run_study()` executes it; a StudyResult uniformly
 // carries per-path PathAnalysis data, pWCET curves on the log grid and
 // run-count accounting, with JSON and CSV emitters. The `mbcr` CLI, the
-// benches and the examples all drive analyses through this one layer, and
-// it is the substrate future sharded/batched runners target: a spec is a
-// self-contained, serializable work unit.
+// sharded sweep, the Table-2 and Corollary-2 benches and the quickstart
+// and path-coverage examples drive analyses through this layer. The
+// figure, Table-1 and ablation benches and the other examples call
+// `Analyzer` directly, on programs and configs a spec does not name. A
+// spec is a self-contained, serializable work unit.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +31,7 @@ enum class StudyMode {
   kOrig,       ///< plain MBPTA on the original program (R_orig baseline)
   kPub,        ///< PUB-only: MBPTA convergence on the pubbed program
   kPubTac,     ///< the paper's full PUB+TAC application process
-  kMultipath,  ///< PUB+TAC on every path input, combined per Corollary 2
+  kMultipath,  ///< kPubTac with the input selection normalized to all paths
   kMeasure,    ///< raw campaign: N runs, no convergence/EVT (ECCDF data)
 };
 
@@ -152,8 +154,11 @@ struct StudyResult {
   void write_csv(std::ostream& os) const;
 };
 
-/// Executes the spec: resolves the program and inputs, runs the analyzer,
-/// and packages the uniform result. Multipath mode with a kDefault input
+/// Executes the spec: resolves the program and inputs, applies PUB once
+/// when the mode analyzes the pubbed program, runs every input through the
+/// analyzer (paths concurrently on the shared pool, at most
+/// `config.campaign.threads` at a time; 1 = all on the calling thread), and
+/// packages the uniform result. Multipath mode with a kDefault input
 /// selection is normalized to kAllPaths (a one-path multipath study is
 /// meaningless); the normalized spec is what the result carries.
 StudyResult run_study(const StudySpec& spec);

@@ -10,14 +10,14 @@
 // Design notes:
 //  * `parallel_for` is cooperative: the calling thread claims chunks too,
 //    so it makes progress even when every worker is busy. That makes the
-//    pool safely re-entrant — a task running on a worker may itself call
-//    `parallel_for` (the batched multi-path analyzer does exactly that)
-//    without risk of deadlock.
+//    pool safely re-entrant — a chunk running on a worker may itself call
+//    `parallel_for` (a study's path loop does exactly that: each path's
+//    campaigns fan out on the same pool) without risk of deadlock.
 //  * Work assignment never affects results: campaign determinism comes
 //    from per-run seeding (`mix64(run_index, master_seed)`), so any thread
 //    may execute any chunk.
-//  * The first exception thrown by any chunk or task is captured and
-//    rethrown on the waiting thread.
+//  * The first exception thrown by any chunk is captured and rethrown on
+//    the waiting thread.
 #pragma once
 
 #include <atomic>
@@ -26,11 +26,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace mbcr {
@@ -66,19 +64,6 @@ public:
   /// 0 means the whole pool, 1 the calling thread alone.
   static std::size_t helpers_for(unsigned threads) {
     return threads == 0 ? SIZE_MAX : threads - 1;
-  }
-
-  /// Enqueues an arbitrary task; the future rethrows its exception. The
-  /// campaign engine itself only needs `parallel_for`; this is the
-  /// general entry point for ad-hoc jobs sharing the campaign workers
-  /// (e.g. a future CLI front-end running analyses side by side).
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    enqueue([task] { (*task)(); });
-    return future;
   }
 
 private:

@@ -110,35 +110,6 @@ TEST(Analyzer, AnalysisIsReproducible) {
   EXPECT_DOUBLE_EQ(r1.pwcet.at(1e-12), r2.pwcet.at(1e-12));
 }
 
-TEST(Analyzer, BatchedMultiPathMatchesSerialAnalysis) {
-  // analyze_pubbed_paths schedules every per-path campaign onto the shared
-  // pool concurrently; results must equal the serial per-path analyses, in
-  // input order (the campaign determinism contract end-to-end).
-  const auto b = suite::make_bs();
-  AnalysisConfig cfg = fast_config();
-  cfg.convergence.max_runs = 5000;
-  cfg.tac.max_runs_cap = 5000;
-  const Analyzer analyzer(cfg);
-  const std::vector<ir::InputVector> inputs(b.path_inputs.begin(),
-                                            b.path_inputs.begin() + 3);
-  const auto batched = analyzer.analyze_pubbed_paths(b.program, inputs);
-  ASSERT_EQ(batched.per_path.size(), inputs.size());
-  const ir::Program pubbed = pub::apply_pub(b.program, cfg.pub);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const PathAnalysis serial =
-        analyzer.analyze_program(pubbed, inputs[i], /*with_tac=*/true);
-    EXPECT_EQ(batched.per_path[i].input_label, inputs[i].label);
-    EXPECT_EQ(batched.per_path[i].r_mbpta, serial.r_mbpta);
-    EXPECT_EQ(batched.per_path[i].r_tac, serial.r_tac);
-    EXPECT_EQ(batched.per_path[i].r_total, serial.r_total);
-    EXPECT_DOUBLE_EQ(batched.per_path[i].pwcet.at(1e-12),
-                     serial.pwcet.at(1e-12));
-  }
-  // Corollary 2 combinators operate over the batch.
-  EXPECT_GT(batched.pwcet_at(1e-12), 0.0);
-  EXPECT_LT(batched.tightest_path(1e-12), inputs.size());
-}
-
 TEST(Report, PrintsAnalysisSummary) {
   const auto b = suite::make_bs();
   const Analyzer analyzer(fast_config());

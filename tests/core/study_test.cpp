@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "core/report.hpp"
+#include "obs/metrics.hpp"
 #include "suite/malardalen.hpp"
 #include "util/json.hpp"
 
@@ -483,6 +487,76 @@ TEST(RunStudy, MultipathCoversAllPathsAndNormalizesSelection) {
   EXPECT_LT(result.tightest_path(1e-12), result.paths.size());
 }
 
+// Corollary 2 work units are independent: where the path loop schedules
+// them cannot change a byte. A serial pub_tac study over every input, the
+// same study with its paths on the whole pool, and the multipath study
+// all write one document (apart from the threads and mode they name), and
+// each path is exactly the direct per-path analysis.
+TEST(RunStudy, PathSchedulingDoesNotChangeTheDocument) {
+  StudySpec spec = fast_spec("bs", StudyMode::kPubTac);
+  spec.inputs = InputSelection::kAllPaths;
+  spec.config.campaign.threads = 1;
+  StudyResult serial = run_study(spec);
+  spec.config.campaign.threads = 0;
+  const StudyResult pooled = run_study(spec);
+  spec.mode = StudyMode::kMultipath;
+  StudyResult multipath = run_study(spec);
+
+  serial.spec.config.campaign.threads = 0;
+  multipath.spec.mode = StudyMode::kPubTac;
+  EXPECT_EQ(serial.to_json().dump(2), pooled.to_json().dump(2));
+  EXPECT_EQ(multipath.to_json().dump(2), pooled.to_json().dump(2));
+
+  const auto b = suite::make_bs();
+  ASSERT_EQ(pooled.paths.size(), b.path_inputs.size());
+  const Analyzer analyzer(spec.config);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const PathAnalysis direct =
+        analyzer.analyze_pubbed(b.program, b.path_inputs[i]);
+    const PathAnalysis& via_study = pooled.paths[i];
+    EXPECT_EQ(via_study.input_label, b.path_inputs[i].label);
+    EXPECT_EQ(via_study.r_mbpta, direct.r_mbpta);
+    EXPECT_EQ(via_study.r_tac, direct.r_tac);
+    EXPECT_EQ(via_study.r_total, direct.r_total);
+    EXPECT_DOUBLE_EQ(via_study.pwcet.at(1e-12), direct.pwcet.at(1e-12));
+  }
+
+  // Corollary 2 over the paths: the lowest pWCET, and the path giving it.
+  const std::size_t tightest = pooled.tightest_path(1e-12);
+  ASSERT_LT(tightest, pooled.paths.size());
+  EXPECT_GT(pooled.pwcet_at(1e-12), 0.0);
+  EXPECT_EQ(pooled.pwcet_at(1e-12), pooled.paths[tightest].pwcet.at(1e-12));
+  for (const PathAnalysis& pa : pooled.paths) {
+    EXPECT_LE(pooled.pwcet_at(1e-12), pa.pwcet.at(1e-12));
+  }
+}
+
+// `--threads 1` runs the whole study, its path loop included, on the
+// calling thread: no pool worker picks up any of its work.
+TEST(RunStudy, ThreadsOneKeepsEveryPathOnTheCallingThread) {
+  struct MetricsOn {
+    MetricsOn() { obs::set_enabled(true); }
+    ~MetricsOn() { obs::set_enabled(false); }
+  } metrics_on;
+  StudySpec spec = fast_spec("bs", StudyMode::kMultipath);
+  spec.config.convergence.max_runs = 2000;
+  spec.config.tac.max_runs_cap = 2000;
+  spec.config.campaign.threads = 1;
+  // An earlier pooled study may leave helpers it never needed in the
+  // queue; a worker that wakes late still runs (and counts) one. Let them
+  // drain so the count below sees this study alone.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const obs::CounterSnapshot before = obs::snapshot_counters();
+  const StudyResult result = run_study(spec);
+  ASSERT_EQ(result.paths.size(), 8u);
+  std::uint64_t pool_tasks = 0;
+  for (const auto& [name, growth] :
+       obs::snapshot_counters().delta_since(before)) {
+    if (name == "pool.tasks") pool_tasks = growth;
+  }
+  EXPECT_EQ(pool_tasks, 0u);
+}
+
 TEST(RunStudy, LabelSelectionAnalyzesExactlyThatPath) {
   const auto b = suite::make_bs();
   StudySpec spec = fast_spec("bs", StudyMode::kMeasure);
@@ -516,6 +590,23 @@ TEST(RunStudy, MeasurePubMeasuresThePubbedProgram) {
   spec.measure_pub = true;
   const StudyResult result = run_study(spec);
   EXPECT_EQ(result.program_name, "bs.pub");
+}
+
+TEST(RunStudy, CampaignLargerThanAnyVectorIsAUsageErrorNamingTheFlag) {
+  // 2e18 runs exceed std::vector's max_size, so the sample cannot even be
+  // requested; the study fails closed, naming the path and the flag.
+  StudySpec spec = fast_spec("bs", StudyMode::kMeasure);
+  spec.measure_runs = 2'000'000'000'000'000'000;
+  try {
+    run_study(spec);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("path 'v1'"), std::string::npos) << what;
+    EXPECT_NE(what.find("2000000000000000000 runs"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("--runs"), std::string::npos) << what;
+  }
 }
 
 TEST(RunStudy, RandprogSeedIsAValidProgramSource) {

@@ -153,6 +153,30 @@ TEST(CliObs, TwoLevelReplayCountsTheEntriesItSimulates) {
   }
 }
 
+TEST(CliObs, CampaignTooLargeToAllocateIsAUsageErrorNamingTheFlags) {
+  // ASan and TSan reserve far more address space than the limit below
+  // before main runs, so the command could not even start there.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer runtimes need more than 1 GB of address space";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "sanitizer runtimes need more than 1 GB of address space";
+#endif
+#endif
+  // TAC asks for about 1.8e8 runs (1.4 GB of samples) under a 1 GB
+  // address space.
+  const std::string cmd =
+      "sh -c 'ulimit -v 1000000; exec " + std::string(MBCR_MBCR_BINARY) +
+      " analyze --suite bs --input v1 --tac-target 1e-300" +
+      " --tac-cap 1000000000' 2>&1 >/dev/null";
+  const CommandResult result = run_command(cmd);
+  EXPECT_EQ(result.exit_code, 2) << cmd << "\n" << result.out;
+  EXPECT_NE(result.out.find("--tac-cap"), std::string::npos) << result.out;
+  EXPECT_NE(result.out.find("path 'v1': cannot allocate a campaign of "),
+            std::string::npos)
+      << result.out;
+}
+
 #else
 
 TEST(CliObs, SkippedWithoutPosixPopen) { GTEST_SKIP(); }

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace mbcr {
@@ -71,41 +72,35 @@ TEST(ThreadPool, ParallelForPropagatesWorkerException) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPool, SubmitReturnsValueThroughFuture) {
-  ThreadPool pool(2);
-  auto f1 = pool.submit([] { return 21 * 2; });
-  auto f2 = pool.submit([] { return std::string("done"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "done");
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::logic_error("boom"); });
-  EXPECT_THROW(f.get(), std::logic_error);
-}
-
-TEST(ThreadPool, ConcurrentSubmitFromManyThreads) {
+TEST(ThreadPool, ConcurrentParallelForFromManyThreads) {
+  // Several callers share one pool at once (the job queue and the idle
+  // count are shared state): every call still covers exactly its own range.
   ThreadPool pool(4);
-  std::atomic<int> sum{0};
-  std::vector<std::thread> producers;
-  for (int t = 0; t < 4; ++t) {
-    producers.emplace_back([&pool, &sum] {
-      std::vector<std::future<void>> futures;
-      for (int i = 0; i < 50; ++i) {
-        futures.push_back(pool.submit([&sum] { sum.fetch_add(1); }));
+  std::vector<std::atomic<int>> hits(4 * 50 * 64);
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < 4; ++t) {
+    callers.emplace_back([&pool, &hits, t] {
+      for (std::size_t call = 0; call < 50; ++call) {
+        const std::size_t base = (t * 50 + call) * 64;
+        pool.parallel_for(64, 4, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            hits[base + i].fetch_add(1);
+          }
+        });
       }
-      for (auto& f : futures) f.get();
     });
   }
-  for (auto& t : producers) t.join();
-  EXPECT_EQ(sum.load(), 4 * 50);
+  for (std::thread& t : callers) t.join();
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
 }
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
-  // A pool task may itself fan out on the same pool (the batched
-  // multi-path analyzer does this). Cooperative chunk claiming guarantees
-  // progress even when every worker is occupied by an outer task.
+  // A chunk may itself fan out on the same pool (a study's path loop does
+  // this: each path runs its campaigns on the pool). Cooperative chunk
+  // claiming guarantees progress even when every worker is occupied by an
+  // outer task.
   ThreadPool pool(2);
   std::atomic<int> inner_total{0};
   pool.parallel_for(8, 1, [&](std::size_t, std::size_t) {
@@ -114,18 +109,6 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
     });
   });
   EXPECT_EQ(inner_total.load(), 8 * 32);
-}
-
-TEST(ThreadPool, ParallelForInsideSubmittedTask) {
-  ThreadPool pool(2);
-  auto f = pool.submit([&pool] {
-    std::atomic<int> n{0};
-    pool.parallel_for(64, 8, [&](std::size_t begin, std::size_t end) {
-      n.fetch_add(static_cast<int>(end - begin));
-    });
-    return n.load();
-  });
-  EXPECT_EQ(f.get(), 64);
 }
 
 TEST(ThreadPool, MaxHelpersZeroRunsOnCallingThread) {
