@@ -96,35 +96,18 @@ json::Value count_json(std::uint64_t v) {
   return json::Value(static_cast<double>(v));
 }
 
-/// Adds `n` to one of the calling thread's own slots. The owner is the
-/// slot's only writer, so a relaxed load and store suffice: readers see
-/// either value, never a torn one, and no locked read-modify-write is paid
-/// on the per-run replay path.
-void bump(std::atomic<std::uint64_t>& slot, std::uint64_t n) noexcept {
-  slot.store(slot.load(std::memory_order_relaxed) + n,
-             std::memory_order_relaxed);
-}
-
 }  // namespace
 
 namespace detail {
 
-void shard_add(std::uint32_t slot, std::uint64_t n) noexcept {
+std::atomic<std::uint64_t>* local_cell(std::uint32_t slot) noexcept {
   Shard& shard = my_shard();
   if (slot >= shard.capacity) grow_shard(shard, slot);
-  bump(shard.blocks[slot / kBlockSlots]->slots[slot % kBlockSlots], n);
+  return &shard.blocks[slot / kBlockSlots]->slots[slot % kBlockSlots];
 }
 
-void shard_add_n(const std::uint32_t* slots, const std::uint64_t* values,
-                 std::size_t n) noexcept {
-  Shard& shard = my_shard();
-  std::uint32_t hi = 0;
-  for (std::size_t i = 0; i < n; ++i) hi = slots[i] > hi ? slots[i] : hi;
-  if (hi >= shard.capacity) grow_shard(shard, hi);
-  for (std::size_t i = 0; i < n; ++i) {
-    bump(shard.blocks[slots[i] / kBlockSlots]->slots[slots[i] % kBlockSlots],
-         values[i]);
-  }
+void shard_add(std::uint32_t slot, std::uint64_t n) noexcept {
+  bump(*local_cell(slot), n);
 }
 
 }  // namespace detail

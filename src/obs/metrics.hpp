@@ -37,11 +37,17 @@ extern std::atomic<bool> g_metrics_enabled;
 /// Adds `n` to the calling thread's shard slot (registering the shard and
 /// growing its block list on first touch of a new slot range).
 void shard_add(std::uint32_t slot, std::uint64_t n) noexcept;
-/// `n` adds, one thread-local shard lookup — for hot paths that always
-/// update a few counters together (the per-run replay tallies live under
-/// the <2% collection-overhead budget the bench gate pins).
-void shard_add_n(const std::uint32_t* slots, const std::uint64_t* values,
-                 std::size_t n) noexcept;
+/// The calling thread's own cell for `slot` (registering the shard and
+/// growing its block list as `shard_add` does). Blocks never move, so the
+/// cell stays at this address for the life of the process.
+std::atomic<std::uint64_t>* local_cell(std::uint32_t slot) noexcept;
+/// Adds `n` to a cell only the calling thread writes. As its only writer,
+/// a relaxed load and store suffice: readers see either value, never a
+/// torn one, and no locked read-modify-write is paid.
+inline void bump(std::atomic<std::uint64_t>& cell, std::uint64_t n) noexcept {
+  cell.store(cell.load(std::memory_order_relaxed) + n,
+             std::memory_order_relaxed);
+}
 }  // namespace detail
 
 /// The runtime collection gate.
@@ -65,23 +71,32 @@ public:
 private:
   friend Counter counter(std::string_view name);
   template <std::size_t N>
-  friend void add_all(const std::array<Counter, N>& counters,
-                      const std::array<std::uint64_t, N>& values) noexcept;
+  friend class LocalCounters;
   std::uint32_t slot_ = 0;
 };
 
-/// Adds `values[i]` to `counters[i]` for every i with a single
-/// enabled-gate check and a single thread-local shard lookup. Use where a
-/// few counters are always bumped together on a per-run hot path;
-/// everywhere else plain `Counter::add` reads better.
+/// A few counters that a per-run hot path always bumps together, bound to
+/// the calling thread's own cells once, so an add is one enabled-gate
+/// check and a relaxed load and store per counter, with no shard lookup.
+/// Hold one per thread (a function-local `thread_local`); everywhere else
+/// plain `Counter::add` reads better.
 template <std::size_t N>
-inline void add_all(const std::array<Counter, N>& counters,
-                    const std::array<std::uint64_t, N>& values) noexcept {
-  if (!enabled()) return;
-  std::uint32_t slots[N];
-  for (std::size_t i = 0; i < N; ++i) slots[i] = counters[i].slot_;
-  detail::shard_add_n(slots, values.data(), N);
-}
+class LocalCounters {
+public:
+  explicit LocalCounters(const std::array<Counter, N>& counters) noexcept {
+    for (std::size_t i = 0; i < N; ++i) {
+      cells_[i] = detail::local_cell(counters[i].slot_);
+    }
+  }
+
+  void add(const std::array<std::uint64_t, N>& values) const noexcept {
+    if (!enabled()) return;
+    for (std::size_t i = 0; i < N; ++i) detail::bump(*cells_[i], values[i]);
+  }
+
+private:
+  std::array<std::atomic<std::uint64_t>*, N> cells_;
+};
 
 /// A last-write-wins instantaneous value (queue depth, rates computed at
 /// the end of a phase). Global, not sharded — sets are rare.

@@ -77,10 +77,9 @@ T* sized(std::vector<T>& v, std::size_t n) {
   return v.data();
 }
 
-/// One L1 side of a run: its misses, the entries it kept (every access of
-/// a line that shares its set, the first access of every other line), and
-/// whether any of its lines shared a set (false means nothing was
-/// simulated).
+/// One L1 side of a run: its misses, the entries it kept (see
+/// `replay_l1_side`), and whether any of its lines shared a set (false
+/// means nothing was simulated).
 struct SideRun {
   std::uint64_t misses;
   std::uint64_t kept;
@@ -108,7 +107,10 @@ std::uint64_t gather_marks(const std::uint8_t* keep) {
 ///
 /// A lone line misses on its first access and hits ever after: that first
 /// access draws its victim choice, which keeps every later draw at its
-/// stream position, and its other accesses are skipped. The entries to
+/// stream position, and its other accesses are skipped. A shared line's
+/// later access is skipped too when no other line of its set came since
+/// its previous access (its `CompactTrace::line_gaps` mask misses the
+/// set's): nothing could have evicted it, so it hits. The entries to
 /// replay are marked line by line (see `CompactTrace::line_begin`) in a
 /// byte map over the side's sequence, then walked in order, 64 marks at a
 /// time, so the cost follows the entries kept rather than the entries
@@ -126,6 +128,7 @@ SideRun replay_l1_side(const CacheConfig& cfg, const CompactTrace& trace,
   const std::uint32_t* const line_begin =
       trace.line_begin.data() + (instr ? 0 : trace.ilines.size());
   const std::uint32_t* const positions = trace.line_entries.data();
+  const std::uint64_t* const gaps = trace.line_gaps.data();
   const auto n = static_cast<std::uint32_t>(lines.size());
 
   std::uint32_t* const slot = sized(ws.line_slot, n);
@@ -144,26 +147,46 @@ SideRun replay_l1_side(const CacheConfig& cfg, const CompactTrace& trace,
     return {n, n, false};
   }
 
-  // The map is all zero between runs: the walk below clears every block
-  // it finds marked, so a run only has to grow it.
+  // Every line's first use is kept. The lines that share a set are listed
+  // as they go by, without a branch (which lines are lone changes every
+  // run), and each shared set gets the mask of its lines' ids mod 64. The
+  // map is all zero between runs: the walk below clears every block it
+  // finds marked, so a run only has to grow it.
   const std::size_t m = seq.size();
   const std::size_t padded = (m + 63) & ~std::size_t{63};
   if (ws.keep.size() < padded) sized(ws.keep, padded);
   std::uint8_t* const keep = ws.keep.data();
-  std::uint64_t kept = 0;
+  std::uint32_t* const sharing = sized(ws.sharing_lines, n);
+  std::uint32_t num_sharing = 0;
   for (std::uint32_t l = 0; l < n; ++l) {
-    // All of a shared line's positions, the first of a lone one, chosen
-    // without a branch: which lines are lone changes every run. The first
-    // four are stored without a loop branch too (a line with fewer stores
-    // its last one again), as most lines keep only a few.
+    keep[positions[line_begin[l]]] = 1;
+    sharing[num_sharing] = l;
+    num_sharing += slot[l] != kLone;
+  }
+  ws.set_masks.assign(shared, 0);
+  std::uint64_t* const set_mask = ws.set_masks.data();
+  for (std::uint32_t i = 0; i < num_sharing; ++i) {
+    const std::uint32_t l = sharing[i];
+    set_mask[slot[l]] |= std::uint64_t{1} << (l % 64);
+  }
+  // A sharing line's later accesses are kept when their gap meets its
+  // set's mask. The first three are looked at without a loop branch (a
+  // line with fewer looks at its last one again, or at its first use,
+  // whose all-ones gap meets any mask), as most lines have only a few.
+  for (std::uint32_t i = 0; i < num_sharing; ++i) {
+    const std::uint32_t l = sharing[i];
     const std::uint32_t first = line_begin[l];
-    const std::uint32_t shared_mask = 0u - std::uint32_t{slot[l] != kLone};
-    const std::uint32_t count =
-        1 + ((line_begin[l + 1] - first - 1) & shared_mask);
-    kept += count;
+    const std::uint32_t count = line_begin[l + 1] - first;
+    const std::uint64_t lines_in_set = set_mask[slot[l]];
     const std::uint32_t* const at = positions + first;
-    for (std::uint32_t k = 0; k < 4; ++k) keep[at[std::min(k, count - 1)]] = 1;
-    for (std::uint32_t k = 4; k < count; ++k) keep[at[k]] = 1;
+    const std::uint64_t* const gap = gaps + first;
+    for (std::uint32_t k = 1; k < 4; ++k) {
+      const std::uint32_t j = std::min(k, count - 1);
+      keep[at[j]] = std::uint8_t{(gap[j] & lines_in_set) != 0};
+    }
+    for (std::uint32_t k = 4; k < count; ++k) {
+      keep[at[k]] = std::uint8_t{(gap[k] & lines_in_set) != 0};
+    }
   }
 
   // One slot of `ways` tags per shared set, and a spare slot after them
@@ -175,9 +198,11 @@ SideRun replay_l1_side(const CacheConfig& cfg, const CompactTrace& trace,
   std::uint32_t* const shared_tags = ws.shared_tags.data();
   Xoshiro256 rng(mix64(instr ? kIl1Replacement : kDl1Replacement, run_seed));
   std::uint64_t misses = 0;
+  std::uint64_t kept = 0;
   for (std::size_t base = 0; base < m; base += 64) {
     std::uint64_t marked = gather_marks(keep + base);
     if (marked != 0) std::memset(keep + base, 0, 64);
+    kept += static_cast<std::uint64_t>(std::popcount(marked));
     for (; marked != 0; marked &= marked - 1) {
       const auto p = static_cast<std::uint32_t>(
           base + static_cast<std::size_t>(std::countr_zero(marked)));
@@ -267,28 +292,31 @@ std::uint64_t probe_l2(L2Model l2, const RunWorkspace::L1Miss* i,
 
 /// Per-run replay tallies of one flavor: runs, entries, entries kept (see
 /// `SideRun`), and runs in which every L1 line was alone in its set, so
-/// nothing was simulated. Flushed once per run with one fused add, so the
-/// crc replay path stays within the <2% collection-overhead budget the
-/// bench gate pins.
-using ReplayCounters = std::array<obs::Counter, 4>;
+/// nothing was simulated. Bound to each thread's cells once and flushed
+/// once per run, so the crc replay path stays within the <2%
+/// collection-overhead budget the bench gate pins.
+using ReplayCounters = obs::LocalCounters<4>;
 
 ReplayCounters replay_counters(const std::string& flavor) {
-  return {obs::counter(flavor + ".runs"), obs::counter(flavor + ".entries"),
-          obs::counter(flavor + ".simulated_entries"),
-          obs::counter(flavor + ".conflict_free_runs")};
+  return ReplayCounters({obs::counter(flavor + ".runs"),
+                         obs::counter(flavor + ".entries"),
+                         obs::counter(flavor + ".simulated_entries"),
+                         obs::counter(flavor + ".conflict_free_runs")});
 }
 
 void count_run(const MachineConfig& config, const CompactTrace& trace,
                const SideRun& il1, const SideRun& dl1) {
   if (!obs::enabled()) return;
-  static const ReplayCounters single = replay_counters("replay.single_level");
-  static const ReplayCounters lru = replay_counters("replay.l2_lru");
-  static const ReplayCounters random = replay_counters("replay.l2_random");
+  thread_local const ReplayCounters single =
+      replay_counters("replay.single_level");
+  thread_local const ReplayCounters lru = replay_counters("replay.l2_lru");
+  thread_local const ReplayCounters random =
+      replay_counters("replay.l2_random");
   const ReplayCounters& c = !config.l2.enabled ? single
                             : config.l2.policy == L2Policy::kRandom ? random
                                                                    : lru;
-  obs::add_all(c, {1, trace.size(), il1.kept + dl1.kept,
-                   !il1.conflicts && !dl1.conflicts});
+  c.add({1, trace.size(), il1.kept + dl1.kept,
+         !il1.conflicts && !dl1.conflicts});
 }
 
 /// Single-level run: each L1 side replays on its own (see replay_l1_side)

@@ -11,13 +11,15 @@
 // Each L1 side is replayed on its own, by one loop at either level: the
 // sides are separate caches with separate replacement streams. Per side
 // the run places its lines, finds the lines alone in their set, marks the
-// entries to keep (every access of a shared line, the first access of a
-// lone one) and walks only those, so its cost follows the kept entries. A
-// lone line misses once and then always hits: its first access draws its
-// one victim choice, to keep every later draw where it was, and its later
-// accesses are skipped. A side whose lines are all alone draws nothing:
-// it misses once per line. Nothing per run scales with the number of sets:
-// tag state is held for the shared sets only.
+// entries to keep (every line's first access, and each later access of a
+// shared line that another line of its set came before; see
+// `CompactTrace::line_gaps`) and walks only those, so its cost follows
+// the kept entries. Every skipped access hits under any replacement draw.
+// A lone line misses once and then always hits: its first access draws
+// its one victim choice, to keep every later draw where it was. A side
+// whose lines are all alone draws nothing: it misses once per line.
+// Nothing per run scales with the number of sets: tag state is held for
+// the shared sets only.
 //
 // Single level, a run's cycles are the per-side base costs plus
 // `mem_latency` per miss on either side. Behind an L2 the skip is just as
@@ -60,6 +62,11 @@ struct RunWorkspace {
   std::vector<std::uint32_t> line_slot;
   /// `ways` tags per shared set of the L1 side being replayed.
   std::vector<std::uint32_t> shared_tags;
+  /// The lines of the L1 side being replayed that share a set, and per
+  /// shared set the bits `id % 64` of its lines (see
+  /// `CompactTrace::line_gaps`).
+  std::vector<std::uint32_t> sharing_lines;
+  std::vector<std::uint64_t> set_masks;
   /// One byte per entry of the L1 side being replayed, set on the entries
   /// to simulate; all zero between runs.
   std::vector<std::uint8_t> keep;

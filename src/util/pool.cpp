@@ -74,10 +74,10 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
-void ThreadPool::enqueue(std::function<void()> fn) {
+void ThreadPool::enqueue(std::shared_ptr<ForJob> job) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(fn));
+    queue_.push_back(std::move(job));
     if (obs::enabled()) {
       pool_metrics().queue_depth.set(static_cast<double>(queue_.size()));
       pool_metrics().workers.set(static_cast<double>(threads_.size()));
@@ -87,37 +87,40 @@ void ThreadPool::enqueue(std::function<void()> fn) {
 }
 
 void ThreadPool::worker_loop() {
-  // Counted idle on entry (see constructor); busy only while running fn.
+  // Counted idle on entry (see constructor); busy only while helping. A
+  // helper that finds its job's chunks all claimed (its caller finished
+  // without it) did no work, so it counts no task and no busy time.
   for (;;) {
-    std::function<void()> fn;
+    std::shared_ptr<ForJob> job;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       wake_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping_ and drained
-      fn = std::move(queue_.front());
+      job = std::move(queue_.front());
       queue_.pop_front();
     }
     idle_.fetch_sub(1, std::memory_order_relaxed);
     if (obs::enabled()) {
       const auto t0 = std::chrono::steady_clock::now();
-      fn();
-      pool_metrics().tasks.add(1);
-      pool_metrics().busy_ns.add(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
+      if (drive(job)) {
+        pool_metrics().tasks.add(1);
+        pool_metrics().busy_ns.add(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count()));
+      }
     } else {
-      fn();
+      drive(job);
     }
     idle_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void ThreadPool::drive(const std::shared_ptr<ForJob>& job) {
+bool ThreadPool::drive(const std::shared_ptr<ForJob>& job) {
   const std::size_t chunks = (job->n + job->grain - 1) / job->grain;
-  for (;;) {
+  for (bool claimed = false;; claimed = true) {
     const std::size_t c = job->next.fetch_add(1, std::memory_order_relaxed);
-    if (c >= chunks) return;
+    if (c >= chunks) return claimed;
     if (!job->failed.load(std::memory_order_acquire)) {
       const std::size_t begin = c * job->grain;
       const std::size_t end = std::min(job->n, begin + job->grain);
@@ -166,9 +169,7 @@ void ThreadPool::parallel_for(
   const std::size_t helpers = std::min(
       {static_cast<std::size_t>(idle_.load(std::memory_order_relaxed)),
        chunks > 1 ? chunks - 1 : 0, max_helpers});
-  for (std::size_t i = 0; i < helpers; ++i) {
-    enqueue([job] { drive(job); });
-  }
+  for (std::size_t i = 0; i < helpers; ++i) enqueue(job);
 
   drive(job);  // the caller claims chunks too — re-entrancy + no idle caller
 

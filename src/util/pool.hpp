@@ -69,12 +69,16 @@ public:
 private:
   struct ForJob;
 
-  void enqueue(std::function<void()> fn);
+  /// Queues one helper for `job`: the worker that takes it claims the
+  /// job's chunks alongside the caller.
+  void enqueue(std::shared_ptr<ForJob> job);
   void worker_loop();
-  static void drive(const std::shared_ptr<ForJob>& job);
+  /// Claims and runs chunks of `job` until none is left; returns whether
+  /// it claimed any.
+  static bool drive(const std::shared_ptr<ForJob>& job);
 
   std::vector<std::thread> threads_;
-  std::deque<std::function<void()>> queue_;
+  std::deque<std::shared_ptr<ForJob>> queue_;
   std::mutex mutex_;
   std::condition_variable wake_;
   std::atomic<unsigned> idle_{0};  ///< workers parked in worker_loop's wait

@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "core/report.hpp"
@@ -543,9 +541,8 @@ TEST(RunStudy, ThreadsOneKeepsEveryPathOnTheCallingThread) {
   spec.config.tac.max_runs_cap = 2000;
   spec.config.campaign.threads = 1;
   // An earlier pooled study may leave helpers it never needed in the
-  // queue; a worker that wakes late still runs (and counts) one. Let them
-  // drain so the count below sees this study alone.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // queue. A worker that wakes late and takes one finds its chunks all
+  // claimed, and counts no task.
   const obs::CounterSnapshot before = obs::snapshot_counters();
   const StudyResult result = run_study(spec);
   ASSERT_EQ(result.paths.size(), 8u);
