@@ -10,7 +10,9 @@
 //    trace's full access count and folded replay entries, timed with plain
 //    std::chrono (no google-benchmark needed) and written as JSON. This is
 //    the `BENCH_replay.json` CI artifact that tracks the perf trajectory.
-//    `--replay-runs N` caps the runs per timed case (CI smoke).
+//    `--replay-runs N` caps the runs per timed case (CI smoke). The same
+//    report times TAC's group impacts (`tac::group_extra_misses`, one
+//    thread) over every candidate of three pubbed data sides.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -19,13 +21,18 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "cache/single_set.hpp"
 #include "ir/interp.hpp"
 #include "obs/metrics.hpp"
 #include "platform/campaign.hpp"
 #include "platform/machine.hpp"
+#include "pub/pub_transform.hpp"
 #include "suite/malardalen.hpp"
+#include "tac/conflict.hpp"
+#include "tac/impact.hpp"
 #include "util/atomic_file.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -35,7 +42,6 @@
 #include <benchmark/benchmark.h>
 
 #include "cache/random_cache.hpp"
-#include "pub/pub_transform.hpp"
 #include "tac/runs.hpp"
 #endif
 
@@ -124,6 +130,119 @@ ReplayCase time_replay_case(const std::string& kernel,
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// TAC impact throughput: group_extra_misses over every candidate group
+// `enumerate_conflict_groups` estimates on one side, on the calling thread.
+
+/// Appends the candidate groups of size `remaining` + picks, in the
+/// enumerator's walk: every cluster multiset over the first `n_clusters`
+/// clusters, represented by each cluster's first m lines, kept when their
+/// accesses reach `min_accesses`.
+void walk_candidates(const tac::ReuseProfile& profile, std::size_t n_clusters,
+                     std::size_t cluster, std::size_t remaining,
+                     std::uint64_t accesses, double min_accesses,
+                     std::vector<std::size_t>& picks,
+                     std::vector<std::vector<std::size_t>>& out) {
+  if (remaining == 0) {
+    if (static_cast<double>(accesses) >= min_accesses) out.push_back(picks);
+    return;
+  }
+  if (cluster >= n_clusters) return;
+  const tac::AccessCluster& cl = profile.clusters[cluster];
+  const std::size_t cap = std::min(remaining, cl.size());
+  walk_candidates(profile, n_clusters, cluster + 1, remaining, accesses,
+                  min_accesses, picks, out);
+  for (std::size_t m = 1; m <= cap; ++m) {
+    const std::size_t idx = cl.line_indices[m - 1];
+    picks.push_back(idx);
+    accesses += profile.lines[idx].count;
+    walk_candidates(profile, n_clusters, cluster + 1, remaining - m, accesses,
+                    min_accesses, picks, out);
+  }
+  picks.resize(picks.size() - cap);
+}
+
+struct TacImpactCase {
+  std::size_t candidates = 0;
+  std::size_t positive = 0;
+  double impacts_per_sec = 0;
+};
+
+TacImpactCase time_tac_impact_case(const std::string& kernel,
+                                   std::uint32_t sets, std::uint32_t ways) {
+  const auto b = suite::make_benchmark(kernel);
+  const MemTrace mem =
+      ir::lower_and_execute(pub::apply_pub(b.program), b.default_input).trace;
+  const tac::ReuseProfile profile =
+      tac::profile_sequence(mem.line_sequence(false));
+  CacheConfig cache = CacheConfig::paper_l1();
+  cache.sets = sets;
+  cache.ways = ways;
+  const tac::ConflictConfig cfg;
+  TacImpactCase out;
+
+  // The candidates and their per-size seeds, as the enumerator has them.
+  std::vector<std::vector<std::size_t>> groups;
+  std::vector<std::uint64_t> seeds;
+  const std::size_t n_clusters =
+      std::min(cfg.max_clusters, profile.clusters.size());
+  std::size_t available = 0;
+  for (std::size_t c = 0; c < n_clusters; ++c) {
+    available += profile.clusters[c].size();
+  }
+  for (const std::size_t extra : cfg.extra_group_sizes) {
+    const std::size_t k = ways + 1 + extra;
+    if (available < k) continue;
+    std::vector<std::size_t> picks;
+    walk_candidates(profile, n_clusters, 0, k, 0,
+                    cfg.min_access_share *
+                        static_cast<double>(profile.sequence_length),
+                    picks, groups);
+    seeds.resize(groups.size(), mix64(k, cfg.seed));
+  }
+  out.candidates = groups.size();
+
+  // Guards before timing: the kernel equals the full projection replay on
+  // the first candidates, and this walk's positive impacts are exactly
+  // the groups the enumerator keeps.
+  for (std::size_t i = 0; i < std::min<std::size_t>(groups.size(), 64); ++i) {
+    const double ref = std::max(
+        0.0, expected_misses_single_set(tac::project_group(profile, groups[i]),
+                                        ways, seeds[i], cfg.impact_trials) -
+                 static_cast<double>(groups[i].size()));
+    if (tac::group_extra_misses(profile, groups[i], ways, seeds[i],
+                                cfg.impact_trials) != ref) {
+      std::fprintf(stderr, "group_extra_misses mismatch: kernel %s group %zu\n",
+                   kernel.c_str(), i);
+      std::abort();
+    }
+  }
+  std::vector<double> expected;
+  for (const tac::ConflictGroup& g :
+       tac::enumerate_conflict_groups(profile, cache, cfg, 1)) {
+    expected.push_back(g.extra_misses);
+  }
+
+  std::vector<double> positive;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    const double extra = tac::group_extra_misses(profile, groups[i], ways,
+                                                 seeds[i], cfg.impact_trials);
+    if (extra > 0.0) positive.push_back(extra);
+  }
+  out.impacts_per_sec =
+      static_cast<double>(groups.size()) / seconds_since(start);
+  std::sort(expected.begin(), expected.end());
+  std::sort(positive.begin(), positive.end());
+  if (positive != expected) {
+    std::fprintf(stderr, "candidate walk differs from the enumerator: %s\n",
+                 kernel.c_str());
+    std::abort();
+  }
+  out.positive = positive.size();
+  return out;
+}
+
 int run_replay_report(const std::string& json_path, std::size_t runs) {
   const std::vector<std::string> kernels = {"bs", "crc", "matmult"};
   json::Array cases;
@@ -203,11 +322,36 @@ int run_replay_report(const std::string& json_path, std::size_t runs) {
     obs_overhead.emplace_back("on_over_off", on_over_off);
   }
 
+  // TAC impact throughput on three pubbed data sides: edn at 32x4
+  // (replay-heavy), matmult at the paper's 64x2 (the Table-2 shape) and ns
+  // at 32x4 (every candidate takes the disjoint-interval exit).
+  json::Array tac_impact;
+  std::printf("%-8s %-6s %10s %10s %14s\n", "kernel", "dl1", "candidates",
+              "positive", "impacts/s");
+  for (const auto& [kernel, sets, ways] :
+       {std::tuple{"edn", 32u, 4u}, std::tuple{"matmult", 64u, 2u},
+        std::tuple{"ns", 32u, 4u}}) {
+    const TacImpactCase c = time_tac_impact_case(kernel, sets, ways);
+    std::printf("%-8s %2ux%-3u %10zu %10zu %14.0f\n", kernel, sets, ways,
+                c.candidates, c.positive, c.impacts_per_sec);
+    json::Object o;
+    o.emplace_back("kernel", kernel);
+    o.emplace_back("side", "dl1");
+    o.emplace_back("pubbed", true);
+    o.emplace_back("sets", sets);
+    o.emplace_back("ways", ways);
+    o.emplace_back("candidates", c.candidates);
+    o.emplace_back("positive", c.positive);
+    o.emplace_back("group_impacts_per_sec", c.impacts_per_sec);
+    tac_impact.emplace_back(std::move(o));
+  }
+
   json::Object doc;
   doc.emplace_back("schema", "mbcr-bench-replay-v3");
   doc.emplace_back("runs_per_case", runs);
   doc.emplace_back("cases", std::move(cases));
   doc.emplace_back("obs_overhead", json::Value(std::move(obs_overhead)));
+  doc.emplace_back("tac_impact", std::move(tac_impact));
 
   try {
     util::write_file_atomic(json_path,

@@ -26,25 +26,16 @@ double expected_misses_single_set(std::span<const Addr> projected,
                                   std::uint32_t ways, std::uint64_t seed,
                                   std::uint32_t trials) {
   if (projected.empty() || trials == 0) return 0.0;
-  // SingleSetCache's replay without its per-trial allocation: the tags
-  // live on the stack for the associativities real caches have, on the
-  // heap beyond (CacheConfig accepts any ways >= 1).
-  constexpr std::uint32_t kInlineWays = 16;
-  Addr inline_tags[kInlineWays];
-  std::vector<Addr> heap_tags;
-  Addr* tags = inline_tags;
-  if (ways > kInlineWays) {
-    heap_tags.resize(ways);
-    tags = heap_tags.data();
-  }
+  // SingleSetCache's replay, one tag buffer for every trial.
   constexpr Addr kInvalid = ~Addr{0};
+  std::vector<Addr> tags(ways);
   double total = 0.0;
   for (std::uint32_t t = 0; t < trials; ++t) {
-    std::fill(tags, tags + ways, kInvalid);
+    std::fill(tags.begin(), tags.end(), kInvalid);
     Xoshiro256 rng(mix64(t + 1, seed));
     std::uint64_t misses = 0;
     for (const Addr line : projected) {
-      if (std::find(tags, tags + ways, line) != tags + ways) continue;
+      if (std::find(tags.begin(), tags.end(), line) != tags.end()) continue;
       ++misses;
       tags[rng.uniform(ways)] = line;
     }

@@ -1,9 +1,12 @@
-// Single-set random-replacement cache used by TAC's impact estimator.
+// Single-set random-replacement cache: the reference for TAC's impact
+// estimator.
 //
 // TAC asks: if this particular group of k lines were randomly placed into
 // the *same* set, how many extra misses would the program suffer? The
 // answer only depends on the projected access subsequence (accesses to
 // lines in the group) competing for W ways, which this class simulates.
+// `tac::group_extra_misses` computes the same answer without building the
+// projection, and is tested against `expected_misses_single_set`.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <bit>
 #include <sstream>
 
+#include "cache/single_set.hpp"
 #include "core/study.hpp"
 #include "ir/bytecode.hpp"
 #include "ir/interp.hpp"
@@ -14,6 +15,7 @@
 #include "platform/campaign.hpp"
 #include "pub/pub_transform.hpp"
 #include "pub/verify.hpp"
+#include "tac/impact.hpp"
 #include "tac/runs.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
@@ -166,6 +168,53 @@ std::string check_tac_events(const tac::TacSequenceResult& side,
   return {};
 }
 
+/// Holds `tac::group_extra_misses` to its reference, `project_group` +
+/// `expected_misses_single_set`, on groups of one side's lines at W = 2,
+/// 4 and 8: the hottest W+1 lines (they interleave most) and random W+1
+/// and W+2 groups. Empty when every group agrees.
+std::string check_group_impacts(const MemTrace& trace, bool instruction_side,
+                                Addr line_bytes, Xoshiro256& rng) {
+  const tac::ReuseProfile profile =
+      tac::profile_sequence(trace.line_sequence(instruction_side, line_bytes));
+  const std::size_t n = profile.lines.size();
+  if (n == 0) return {};
+  std::vector<std::size_t> hottest(n);
+  for (std::size_t i = 0; i < n; ++i) hottest[i] = i;
+  std::stable_sort(hottest.begin(), hottest.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return profile.lines[a].count > profile.lines[b].count;
+                   });
+  constexpr std::uint32_t kTrials = 8;
+  for (const std::uint32_t ways : {2u, 4u, 8u}) {
+    for (int pick = 0; pick < 3; ++pick) {
+      const std::size_t k = std::min<std::size_t>(n, ways + 1 + (pick == 2));
+      std::vector<std::size_t> group = hottest;
+      if (pick > 0) {  // k distinct lines, uniformly (partial shuffle)
+        for (std::size_t i = 0; i < k; ++i) {
+          std::swap(group[i],
+                    group[i + rng.uniform(static_cast<std::uint32_t>(n - i))]);
+        }
+      }
+      group.resize(k);
+      const std::uint64_t seed = rng();
+      const double fast =
+          tac::group_extra_misses(profile, group, ways, seed, kTrials);
+      const double ref = std::max(
+          0.0, expected_misses_single_set(tac::project_group(profile, group),
+                                          ways, seed, kTrials) -
+                   static_cast<double>(k));
+      if (fast != ref) {
+        std::ostringstream ss;
+        ss << (instruction_side ? "il1" : "dl1") << " group of " << k
+           << " lines at W=" << ways << ": group_extra_misses " << fast
+           << " != reference " << ref;
+        return ss.str();
+      }
+    }
+  }
+  return {};
+}
+
 OracleOutcome oracle_tac(const FuzzCaseData& data, bool) {
   const std::vector<InputTrace> traced = trace_inputs(data);
   const std::vector<platform::MachineConfig> grid = flavor_grid(data.machine);
@@ -184,7 +233,20 @@ OracleOutcome oracle_tac(const FuzzCaseData& data, bool) {
   const CacheConfig tac_il1 = clamp_ways(grid[0].il1);
   const CacheConfig tac_dl1 = clamp_ways(grid[0].dl1);
 
+  Xoshiro256 group_rng(mix64(data.case_seed, 0x1ac7));
   for (const InputTrace& t : traced) {
+    // The impact kernel costs per group, not per enumeration, so these
+    // checks run at W = 4 and 8 too, past the clamp above.
+    for (const bool instruction_side : {true, false}) {
+      const std::string detail = check_group_impacts(
+          t.exec.trace, instruction_side,
+          (instruction_side ? grid[0].il1 : grid[0].dl1).line_bytes,
+          group_rng);
+      if (!detail.empty()) {
+        return fail("input " + t.input->label + " " + detail);
+      }
+    }
+
     // A cheap probe campaign anchors TAC's relative impact threshold, like
     // the analyzer's (exact value is irrelevant to the invariants checked).
     const platform::Machine probe_machine(grid[0]);
@@ -526,7 +588,8 @@ constexpr Oracle kOracles[] = {
      oracle_campaign},
     {"pub", "PUB subsequence + state preservation on every input",
      oracle_pub},
-    {"tac", "TAC event sanity and all-miss ceiling conservatism",
+    {"tac", "TAC event sanity, group impacts == the full projection "
+            "replay at W = 2, 4, 8, and all-miss ceiling conservatism",
      oracle_tac},
     {"study_json", "StudySpec/StudyResult JSON round-trip text identity",
      oracle_study_json},

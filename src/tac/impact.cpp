@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "cache/single_set.hpp"
+#include "util/rng.hpp"
 
 namespace mbcr::tac {
 
@@ -26,54 +26,114 @@ std::vector<Addr> project_group(const ReuseProfile& profile,
   return out;
 }
 
+namespace {
+
+/// First index past `from` whose position is after `now`, given that
+/// `positions[from]` is not. Most victims were last loaded a few accesses
+/// back, so one branch-free block of eight goes first; longer gaps
+/// gallop, then binary-search the last doubling.
+std::size_t next_after(const std::vector<std::uint32_t>& positions,
+                       std::size_t from, std::uint32_t now) {
+  const std::uint32_t* p = positions.data();
+  const std::size_t n = positions.size();
+  std::size_t lo = from + 1;  // p[lo - 1] <= now from here on
+  constexpr std::size_t kBlock = 8;
+  if (lo + kBlock <= n) {
+    std::size_t at_or_before = 0;
+    for (std::size_t i = 0; i < kBlock; ++i) at_or_before += p[lo + i] <= now;
+    if (at_or_before < kBlock) return lo + at_or_before;
+    lo += kBlock;
+  }
+  std::size_t step = 1;
+  while (lo + step <= n && p[lo + step - 1] <= now) {
+    lo += step;
+    step *= 2;
+  }
+  return static_cast<std::size_t>(
+      std::upper_bound(p + lo, p + std::min(lo + step, n), now) - p);
+}
+
+}  // namespace
+
 double group_extra_misses(const ReuseProfile& profile,
                           std::span<const std::size_t> line_indices,
                           std::uint32_t ways, std::uint64_t seed,
                           std::uint32_t trials) {
-  // k-way merge of the lines' sorted positions that emits each run of
-  // consecutive accesses to one line once. Every access after the first
-  // of a run finds its line just used, so it hits and draws no
-  // replacement randomness: dropping it changes neither the miss count
-  // nor any later victim choice (CompactTrace's argument, inside one set).
-  // Scratch is per thread: impacts are estimated on the campaign pool.
-  thread_local std::vector<Addr> folded;
-  thread_local std::vector<std::size_t> cursor;
   const std::size_t k = line_indices.size();
-  folded.clear();
-  cursor.assign(k, 0);
-  constexpr std::uint32_t kDone = std::numeric_limits<std::uint32_t>::max();
-  for (;;) {
-    std::size_t first = k;
-    std::uint32_t first_pos = kDone;
-    std::uint32_t second_pos = kDone;
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::vector<std::uint32_t>& pos =
-          profile.lines[line_indices[i]].positions;
-      if (cursor[i] == pos.size()) continue;
-      const std::uint32_t p = pos[cursor[i]];
-      if (p < first_pos) {
-        second_pos = first_pos;
-        first_pos = p;
-        first = i;
-      } else if (p < second_pos) {
-        second_pos = p;
-      }
-    }
-    if (first == k) break;
-    const LineStats& ls = profile.lines[line_indices[first]];
-    folded.push_back(ls.line);
-    // The run lasts until another group line's next access.
-    cursor[first] = static_cast<std::size_t>(
-        std::lower_bound(ls.positions.begin() +
-                             static_cast<std::ptrdiff_t>(cursor[first]) + 1,
-                         ls.positions.end(), second_pos) -
-        ls.positions.begin());
+  if (k == 0 || trials == 0) return 0.0;
+  // Scratch is per thread: impacts are estimated on the campaign pool.
+  thread_local std::vector<std::pair<std::uint32_t, std::uint32_t>> spans;
+  spans.clear();
+  for (const std::size_t idx : line_indices) {
+    const std::vector<std::uint32_t>& pos = profile.lines[idx].positions;
+    spans.emplace_back(pos.front(), pos.back());
   }
-  // One run per line: every trial misses exactly once per line, which is
-  // the conflict-free baseline below.
-  if (folded.size() == k) return 0.0;
-  const double conflicted =
-      expected_misses_single_set(folded, ways, seed, trials);
+  // One run per line (no line's accesses come between another's first and
+  // last): every trial misses exactly once per line, which is the
+  // conflict-free baseline below.
+  std::sort(spans.begin(), spans.end());
+  bool disjoint = true;
+  for (std::size_t i = 1; i < k && disjoint; ++i) {
+    disjoint = spans[i - 1].second < spans[i].first;
+  }
+  if (disjoint) return 0.0;
+
+  // Random replacement keeps no recency state: a hit changes nothing and
+  // draws nothing. So the next miss is the earliest next access of a line
+  // absent from the set, and a trial jumps from miss to miss. `absent`
+  // holds `next access position << 32 | group index` for every absent
+  // line that is accessed again, so its smallest key is the next miss. A
+  // draw may land on a still-empty way, so more than k - W lines can be
+  // absent.
+  constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
+  const auto key = [](std::uint32_t position, std::size_t i) {
+    return (std::uint64_t{position} << 32) | i;
+  };
+  thread_local std::vector<const std::vector<std::uint32_t>*> positions;
+  thread_local std::vector<std::uint64_t> absent;
+  // Per line: the index of its next access while absent, of the access
+  // that loaded it while present.
+  thread_local std::vector<std::size_t> cursor;
+  thread_local std::vector<std::uint32_t> owner;  // group index per way
+  positions.clear();
+  for (const std::size_t idx : line_indices) {
+    positions.push_back(&profile.lines[idx].positions);
+  }
+  double total = 0.0;
+  for (std::uint32_t t = 0; t < trials; ++t) {
+    absent.clear();
+    for (std::size_t i = 0; i < k; ++i) {
+      absent.push_back(key(positions[i]->front(), i));
+    }
+    cursor.assign(k, 0);
+    owner.assign(ways, kEmpty);
+    Xoshiro256 rng(mix64(t + 1, seed));
+    std::uint64_t misses = 0;
+    while (!absent.empty()) {
+      std::size_t slot = 0;
+      for (std::size_t j = 1; j < absent.size(); ++j) {
+        if (absent[j] < absent[slot]) slot = j;
+      }
+      const auto now = static_cast<std::uint32_t>(absent[slot] >> 32);
+      const auto line = static_cast<std::uint32_t>(absent[slot]);
+      ++misses;
+      const std::uint32_t way = rng.uniform(ways);
+      const std::uint32_t victim = owner[way];
+      owner[way] = line;
+      if (victim != kEmpty) {
+        const std::vector<std::uint32_t>& pos = *positions[victim];
+        cursor[victim] = next_after(pos, cursor[victim], now);
+        if (cursor[victim] < pos.size()) {
+          absent[slot] = key(pos[cursor[victim]], victim);
+          continue;
+        }
+      }
+      absent[slot] = absent.back();
+      absent.pop_back();
+    }
+    total += static_cast<double>(misses);
+  }
+  const double conflicted = total / static_cast<double>(trials);
   // Conflict-free baseline: each line in its own (otherwise idle) set
   // suffers exactly its cold miss.
   const double baseline = static_cast<double>(k);

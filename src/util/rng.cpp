@@ -2,44 +2,6 @@
 
 namespace mbcr {
 
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t mix64(std::uint64_t value, std::uint64_t seed) {
-  std::uint64_t s = seed ^ (value * 0x9e3779b97f4a7c15ULL);
-  return splitmix64(s);
-}
-
-Xoshiro256::Xoshiro256(std::uint64_t seed) {
-  for (auto& word : state_) word = splitmix64(seed);
-  // All-zero state is the one invalid state for xoshiro; splitmix64 cannot
-  // produce four zero outputs in a row, so no further check is needed.
-}
-
-Xoshiro256::result_type Xoshiro256::operator()() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
 void Xoshiro256::jump() {
   static constexpr std::uint64_t kJump[] = {
       0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
@@ -54,23 +16,6 @@ void Xoshiro256::jump() {
     }
   }
   state_ = acc;
-}
-
-std::uint32_t Xoshiro256::uniform(std::uint32_t bound) {
-  // Lemire's method: multiply a 32-bit random value by `bound` and keep the
-  // high word; reject the short range that would introduce bias.
-  std::uint64_t x = (*this)() >> 32;
-  std::uint64_t m = x * bound;
-  auto low = static_cast<std::uint32_t>(m);
-  if (low < bound) {
-    const std::uint32_t threshold = -bound % bound;
-    while (low < threshold) {
-      x = (*this)() >> 32;
-      m = x * bound;
-      low = static_cast<std::uint32_t>(m);
-    }
-  }
-  return static_cast<std::uint32_t>(m >> 32);
 }
 
 double Xoshiro256::uniform01() {

@@ -95,8 +95,7 @@ TEST(ExpectedMisses, MoreWaysNeverWorse) {
 }
 
 TEST(ExpectedMisses, ReplaysExactlyLikeSingleSetCache) {
-  // The allocation-free replay against the class it mirrors, inline and
-  // heap-allocated tags alike (ways > 16).
+  // The replay against the class it mirrors, at 1 to 80 ways.
   Xoshiro256 rng(3);
   for (const std::uint32_t ways : {1u, 2u, 4u, 8u, 16u, 17u, 80u}) {
     std::vector<Addr> seq;
