@@ -1,6 +1,5 @@
 #include "cpu/trace.hpp"
 
-#include <array>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -77,34 +76,12 @@ CompactTrace CompactTrace::from(const MemTrace& trace, Addr line_bytes) {
   std::vector<std::uint32_t> next(out.line_begin.begin(),
                                   out.line_begin.end() - 1);
   out.line_entries.resize(out.size());
-  out.line_gaps.resize(out.size());
-  // Lists each side's positions by line, with their gap masks. A gap
-  // holds bit b when an id with id % 64 == b came after the line's
-  // previous position, which `last[b]`, the latest position of such an
-  // id, tells. The line's own bit stays clear unless another id shares
-  // it: the line itself was not accessed since.
-  const auto index_side = [&](const std::vector<std::uint32_t>& seq,
-                              std::size_t first_line) {
-    std::array<std::int64_t, 64> last;
-    last.fill(-1);
-    for (std::uint32_t k = 0; k < seq.size(); ++k) {
-      const std::uint32_t id = seq[k];
-      const std::uint32_t at = next[first_line + id]++;
-      std::uint64_t gap = ~std::uint64_t{0};
-      if (at != out.line_begin[first_line + id]) {
-        const std::uint32_t prev = out.line_entries[at - 1];
-        gap = 0;
-        for (int b = 0; b < 64; ++b) {
-          gap |= std::uint64_t{last[b] > prev} << b;
-        }
-      }
-      out.line_entries[at] = k;
-      out.line_gaps[at] = gap;
-      last[id % 64] = k;
-    }
-  };
-  index_side(out.iseq, 0);
-  index_side(out.dseq, ni);
+  for (std::uint32_t k = 0; k < out.iseq.size(); ++k) {
+    out.line_entries[next[out.iseq[k]]++] = k;
+  }
+  for (std::uint32_t k = 0; k < out.dseq.size(); ++k) {
+    out.line_entries[next[ni + out.dseq[k]]++] = k;
+  }
   std::unordered_map<Addr, std::uint32_t> umap;
   const auto unify = [&](const std::vector<Addr>& lines,
                          std::vector<std::uint32_t>& uid) {

@@ -8,11 +8,10 @@
 // that hit under every placement (see `CompactTrace::from`). Its layout is
 // per side, because each L1 is replayed on its own: `iseq`/`dseq` hold a
 // side's line ids in trace order, and `line_begin`/`line_entries` list
-// each line's positions in its side's sequence, first use first, with a
-// gap mask per position (`line_gaps`), so a replay can keep just the
-// accesses it must simulate. `ipos`/`dpos` give each side entry's
-// position in trace order, for a shared L2, which sees both sides' misses
-// in that order.
+// each line's positions in its side's sequence, first use first, so a
+// replay can jump from one access of a line to its next. `ipos`/`dpos`
+// give each side entry's position in trace order, for a shared L2, which
+// sees both sides' misses in that order.
 #pragma once
 
 #include <cstdint>
@@ -65,15 +64,6 @@ struct CompactTrace {
   /// first-use order, so first uses ascend with the id.
   std::vector<std::uint32_t> line_begin;
   std::vector<std::uint32_t> line_entries;
-  /// One gap mask per `line_entries` element: bit `id % 64` is set for
-  /// each line of the same side accessed strictly between this access and
-  /// the line's previous one; a first use gets all ones. An access whose
-  /// gap holds no other line of its set, in a run's placement, hits under
-  /// every replacement draw: nothing that shares its set came between, so
-  /// nothing could evict it since its previous access. Sides with more
-  /// than 64 lines alias ids onto one bit, which can only flag extra
-  /// accesses, never hide one.
-  std::vector<std::uint64_t> line_gaps;
   std::vector<Addr> ilines;  ///< line number per IL1 dense id
   std::vector<Addr> dlines;  ///< line number per DL1 dense id
 

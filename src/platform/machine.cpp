@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -11,6 +11,7 @@
 #include "cache/random_cache.hpp"
 #include "obs/metrics.hpp"
 #include "util/fault.hpp"
+#include "util/gallop.hpp"
 #include "util/rng.hpp"
 
 namespace mbcr::platform {
@@ -77,58 +78,41 @@ T* sized(std::vector<T>& v, std::size_t n) {
   return v.data();
 }
 
-/// One L1 side of a run: its misses, the entries it kept (see
-/// `replay_l1_side`), and whether any of its lines shared a set (false
-/// means nothing was simulated).
+/// One L1 side of a run: its misses, and whether any of its lines shared a
+/// set (false means nothing was simulated).
 struct SideRun {
   std::uint64_t misses;
-  std::uint64_t kept;
   bool conflicts;
 };
 
-/// The 64 keep marks at `keep` as one word: mark k at bit k. Each byte is
-/// 0 or 1, and the multiply moves the low bit of byte k of `bytes` to bit
-/// 56 + k. Byte k of the load is the k-th byte in memory only on a
-/// little-endian host.
-std::uint64_t gather_marks(const std::uint8_t* keep) {
-  static_assert(std::endian::native == std::endian::little);
-  std::uint64_t marked = 0;
-  for (int j = 0; j < 8; ++j) {
-    std::uint64_t bytes;
-    std::memcpy(&bytes, keep + 8 * j, sizeof bytes);
-    marked |= ((bytes * 0x0102040810204080ULL) >> 56) << (8 * j);
-  }
-  return marked;
-}
-
-/// Replays one L1 side of a run (`instr` picks IL1 or DL1), simulating
-/// only the lines that share a set, and hands each miss to
-/// `sink(position in the side's sequence, dense line id)` in trace order.
+/// Replays one L1 side of a run (`instr` picks IL1 or DL1) from miss to
+/// miss, and hands each miss to `sink(position in the side's sequence,
+/// dense line id)` in trace order.
 ///
-/// A lone line misses on its first access and hits ever after: that first
-/// access draws its victim choice, which keeps every later draw at its
-/// stream position, and its other accesses are skipped. A shared line's
-/// later access is skipped too when no other line of its set came since
-/// its previous access (its `CompactTrace::line_gaps` mask misses the
-/// set's): nothing could have evicted it, so it hits. The entries to
-/// replay are marked line by line (see `CompactTrace::line_begin`) in a
-/// byte map over the side's sequence, then walked in order, 64 marks at a
-/// time, so the cost follows the entries kept rather than the entries
-/// skipped. A side whose lines are all alone draws nothing and sinks each
-/// line's first use, in line order, which is trace order; with a sink that
-/// does nothing, as at one level, that costs nothing. Each shared set gets
-/// a dense slot of `ways` tags, and the lone lines one spare slot, so no
-/// buffer grows with the number of sets.
+/// Random replacement keeps no recency state: a hit changes nothing and
+/// draws nothing. So the side's next miss is the earliest next access of
+/// any line absent from its L1, and the walk visits only misses. The
+/// absent lines come from two sources: the lines not used yet, taken in
+/// dense-id order, which is first-use order, and the evicted lines that
+/// are accessed again, in a min-heap of `next position << 32 | id`. Each
+/// miss takes the smaller key of the two and draws its victim way. A lone
+/// line misses once and then always hits: its first use only draws, to
+/// keep every later draw at its stream position. A shared line takes the
+/// drawn way of its set's slot, and the line it evicts, if any, goes back
+/// on the heap at its next access (`next_after` over its
+/// `CompactTrace::line_entries`). A side whose lines are all alone draws
+/// nothing and sinks each line's first use, in line order, which is trace
+/// order; with a sink that does nothing, as at one level, that costs
+/// nothing. Each shared set gets a dense slot of `ways` tags, so no buffer
+/// grows with the number of sets.
 template <typename Sink>
 SideRun replay_l1_side(const CacheConfig& cfg, const CompactTrace& trace,
                        bool instr, std::uint64_t run_seed, RunWorkspace& ws,
                        Sink&& sink) {
   const std::vector<Addr>& lines = instr ? trace.ilines : trace.dlines;
-  const std::vector<std::uint32_t>& seq = instr ? trace.iseq : trace.dseq;
   const std::uint32_t* const line_begin =
       trace.line_begin.data() + (instr ? 0 : trace.ilines.size());
   const std::uint32_t* const positions = trace.line_entries.data();
-  const std::uint64_t* const gaps = trace.line_gaps.data();
   const auto n = static_cast<std::uint32_t>(lines.size());
 
   std::uint32_t* const slot = sized(ws.line_slot, n);
@@ -144,81 +128,81 @@ SideRun replay_l1_side(const CacheConfig& cfg, const CompactTrace& trace,
   }
   if (shared == 0) {
     for (std::uint32_t l = 0; l < n; ++l) sink(positions[line_begin[l]], l);
-    return {n, n, false};
+    return {n, false};
   }
 
-  // Every line's first use is kept. The lines that share a set are listed
-  // as they go by, without a branch (which lines are lone changes every
-  // run), and each shared set gets the mask of its lines' ids mod 64. The
-  // map is all zero between runs: the walk below clears every block it
-  // finds marked, so a run only has to grow it.
-  const std::size_t m = seq.size();
-  const std::size_t padded = (m + 63) & ~std::size_t{63};
-  if (ws.keep.size() < padded) sized(ws.keep, padded);
-  std::uint8_t* const keep = ws.keep.data();
-  std::uint32_t* const sharing = sized(ws.sharing_lines, n);
-  std::uint32_t num_sharing = 0;
-  for (std::uint32_t l = 0; l < n; ++l) {
-    keep[positions[line_begin[l]]] = 1;
-    sharing[num_sharing] = l;
-    num_sharing += slot[l] != kLone;
-  }
-  ws.set_masks.assign(shared, 0);
-  std::uint64_t* const set_mask = ws.set_masks.data();
-  for (std::uint32_t i = 0; i < num_sharing; ++i) {
-    const std::uint32_t l = sharing[i];
-    set_mask[slot[l]] |= std::uint64_t{1} << (l % 64);
-  }
-  // A sharing line's later accesses are kept when their gap meets its
-  // set's mask. The first three are looked at without a loop branch (a
-  // line with fewer looks at its last one again, or at its first use,
-  // whose all-ones gap meets any mask), as most lines have only a few.
-  for (std::uint32_t i = 0; i < num_sharing; ++i) {
-    const std::uint32_t l = sharing[i];
-    const std::uint32_t first = line_begin[l];
-    const std::uint32_t count = line_begin[l + 1] - first;
-    const std::uint64_t lines_in_set = set_mask[slot[l]];
-    const std::uint32_t* const at = positions + first;
-    const std::uint64_t* const gap = gaps + first;
-    for (std::uint32_t k = 1; k < 4; ++k) {
-      const std::uint32_t j = std::min(k, count - 1);
-      keep[at[j]] = std::uint8_t{(gap[j] & lines_in_set) != 0};
-    }
-    for (std::uint32_t k = 4; k < count; ++k) {
-      keep[at[k]] = std::uint8_t{(gap[k] & lines_in_set) != 0};
-    }
-  }
-
-  // One slot of `ways` tags per shared set, and a spare slot after them
-  // for the lone lines (`kLone` is above every slot, so `min` picks it): a
-  // lone line's one kept access finds only other lines' tags there, so it
-  // misses and draws as in a set of its own.
   const std::uint32_t ways = cfg.ways;
-  ws.shared_tags.assign(static_cast<std::size_t>(shared + 1) * ways, kEmpty);
+  ws.shared_tags.assign(static_cast<std::size_t>(shared) * ways, kEmpty);
   std::uint32_t* const shared_tags = ws.shared_tags.data();
+  // Per line: the `line_entries` index of its next access while on the
+  // heap, of the access that loaded it while cached.
+  std::uint32_t* const cursor = sized(ws.line_cursor, n);
+  std::vector<std::uint64_t>& heap = ws.absent;
+  heap.clear();
+  heap.reserve(n);
+  const auto key = [&](std::uint32_t entry, std::uint32_t id) {
+    cursor[id] = entry;
+    return (std::uint64_t{positions[entry]} << 32) | id;
+  };
+  constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  const auto sift_down = [&](std::uint64_t k) {
+    const std::size_t size = heap.size();
+    std::size_t i = 0;
+    for (std::size_t c = 1; c < size; c = 2 * i + 1) {
+      c += c + 1 < size && heap[c + 1] < heap[c];
+      if (k <= heap[c]) break;
+      heap[i] = heap[c];
+      i = c;
+    }
+    heap[i] = k;
+  };
+
   Xoshiro256 rng(mix64(instr ? kIl1Replacement : kDl1Replacement, run_seed));
   std::uint64_t misses = 0;
-  std::uint64_t kept = 0;
-  for (std::size_t base = 0; base < m; base += 64) {
-    std::uint64_t marked = gather_marks(keep + base);
-    if (marked != 0) std::memset(keep + base, 0, 64);
-    kept += static_cast<std::uint64_t>(std::popcount(marked));
-    for (; marked != 0; marked &= marked - 1) {
-      const auto p = static_cast<std::uint32_t>(
-          base + static_cast<std::size_t>(std::countr_zero(marked)));
-      const std::uint32_t id = seq[p];
-      std::uint32_t* const tags =
-          shared_tags + static_cast<std::size_t>(std::min(slot[id], shared)) *
-                            ways;
-      bool hit = false;
-      for (std::uint32_t w = 0; w < ways; ++w) hit |= tags[w] == id;
-      if (hit) continue;
-      tags[rng.uniform(ways)] = id;
-      ++misses;
-      sink(p, id);
+  std::uint32_t unused = 0;  // lines below it have been used
+  std::uint64_t first_use = key(line_begin[0], 0);
+  while (true) {
+    const std::uint64_t evicted = heap.empty() ? kNone : heap.front();
+    const bool from_heap = evicted < first_use;
+    const std::uint64_t next = from_heap ? evicted : first_use;
+    if (next == kNone) break;
+    const auto now = static_cast<std::uint32_t>(next >> 32);
+    const auto id = static_cast<std::uint32_t>(next);
+    ++misses;
+    sink(now, id);
+    if (!from_heap) {
+      ++unused;
+      first_use = unused < n ? key(line_begin[unused], unused) : kNone;
+    }
+    const std::uint32_t way = rng.uniform(ways);
+    std::uint64_t push = kNone;
+    if (slot[id] != kLone) {
+      std::uint32_t& tag =
+          shared_tags[static_cast<std::size_t>(slot[id]) * ways + way];
+      const std::uint32_t victim = tag;
+      tag = id;
+      if (victim != kEmpty) {
+        const std::uint32_t end = line_begin[victim + 1];
+        const auto entry = static_cast<std::uint32_t>(
+            next_after({positions, end}, cursor[victim], now));
+        if (entry < end) push = key(entry, victim);
+      }
+    }
+    // The popped top's place goes to the victim, or to the heap's last
+    // key; a first use leaves the top where it was.
+    if (from_heap) {
+      if (push == kNone) {
+        push = heap.back();
+        heap.pop_back();
+        if (heap.empty()) continue;
+      }
+      sift_down(push);
+    } else if (push != kNone) {
+      heap.push_back(push);
+      std::push_heap(heap.begin(), heap.end(), std::greater<>{});
     }
   }
-  return {misses, kept, true};
+  return {misses, true};
 }
 
 /// The unified L2 of a two-level run under random replacement: `ways`
@@ -290,8 +274,8 @@ std::uint64_t probe_l2(L2Model l2, const RunWorkspace::L1Miss* i,
   return misses;
 }
 
-/// Per-run replay tallies of one flavor: runs, entries, entries kept (see
-/// `SideRun`), and runs in which every L1 line was alone in its set, so
+/// Per-run replay tallies of one flavor: runs, entries, L1 misses walked
+/// on sides with a shared set (see `replay_l1_side`), and runs in which every L1 line was alone in its set, so
 /// nothing was simulated. Bound to each thread's cells once and flushed
 /// once per run, so the crc replay path stays within the <2%
 /// collection-overhead budget the bench gate pins.
@@ -307,16 +291,18 @@ ReplayCounters replay_counters(const std::string& flavor) {
 void count_run(const MachineConfig& config, const CompactTrace& trace,
                const SideRun& il1, const SideRun& dl1) {
   if (!obs::enabled()) return;
-  thread_local const ReplayCounters single =
-      replay_counters("replay.single_level");
-  thread_local const ReplayCounters lru = replay_counters("replay.l2_lru");
-  thread_local const ReplayCounters random =
-      replay_counters("replay.l2_random");
-  const ReplayCounters& c = !config.l2.enabled ? single
-                            : config.l2.policy == L2Policy::kRandom ? random
-                                                                   : lru;
-  c.add({1, trace.size(), il1.kept + dl1.kept,
-         !il1.conflicts && !dl1.conflicts});
+  // One binding per thread for all three flavors: one guard, not three.
+  thread_local const std::array<ReplayCounters, 3> flavors = {
+      replay_counters("replay.single_level"),
+      replay_counters("replay.l2_random"), replay_counters("replay.l2_lru")};
+  const std::size_t flavor = !config.l2.enabled                     ? 0
+                             : config.l2.policy == L2Policy::kRandom ? 1
+                                                                     : 2;
+  const auto walked = [](const SideRun& side) {
+    return side.conflicts ? side.misses : 0;
+  };
+  flavors[flavor].add({1, trace.size(), walked(il1) + walked(dl1),
+                       !il1.conflicts && !dl1.conflicts});
 }
 
 /// Single-level run: each L1 side replays on its own (see replay_l1_side)

@@ -10,11 +10,11 @@
 //
 // Each L1 side is replayed on its own, by one loop at either level: the
 // sides are separate caches with separate replacement streams. Per side
-// the run places its lines, finds the lines alone in their set, marks the
-// entries to keep (every line's first access, and each later access of a
-// shared line that another line of its set came before; see
-// `CompactTrace::line_gaps`) and walks only those, so its cost follows
-// the kept entries. Every skipped access hits under any replacement draw.
+// the run places its lines and finds the lines alone in their set. Under
+// random replacement a hit changes nothing and draws nothing, so the side
+// is walked from miss to miss: the next miss is the earliest next access
+// of a line absent from the cache (a line not used yet, or one evicted
+// and accessed again), and its cost follows the misses, not the entries.
 // A lone line misses once and then always hits: its first access draws
 // its one victim choice, to keep every later draw where it was. A side
 // whose lines are all alone draws nothing: it misses once per line.
@@ -46,9 +46,9 @@ namespace mbcr::platform {
 /// Reusable per-thread scratch for `Machine::run_once`. A campaign worker
 /// allocates one workspace and replays hundreds of thousands of runs
 /// through it, instead of paying vector allocations per run. Every run
-/// re-initializes the contents it reads, or (`keep`) leaves them as it
-/// found them, so reuse never leaks state between runs (or between
-/// machines/traces of different geometry — buffers just grow).
+/// re-initializes the contents it reads, so reuse never leaks state
+/// between runs (or between machines/traces of different geometry —
+/// buffers just grow).
 struct RunWorkspace {
   struct SetCount {
     std::uint32_t set;    ///< set index, or empty
@@ -62,14 +62,13 @@ struct RunWorkspace {
   std::vector<std::uint32_t> line_slot;
   /// `ways` tags per shared set of the L1 side being replayed.
   std::vector<std::uint32_t> shared_tags;
-  /// The lines of the L1 side being replayed that share a set, and per
-  /// shared set the bits `id % 64` of its lines (see
-  /// `CompactTrace::line_gaps`).
-  std::vector<std::uint32_t> sharing_lines;
-  std::vector<std::uint64_t> set_masks;
-  /// One byte per entry of the L1 side being replayed, set on the entries
-  /// to simulate; all zero between runs.
-  std::vector<std::uint8_t> keep;
+  /// Per line of the L1 side being replayed: where it is in its
+  /// `CompactTrace::line_entries`.
+  std::vector<std::uint32_t> line_cursor;
+  /// The evicted lines of the L1 side being replayed that are accessed
+  /// again, as a min-heap of `next position << 32 | dense id`: at most one
+  /// key per line.
+  std::vector<std::uint64_t> absent;
   /// Two levels: each side's L1 misses in trace order, at most one per
   /// side entry, as the L2 will see them.
   struct L1Miss {

@@ -156,57 +156,6 @@ TEST(CompactTrace, LineIndexListsEachLinesPositionsInItsSide) {
   EXPECT_TRUE(CompactTrace::from(MemTrace{}).line_entries.empty());
 }
 
-TEST(CompactTrace, GapMasksHoldTheOtherLinesBetweenALinesAccesses) {
-  // line_gaps runs beside line_entries: a first use is all ones, and each
-  // later access holds bit id % 64 of exactly the same-side lines accessed
-  // since the line's previous access. The other side never shows up.
-  constexpr Addr kA = 0x1000, kB = 0x1040, kC = 0x1080, kX = 0x8000,
-                 kY = 0x8080;
-  MemTrace t;
-  t.emit(kA, AccessKind::kIFetch);  // iseq 0
-  t.emit(kX, AccessKind::kLoad);    // dseq 0
-  t.emit(kB, AccessKind::kIFetch);  // iseq 1
-  t.emit(kC, AccessKind::kIFetch);  // iseq 2
-  t.emit(kY, AccessKind::kStore);   // dseq 1
-  t.emit(kB, AccessKind::kIFetch);  // iseq 3: C came between
-  t.emit(kX, AccessKind::kLoad);    // dseq 2: Y came between
-  t.emit(kA, AccessKind::kIFetch);  // iseq 4: B and C came between
-  const CompactTrace c = CompactTrace::from(t);
-  constexpr std::uint64_t kFirst = ~std::uint64_t{0};
-  // Lines A, B, C (IL1 ids 0-2), then X, Y (DL1 ids 0-1).
-  EXPECT_EQ(c.line_entries,
-            (std::vector<std::uint32_t>{0, 4, 1, 3, 2, 0, 2, 1}));
-  EXPECT_EQ(c.line_gaps, (std::vector<std::uint64_t>{
-                             kFirst, 0b110, kFirst, 0b100, kFirst,  // IL1
-                             kFirst, 0b10, kFirst}));               // DL1
-  EXPECT_TRUE(CompactTrace::from(MemTrace{}).line_gaps.empty());
-}
-
-TEST(CompactTrace, GapMasksAliasIdsPastSixtyFour) {
-  // ns's DL1 has 79 lines, so ids 64-78 share bits with ids 0-14. Each
-  // gap is the OR of bit id % 64 over the side's entries strictly between
-  // the line's previous access and this one, counted the slow way.
-  const auto b = suite::make_benchmark("ns");
-  const CompactTrace c = CompactTrace::from(
-      ir::lower_and_execute(b.program, b.default_input).trace);
-  ASSERT_GT(c.dlines.size(), 64u);
-  const std::size_t ni = c.ilines.size();
-  for (std::size_t l = 0; l < ni + c.dlines.size(); ++l) {
-    const std::vector<std::uint32_t>& seq = l < ni ? c.iseq : c.dseq;
-    for (std::uint32_t k = c.line_begin[l]; k < c.line_begin[l + 1]; ++k) {
-      std::uint64_t want = ~std::uint64_t{0};
-      if (k > c.line_begin[l]) {
-        want = 0;
-        for (std::uint32_t p = c.line_entries[k - 1] + 1;
-             p < c.line_entries[k]; ++p) {
-          want |= std::uint64_t{1} << (seq[p] % 64);
-        }
-      }
-      ASSERT_EQ(c.line_gaps[k], want) << "line " << l << " entry " << k;
-    }
-  }
-}
-
 TEST(CompactTrace, SidePositionsCoverTheTraceOrderOnce) {
   // ipos and dpos together hold 0 ... size() - 1 exactly once, each side's
   // ascending, on a real kernel trace and on the empty one.

@@ -5,6 +5,8 @@
 // one-shot. These tests pin that contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ir/interp.hpp"
 #include "obs/metrics.hpp"
 #include "platform/campaign.hpp"
@@ -190,17 +192,14 @@ void expect_matches_reference(const Machine& machine, const TestWorkload& w,
 }
 
 TEST(EngineEquivalence, SideSplitReplayMatchesReferenceOnEverySuiteKernel) {
-  // Single level, each L1 side replays only its lines that share a set,
-  // and of those only the accesses some other line of the set may have
-  // come between. Every suite kernel, original and pubbed trace, the
+  // Single level, each L1 side walks only the misses of its lines that
+  // share a set, and draws once at each lone line's first use. Every suite
+  // kernel, original and pubbed trace, the
   // paper's L1 under both placements, 2000 seeds each. The runs must cover
   // both shapes: runs where every line on both sides is alone (nothing
-  // simulated) and runs that simulate a shared set. ns's DL1 has 79 lines,
-  // more than a gap mask's 64 bits, so it is the case where line ids
-  // alias and a run keeps extra accesses, which must still replay exactly.
+  // simulated) and runs that simulate a shared set.
   obs::reset_metrics();
   obs::set_enabled(true);
-  bool aliased = false;
   for (const suite::SuiteEntry& entry : suite::all()) {
     const suite::SuiteBenchmark b = entry.make();
     for (const bool pubbed : {false, true}) {
@@ -210,7 +209,6 @@ TEST(EngineEquivalence, SideSplitReplayMatchesReferenceOnEverySuiteKernel) {
                                     b.default_input)
                   .trace;
       w.trace = CompactTrace::from(w.mem);
-      aliased |= w.trace.dlines.size() > 64 || w.trace.ilines.size() > 64;
       for (const Placement placement :
            {Placement::kHash, Placement::kModulo}) {
         MachineConfig cfg;
@@ -231,63 +229,148 @@ TEST(EngineEquivalence, SideSplitReplayMatchesReferenceOnEverySuiteKernel) {
   EXPECT_EQ(runs, suite::all().size() * 2 * 2 * 2000);
   EXPECT_GT(conflict_free, 0u);
   EXPECT_LT(conflict_free, runs);
-  EXPECT_TRUE(aliased) << "no suite kernel has a side of more than 64 lines";
 }
 
-TEST(EngineEquivalence, RunsKeepExactlyTheAccessesAnotherLineCameBefore) {
-  // A run keeps a line's first use, and a later access only when the
-  // previous access to the line's set in that run's placement was another
-  // line's. On sides of at most 64 lines no ids alias, so the kept count
-  // is exactly that, counted here the slow way over the side's sequence.
-  // The sets come from the run seed as in `run_once_reference` (IL1
-  // placement sub-seed 1, DL1 2). matmult and edn at the paper's L1,
-  // under both placements.
+TEST(EngineEquivalence, RunsWalkExactlyTheMissesOfSidesThatShareASet) {
+  // A run walks only its L1 misses, and only on sides with a shared set: a
+  // side whose lines are all alone misses once per line without a walk.
+  // Single level, a run's misses are its cycles over the base cost, in
+  // units of `mem_latency`, so `simulated_entries` must grow by those
+  // misses, less one per line of each side that shares no set in the run's
+  // placement (IL1 placement sub-seed 1, DL1 2, as in
+  // `run_once_reference`), and `conflict_free_runs` by one when neither
+  // side shares a set. matmult, edn and crc at the paper's L1, under both
+  // placements: crc runs both shapes.
   obs::reset_metrics();
   obs::set_enabled(true);
-  for (const char* kernel : {"matmult", "edn"}) {
+  std::uint64_t free_runs = 0;
+  for (const char* kernel : {"matmult", "edn", "crc"}) {
     const TestWorkload w = test_workload(kernel);
-    ASSERT_LE(w.trace.ilines.size(), 64u) << kernel;
-    ASSERT_LE(w.trace.dlines.size(), 64u) << kernel;
     for (const Placement placement : {Placement::kHash, Placement::kModulo}) {
       MachineConfig cfg;
       cfg.il1.placement = placement;
       cfg.dl1.placement = placement;
       const Machine machine(cfg);
+      const TimingParams& t = cfg.timing;
+      const std::uint64_t base =
+          (w.trace.folded_ifetches + w.trace.iseq.size()) * t.issue_cycles +
+          (w.trace.folded_loads + w.trace.dseq.size()) * t.dl1_hit_cycles;
       RunWorkspace ws;
       for (std::uint64_t seed = 0; seed < 300; ++seed) {
-        std::uint64_t want = 0;
+        std::uint64_t unwalked = 0;
+        bool conflict_free = true;
         for (const bool instr : {true, false}) {
           const CacheConfig& l1 = instr ? cfg.il1 : cfg.dl1;
           const std::vector<Addr>& lines =
               instr ? w.trace.ilines : w.trace.dlines;
-          const std::vector<std::uint32_t>& seq =
-              instr ? w.trace.iseq : w.trace.dseq;
           const std::uint64_t placement_seed = mix64(instr ? 1 : 2, seed);
-          std::vector<std::uint32_t> set(lines.size());
-          for (std::size_t l = 0; l < lines.size(); ++l) {
-            set[l] = placement_set(l1.placement, lines[l], placement_seed,
-                                   l1.sets);
+          std::vector<std::uint32_t> sets;
+          for (const Addr line : lines) {
+            sets.push_back(
+                placement_set(l1.placement, line, placement_seed, l1.sets));
           }
-          std::vector<bool> used(lines.size(), false);
-          std::vector<std::int64_t> last_in_set(l1.sets, -1);
-          for (const std::uint32_t id : seq) {
-            want += !used[id] || last_in_set[set[id]] != id;
-            used[id] = true;
-            last_in_set[set[id]] = id;
+          std::sort(sets.begin(), sets.end());
+          if (std::adjacent_find(sets.begin(), sets.end()) == sets.end()) {
+            unwalked += lines.size();
+          } else {
+            conflict_free = false;
           }
         }
-        const std::uint64_t before =
+        const std::uint64_t walked_before =
             counter_value("replay.single_level.simulated_entries");
-        machine.run_once(w.trace, seed, ws);
-        const std::uint64_t kept =
-            counter_value("replay.single_level.simulated_entries") - before;
-        ASSERT_EQ(kept, want) << kernel << " " << to_string(placement)
-                              << " seed " << seed;
+        const std::uint64_t free_before =
+            counter_value("replay.single_level.conflict_free_runs");
+        const std::uint64_t cycles = machine.run_once(w.trace, seed, ws);
+        ASSERT_EQ((cycles - base) % t.mem_latency, 0u);
+        const std::uint64_t misses = (cycles - base) / t.mem_latency;
+        ASSERT_GE(misses, unwalked);
+        const std::string what = std::string(kernel) + " " +
+                                 to_string(placement) + " seed " +
+                                 std::to_string(seed);
+        ASSERT_EQ(counter_value("replay.single_level.simulated_entries") -
+                      walked_before,
+                  misses - unwalked)
+            << what;
+        ASSERT_EQ(counter_value("replay.single_level.conflict_free_runs") -
+                      free_before,
+                  conflict_free ? 1u : 0u)
+            << what;
+        free_runs += conflict_free;
       }
     }
   }
   obs::set_enabled(false);
   obs::reset_metrics();
+  EXPECT_GT(free_runs, 0u);
+  EXPECT_LT(free_runs, 3u * 2 * 300);
+}
+
+TEST(EngineEquivalence, MissToMissReplayMatchesReferenceOnAGeometryGrid) {
+  // Every suite kernel, original and pubbed trace, on L1s of 1, 2, 4, 16,
+  // 64 and 1000 sets by 1, 2, 3, 4 and 8 ways under both placements, alone
+  // and behind the default random and LRU L2 (placed like the L1s).
+  for (const suite::SuiteEntry& entry : suite::all()) {
+    const suite::SuiteBenchmark b = entry.make();
+    for (const bool pubbed : {false, true}) {
+      TestWorkload w;
+      w.mem = ir::lower_and_execute(pubbed ? pub::apply_pub(b.program)
+                                           : b.program,
+                                    b.default_input)
+                  .trace;
+      w.trace = CompactTrace::from(w.mem);
+      for (const std::uint32_t sets : {1u, 2u, 4u, 16u, 64u, 1000u}) {
+        for (const std::uint32_t ways : {1u, 2u, 3u, 4u, 8u}) {
+          for (const Placement placement :
+               {Placement::kHash, Placement::kModulo}) {
+            for (const int level : {0, 1, 2}) {
+              MachineConfig cfg;
+              cfg.il1 = CacheConfig{sets, ways, 32, placement};
+              cfg.dl1 = cfg.il1;
+              cfg.l2.enabled = level != 0;
+              cfg.l2.policy = level == 1 ? L2Policy::kRandom : L2Policy::kLru;
+              cfg.l2.l2.placement = placement;
+              expect_matches_reference(
+                  Machine(cfg), w, 8,
+                  std::string(entry.name) + (pubbed ? " pubbed " : " orig ") +
+                      std::to_string(sets) + "x" + std::to_string(ways) +
+                      " " + to_string(placement) + " level " +
+                      std::to_string(level));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(EngineEquivalence, MissToMissReplayMatchesReferenceWithADeepHeap) {
+  // 256 data lines cycled eight times through a 2-set 4-way DL1, forward
+  // and backward in turn, with three code lines fetched between loads: at
+  // most 8 data lines are ever cached, so after the first round some 248
+  // evicted lines wait for their next access at once, and nearly every
+  // access misses. Alone and behind both L2 policies, 500 seeds each.
+  MemTrace mem;
+  for (int round = 0; round < 8; ++round) {
+    for (Addr i = 0; i < 256; ++i) {
+      const Addr line = round % 2 == 0 ? i : 255 - i;
+      mem.emit(0x100000 + line * 32, AccessKind::kLoad);
+      mem.emit((i % 3) * 32, AccessKind::kIFetch);
+    }
+  }
+  TestWorkload w;
+  w.mem = mem;
+  w.trace = CompactTrace::from(mem);
+  ASSERT_EQ(w.trace.dlines.size(), 256u);
+  for (const int level : {0, 1, 2}) {
+    MachineConfig cfg;
+    cfg.dl1 = CacheConfig{2, 4, 32};
+    cfg.il1 = CacheConfig{2, 4, 32};
+    cfg.l2.enabled = level != 0;
+    cfg.l2.policy = level == 1 ? L2Policy::kRandom : L2Policy::kLru;
+    cfg.l2.l2 = CacheConfig{16, 4, 32};
+    expect_matches_reference(Machine(cfg), w, 500,
+                             "deep heap level " + std::to_string(level));
+  }
 }
 
 TEST(EngineEquivalence, LoneLineFirstMissDrawsBetweenSharedMisses) {
@@ -368,11 +451,11 @@ TEST(EngineEquivalence, SideSplitReplayHandlesAnEmptySide) {
 }
 
 TEST(EngineEquivalence, TwoLevelSkipReplayMatchesReferenceOnEverySuiteKernel) {
-  // Behind an L2, a run replays only the accesses of L1 lines that share a
-  // set and every other line's first access. Every suite kernel, original
+  // Behind an L2, a run walks only the L1 misses of lines that share a
+  // set, and every other line's first access. Every suite kernel, original
   // and pubbed trace, random and LRU L2, hash and modulo placement on
-  // every level, 500 seeds each. The runs must skip some entries but not
-  // all of them.
+  // every level, 500 seeds each. The runs must walk some entries but fewer
+  // than all of them.
   obs::reset_metrics();
   obs::set_enabled(true);
   for (const suite::SuiteEntry& entry : suite::all()) {
@@ -416,9 +499,9 @@ TEST(EngineEquivalence, TwoLevelSkipReplayMatchesReferenceOnEverySuiteKernel) {
   EXPECT_LT(simulated, entries);
 }
 
-TEST(EngineEquivalence, BothLevelsKeepTheSameL1Entries) {
+TEST(EngineEquivalence, BothLevelsWalkTheSameL1Misses) {
   // One L1 loop serves both levels, and an L2 never reaches back into an
-  // L1. So under the same run seeds a run keeps the same L1 entries, and
+  // L1. So under the same run seeds a run walks the same L1 misses, and
   // finds the same conflict-free runs, with or without an L2 behind it.
   const TestWorkload w = test_workload("crc");
   obs::reset_metrics();

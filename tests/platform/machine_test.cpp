@@ -176,9 +176,8 @@ TEST(Machine, HugeSetCountsReplayInBoundedMemory) {
         << "level " << level;
     EXPECT_LE(ws.shared_tags.capacity(), l1_lines * huge.ways)
         << "level " << level;
-    EXPECT_LE(ws.keep.capacity(),
-              std::max(compact.iseq.size(), compact.dseq.size()) + 63)
-        << "level " << level;
+    EXPECT_LE(ws.line_cursor.capacity(), l1_lines) << "level " << level;
+    EXPECT_LE(ws.absent.capacity(), l1_lines) << "level " << level;
     // Behind an L2, at most one miss per side entry.
     EXPECT_LE(ws.imisses.capacity(), level == 0 ? 0 : compact.iseq.size())
         << "level " << level;
