@@ -96,18 +96,22 @@ json::Value count_json(std::uint64_t v) {
   return json::Value(static_cast<double>(v));
 }
 
+/// Adds `n` to one of the calling thread's own slots. The owner is the
+/// slot's only writer, so a relaxed load and store suffice: readers see
+/// either value, never a torn one, and no locked read-modify-write is paid.
+void bump(std::atomic<std::uint64_t>& slot, std::uint64_t n) noexcept {
+  slot.store(slot.load(std::memory_order_relaxed) + n,
+             std::memory_order_relaxed);
+}
+
 }  // namespace
 
 namespace detail {
 
-std::atomic<std::uint64_t>* local_cell(std::uint32_t slot) noexcept {
+void shard_add(std::uint32_t slot, std::uint64_t n) noexcept {
   Shard& shard = my_shard();
   if (slot >= shard.capacity) grow_shard(shard, slot);
-  return &shard.blocks[slot / kBlockSlots]->slots[slot % kBlockSlots];
-}
-
-void shard_add(std::uint32_t slot, std::uint64_t n) noexcept {
-  bump(*local_cell(slot), n);
+  bump(shard.blocks[slot / kBlockSlots]->slots[slot % kBlockSlots], n);
 }
 
 }  // namespace detail

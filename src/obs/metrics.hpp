@@ -18,7 +18,6 @@
 // runs bit-identical to metrics-off runs across the engine grid.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <bit>
 #include <cstddef>
@@ -37,17 +36,6 @@ extern std::atomic<bool> g_metrics_enabled;
 /// Adds `n` to the calling thread's shard slot (registering the shard and
 /// growing its block list on first touch of a new slot range).
 void shard_add(std::uint32_t slot, std::uint64_t n) noexcept;
-/// The calling thread's own cell for `slot` (registering the shard and
-/// growing its block list as `shard_add` does). Blocks never move, so the
-/// cell stays at this address for the life of the process.
-std::atomic<std::uint64_t>* local_cell(std::uint32_t slot) noexcept;
-/// Adds `n` to a cell only the calling thread writes. As its only writer,
-/// a relaxed load and store suffice: readers see either value, never a
-/// torn one, and no locked read-modify-write is paid.
-inline void bump(std::atomic<std::uint64_t>& cell, std::uint64_t n) noexcept {
-  cell.store(cell.load(std::memory_order_relaxed) + n,
-             std::memory_order_relaxed);
-}
 }  // namespace detail
 
 /// The runtime collection gate.
@@ -70,32 +58,7 @@ public:
 
 private:
   friend Counter counter(std::string_view name);
-  template <std::size_t N>
-  friend class LocalCounters;
   std::uint32_t slot_ = 0;
-};
-
-/// A few counters that a per-run hot path always bumps together, bound to
-/// the calling thread's own cells once, so an add is one enabled-gate
-/// check and a relaxed load and store per counter, with no shard lookup.
-/// Hold one per thread (a function-local `thread_local`); everywhere else
-/// plain `Counter::add` reads better.
-template <std::size_t N>
-class LocalCounters {
-public:
-  explicit LocalCounters(const std::array<Counter, N>& counters) noexcept {
-    for (std::size_t i = 0; i < N; ++i) {
-      cells_[i] = detail::local_cell(counters[i].slot_);
-    }
-  }
-
-  void add(const std::array<std::uint64_t, N>& values) const noexcept {
-    if (!enabled()) return;
-    for (std::size_t i = 0; i < N; ++i) detail::bump(*cells_[i], values[i]);
-  }
-
-private:
-  std::array<std::atomic<std::uint64_t>*, N> cells_;
 };
 
 /// A last-write-wins instantaneous value (queue depth, rates computed at

@@ -59,8 +59,9 @@ void run_campaign_into(const Machine& machine, const CompactTrace& trace,
           out[i] = static_cast<double>(machine.run_once(trace, seed, ws));
         }
         // Once per chunk (>= grain runs), outside the replay loops: the
-        // shard updates and the shared progress cursor are invisible to
-        // the deterministic per-run seed schedule.
+        // shard updates, the runs' replay tallies and the shared progress
+        // cursor are invisible to the deterministic per-run seed schedule.
+        ws.flush_counters();
         if (obs::enabled()) {
           const CampaignMetrics& m = campaign_metrics();
           m.runs.add(end - begin);

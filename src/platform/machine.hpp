@@ -32,6 +32,7 @@
 // with its number of sets.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -79,6 +80,25 @@ struct RunWorkspace {
   /// Two levels: per unified line, the slot of its L2 set, and `ways` L2
   /// tags per slot. Every buffer is O(lines·ways) or O(entries).
   std::vector<std::uint32_t> l2_slot, l2_tags;
+
+  /// The runs' `replay.*` counter tallies not yet flushed, per flavor
+  /// (single level, random L2, LRU L2): runs, entries, L1 misses walked
+  /// on sides with a shared set, and runs with no shared set on either
+  /// side. Runs made while collection is on add here, in plain memory,
+  /// so the per-run cost stays within the collection-overhead budget.
+  std::array<std::array<std::uint64_t, 4>, 3> pending_counts{};
+
+  RunWorkspace() = default;
+  RunWorkspace(const RunWorkspace&) = delete;
+  RunWorkspace& operator=(const RunWorkspace&) = delete;
+  /// Flushes what is pending.
+  ~RunWorkspace();
+
+  /// Adds the pending tallies to the `replay.*` counters and clears them.
+  /// A campaign flushes after each chunk; the convenience `run_once`
+  /// after each run. Whoever reads the counters between runs on their
+  /// own workspace flushes it first.
+  void flush_counters();
 };
 
 struct MachineConfig {
@@ -100,7 +120,8 @@ public:
   std::uint64_t run_once(const CompactTrace& trace,
                          std::uint64_t run_seed) const;
 
-  /// Same run, same result, but all scratch state lives in `ws`.
+  /// Same run, same result, but all scratch state lives in `ws`, and the
+  /// run's counter tallies wait there until `ws` is flushed.
   /// Bit-identical to the convenience overload.
   std::uint64_t run_once(const CompactTrace& trace, std::uint64_t run_seed,
                          RunWorkspace& ws) const;

@@ -99,7 +99,8 @@ TEST(ObsEquivalence, CampaignSamplesAreBitIdenticalAcrossTheEngineGrid) {
 }
 
 TEST(ObsEquivalence, RunOnceReplayUnaffectedByCollection) {
-  // run_once flushes its replay counters once per run; that may not
+  // run_once tallies its replay counters in the workspace, and the
+  // convenience overload flushes them after each run; that may not
   // perturb a single cycle count, workspace overload or not.
   const CompactTrace trace = kernel_trace("crc");
   for (const auto& [label, cfg] : machine_grid()) {

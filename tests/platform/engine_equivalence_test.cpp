@@ -281,6 +281,7 @@ TEST(EngineEquivalence, RunsWalkExactlyTheMissesOfSidesThatShareASet) {
         const std::uint64_t free_before =
             counter_value("replay.single_level.conflict_free_runs");
         const std::uint64_t cycles = machine.run_once(w.trace, seed, ws);
+        ws.flush_counters();
         ASSERT_EQ((cycles - base) % t.mem_latency, 0u);
         const std::uint64_t misses = (cycles - base) / t.mem_latency;
         ASSERT_GE(misses, unwalked);
@@ -531,6 +532,45 @@ TEST(EngineEquivalence, BothLevelsWalkTheSameL1Misses) {
   EXPECT_LT(kept, 2000 * w.trace.size());
   EXPECT_GT(free, 0u);
   EXPECT_LT(free, 2000u);
+}
+
+TEST(EngineEquivalence, WorkspaceTalliesReachTheCountersWhenFlushed) {
+  // A run on a caller's workspace tallies there; the counters see it at
+  // the flush, or when the workspace goes. The convenience overload and a
+  // campaign chunk flush on their own. A run while collection is off
+  // tallies nothing, even if collection is on at the flush.
+  const TestWorkload w = test_workload("crc");
+  const Machine machine;
+  const auto runs = [] { return counter_value("replay.single_level.runs"); };
+  obs::reset_metrics();
+  obs::set_enabled(true);
+  {
+    RunWorkspace ws;
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+      machine.run_once(w.trace, seed, ws);
+    }
+    EXPECT_EQ(runs(), 0u);
+    ws.flush_counters();
+    EXPECT_EQ(runs(), 10u);
+    obs::set_enabled(false);
+    machine.run_once(w.trace, 10, ws);
+    obs::set_enabled(true);
+    machine.run_once(w.trace, 11, ws);
+    machine.run_once(w.trace, 12, ws);
+    EXPECT_EQ(runs(), 10u);
+  }
+  EXPECT_EQ(runs(), 12u);
+  machine.run_once(w.trace, 13);
+  EXPECT_EQ(runs(), 13u);
+  CampaignConfig campaign;
+  campaign.threads = 1;
+  campaign.grain = 7;
+  run_campaign(machine, w.trace, 100, campaign);
+  EXPECT_EQ(runs(), 113u);
+  EXPECT_EQ(counter_value("replay.single_level.entries"),
+            113u * w.trace.size());
+  obs::set_enabled(false);
+  obs::reset_metrics();
 }
 
 TEST(EngineEquivalence, LoneLineFirstMissReachesTheL2BetweenSharedMisses) {
