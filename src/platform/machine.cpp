@@ -145,20 +145,6 @@ SideRun replay_l1_side(const CacheConfig& cfg, const CompactTrace& trace,
     return (std::uint64_t{positions[entry]} << 32) | id;
   };
   constexpr std::uint64_t kNone = ~std::uint64_t{0};
-  // Replaces the heap's top with `k`. One sift where std::pop_heap +
-  // std::push_heap take two: at most ~11% more runs/s on two-level runs.
-  const auto replace_top = [&](std::uint64_t k) {
-    const std::size_t size = heap.size();
-    std::size_t i = 0;
-    for (std::size_t c = 1; c < size; c = 2 * i + 1) {
-      c += c + 1 < size && heap[c + 1] < heap[c];
-      if (k <= heap[c]) break;
-      heap[i] = heap[c];
-      i = c;
-    }
-    heap[i] = k;
-  };
-
   Xoshiro256 rng(mix64(instr ? kIl1Replacement : kDl1Replacement, run_seed));
   std::uint64_t misses = 0;
   std::uint32_t unused = 0;  // lines below it have been used
@@ -192,16 +178,11 @@ SideRun replay_l1_side(const CacheConfig& cfg, const CompactTrace& trace,
         if (entry < end) push = key(entry, victim);
       }
     }
-    // The popped top's place goes to the victim, or to the heap's last
-    // key; a first use leaves the top where it was.
     if (from_heap) {
-      if (push == kNone) {
-        push = heap.back();
-        heap.pop_back();
-        if (heap.empty()) continue;
-      }
-      replace_top(push);
-    } else if (push != kNone) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      heap.pop_back();
+    }
+    if (push != kNone) {
       heap.push_back(push);
       std::push_heap(heap.begin(), heap.end(), std::greater<>{});
     }
