@@ -10,7 +10,7 @@
 
 #include "bench/common.hpp"
 #include "cache/lru_cache.hpp"
-#include "cache/single_set.hpp"
+#include "tac/impact.hpp"
 
 int main(int argc, char** argv) {
   using namespace mbcr;
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   std::map<std::string, double> rnd;
   std::map<std::string, std::uint64_t> lru;
   for (const auto& [name, seq] : seqs) {
-    rnd[name] = expected_misses_single_set(seq, 2, opt.seed, trials);
+    rnd[name] = tac::expected_misses_single_set(seq, 2, opt.seed, trials);
     LruCache cache(CacheConfig{1, 2, 32});
     for (Addr line : seq) cache.access_line(line);
     lru[name] = cache.misses();

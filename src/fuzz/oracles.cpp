@@ -4,7 +4,6 @@
 #include <bit>
 #include <sstream>
 
-#include "cache/single_set.hpp"
 #include "core/study.hpp"
 #include "ir/bytecode.hpp"
 #include "ir/interp.hpp"
@@ -169,9 +168,10 @@ std::string check_tac_events(const tac::TacSequenceResult& side,
 }
 
 /// Holds `tac::group_extra_misses` to its reference, `project_group` +
-/// `expected_misses_single_set`, on groups of one side's lines at W = 2,
-/// 4 and 8: the hottest W+1 lines (they interleave most) and random W+1
-/// and W+2 groups. Empty when every group agrees.
+/// `expected_misses_single_set` (a one-set `RandomCache`), on groups of
+/// one side's lines at W = 2, 4 and 8: the hottest W+1 lines (they
+/// interleave most) and random W+1 and W+2 groups. Empty when every group
+/// agrees.
 std::string check_group_impacts(const MemTrace& trace, bool instruction_side,
                                 Addr line_bytes, Xoshiro256& rng) {
   const tac::ReuseProfile profile =
@@ -199,10 +199,11 @@ std::string check_group_impacts(const MemTrace& trace, bool instruction_side,
       const std::uint64_t seed = rng();
       const double fast =
           tac::group_extra_misses(profile, group, ways, seed, kTrials);
-      const double ref = std::max(
-          0.0, expected_misses_single_set(tac::project_group(profile, group),
-                                          ways, seed, kTrials) -
-                   static_cast<double>(k));
+      const double ref =
+          std::max(0.0, tac::expected_misses_single_set(
+                            tac::project_group(profile, group), ways, seed,
+                            kTrials) -
+                            static_cast<double>(k));
       if (fast != ref) {
         std::ostringstream ss;
         ss << (instruction_side ? "il1" : "dl1") << " group of " << k

@@ -3,15 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cache/lru_cache.hpp"
+#include "cache/miss_walk.hpp"
 #include "cache/random_cache.hpp"
 #include "obs/metrics.hpp"
 #include "util/fault.hpp"
-#include "util/gallop.hpp"
 #include "util/rng.hpp"
 
 namespace mbcr::platform {
@@ -29,8 +29,6 @@ constexpr std::uint64_t kL2Replacement = 6;
 
 constexpr std::uint32_t kEmpty = 0xffffffffu;
 
-/// `RunWorkspace::line_slot` of a line alone in its set.
-constexpr std::uint32_t kLone = 0xffffffffu;
 /// Marks a `RunWorkspace::SetCount` whose `lines` now holds its slot.
 constexpr std::uint32_t kSlotAssigned = 0x80000000u;
 
@@ -85,26 +83,15 @@ struct SideRun {
   bool conflicts;
 };
 
-/// Replays one L1 side of a run (`instr` picks IL1 or DL1) from miss to
-/// miss, and hands each miss to `sink(position in the side's sequence,
-/// dense line id)` in trace order.
-///
-/// Random replacement keeps no recency state: a hit changes nothing and
-/// draws nothing. So the side's next miss is the earliest next access of
-/// any line absent from its L1, and the walk visits only misses. The
-/// absent lines come from two sources: the lines not used yet, taken in
-/// dense-id order, which is first-use order, and the evicted lines that
-/// are accessed again, in a min-heap of `next position << 32 | id`. Each
-/// miss takes the smaller key of the two and draws its victim way. A lone
-/// line misses once and then always hits: its first use only draws, to
-/// keep every later draw at its stream position. A shared line takes the
-/// drawn way of its set's slot, and the line it evicts, if any, goes back
-/// on the heap at its next access (`next_after` over its
-/// `CompactTrace::line_entries`). A side whose lines are all alone draws
-/// nothing and sinks each line's first use, in line order, which is trace
-/// order; with a sink that does nothing, as at one level, that costs
-/// nothing. Each shared set gets a dense slot of `ways` tags, so no buffer
-/// grows with the number of sets.
+/// Replays one L1 side of a run (`instr` picks IL1 or DL1) and hands each
+/// miss to `sink(position in the side's sequence, dense line id)` in trace
+/// order. The run places the side's lines and numbers the sets that hold
+/// two or more; a side whose lines are all alone draws nothing and sinks
+/// each line's first use, in line order, which is trace order (with a sink
+/// that does nothing, as at one level, that costs nothing). Otherwise
+/// `walk_misses` walks the side from miss to miss over its
+/// `CompactTrace::line_entries`, with one slot of `ways` tags per shared
+/// set, so no buffer grows with the number of sets.
 template <typename Sink>
 SideRun replay_l1_side(const CacheConfig& cfg, const CompactTrace& trace,
                        bool instr, std::uint64_t run_seed, RunWorkspace& ws,
@@ -112,7 +99,7 @@ SideRun replay_l1_side(const CacheConfig& cfg, const CompactTrace& trace,
   const std::vector<Addr>& lines = instr ? trace.ilines : trace.dlines;
   const std::uint32_t* const line_begin =
       trace.line_begin.data() + (instr ? 0 : trace.ilines.size());
-  const std::uint32_t* const positions = trace.line_entries.data();
+  const std::uint32_t* const entries = trace.line_entries.data();
   const auto n = static_cast<std::uint32_t>(lines.size());
 
   std::uint32_t* const slot = sized(ws.line_slot, n);
@@ -127,67 +114,18 @@ SideRun replay_l1_side(const CacheConfig& cfg, const CompactTrace& trace,
     shared = number_sets(n, 2, ws.set_table, slot);
   }
   if (shared == 0) {
-    for (std::uint32_t l = 0; l < n; ++l) sink(positions[line_begin[l]], l);
+    for (std::uint32_t l = 0; l < n; ++l) sink(entries[line_begin[l]], l);
     return {n, false};
   }
-
-  const std::uint32_t ways = cfg.ways;
-  ws.shared_tags.assign(static_cast<std::size_t>(shared) * ways, kEmpty);
-  std::uint32_t* const shared_tags = ws.shared_tags.data();
-  // Per line: the `line_entries` index of its next access while on the
-  // heap, of the access that loaded it while cached.
-  std::uint32_t* const cursor = sized(ws.line_cursor, n);
-  std::vector<std::uint64_t>& heap = ws.absent;
-  heap.clear();
-  heap.reserve(n);
-  const auto key = [&](std::uint32_t entry, std::uint32_t id) {
-    cursor[id] = entry;
-    return (std::uint64_t{positions[entry]} << 32) | id;
+  const auto positions = [&](std::uint32_t id) {
+    return std::span<const std::uint32_t>(entries + line_begin[id],
+                                          line_begin[id + 1] - line_begin[id]);
   };
-  constexpr std::uint64_t kNone = ~std::uint64_t{0};
   Xoshiro256 rng(mix64(instr ? kIl1Replacement : kDl1Replacement, run_seed));
-  std::uint64_t misses = 0;
-  std::uint32_t unused = 0;  // lines below it have been used
-  std::uint64_t first_use = key(line_begin[0], 0);
-  while (true) {
-    const std::uint64_t evicted = heap.empty() ? kNone : heap.front();
-    const bool from_heap = evicted < first_use;
-    const std::uint64_t next = from_heap ? evicted : first_use;
-    if (next == kNone) break;
-    const auto now = static_cast<std::uint32_t>(next >> 32);
-    const auto id = static_cast<std::uint32_t>(next);
-    ++misses;
-    sink(now, id);
-    if (!from_heap) {
-      ++unused;
-      first_use = unused < n ? key(line_begin[unused], unused) : kNone;
-    }
-    const std::uint32_t way = rng.uniform(ways);
-    std::uint64_t push = kNone;
-    if (slot[id] != kLone) {
-      std::uint32_t& tag =
-          shared_tags[static_cast<std::size_t>(slot[id]) * ways + way];
-      const std::uint32_t victim = tag;
-      tag = id;
-      if (victim != kEmpty) {
-        const std::uint32_t begin = line_begin[victim];
-        const std::uint32_t end = line_begin[victim + 1];
-        const auto entry = begin + static_cast<std::uint32_t>(next_after(
-                                       {positions + begin, end - begin},
-                                       cursor[victim] - begin, now));
-        if (entry < end) push = key(entry, victim);
-      }
-    }
-    if (from_heap) {
-      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-      heap.pop_back();
-    }
-    if (push != kNone) {
-      heap.push_back(push);
-      std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-    }
-  }
-  return {misses, true};
+  const auto slot_of = [slot](std::uint32_t id) { return slot[id]; };
+  return {walk_misses(n, positions, slot_of, shared, cfg.ways, rng, ws.walk,
+                      sink),
+          true};
 }
 
 /// The unified L2 of a two-level run under random replacement: `ways`

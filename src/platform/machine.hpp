@@ -10,16 +10,12 @@
 //
 // Each L1 side is replayed on its own, by one loop at either level: the
 // sides are separate caches with separate replacement streams. Per side
-// the run places its lines and finds the lines alone in their set. Under
-// random replacement a hit changes nothing and draws nothing, so the side
-// is walked from miss to miss: the next miss is the earliest next access
-// of a line absent from the cache (a line not used yet, or one evicted
-// and accessed again), and its cost follows the misses, not the entries.
-// A lone line misses once and then always hits: its first access draws
-// its one victim choice, to keep every later draw where it was. A side
+// the run places its lines and finds the lines alone in their set. A side
 // whose lines are all alone draws nothing: it misses once per line.
-// Nothing per run scales with the number of sets: tag state is held for
-// the shared sets only.
+// Otherwise `walk_misses` (cache/miss_walk.hpp) walks the side from miss
+// to miss, so its cost follows the misses, not the entries. Nothing per
+// run scales with the number of sets: tag state is held for the shared
+// sets only.
 //
 // Single level, a run's cycles are the per-side base costs plus
 // `mem_latency` per miss on either side. Behind an L2 the skip is just as
@@ -38,6 +34,7 @@
 
 #include "cache/cache_config.hpp"
 #include "cache/hierarchy.hpp"
+#include "cache/miss_walk.hpp"
 #include "cpu/pipeline.hpp"
 #include "cpu/trace.hpp"
 #include "util/rng.hpp"
@@ -61,15 +58,10 @@ struct RunWorkspace {
   /// Per line of the L1 side being replayed: its shared set's slot, or
   /// lone.
   std::vector<std::uint32_t> line_slot;
-  /// `ways` tags per shared set of the L1 side being replayed.
-  std::vector<std::uint32_t> shared_tags;
-  /// Per line of the L1 side being replayed: where it is in its
-  /// `CompactTrace::line_entries`.
-  std::vector<std::uint32_t> line_cursor;
-  /// The evicted lines of the L1 side being replayed that are accessed
-  /// again, as a min-heap of `next position << 32 | dense id`: at most one
-  /// key per line.
-  std::vector<std::uint64_t> absent;
+  /// The miss-to-miss walk of the L1 side being replayed: per-line
+  /// cursors into its `CompactTrace::line_entries`, the heap of evicted
+  /// lines, and `ways` tags per shared set.
+  MissWalkScratch walk;
   /// Two levels: each side's L1 misses in trace order, at most one per
   /// side entry, as the L2 will see them.
   struct L1Miss {

@@ -1,9 +1,9 @@
 #include "tac/impact.hpp"
 
 #include <algorithm>
-#include <limits>
 
-#include "util/gallop.hpp"
+#include "cache/miss_walk.hpp"
+#include "cache/random_cache.hpp"
 #include "util/rng.hpp"
 
 namespace mbcr::tac {
@@ -27,6 +27,19 @@ std::vector<Addr> project_group(const ReuseProfile& profile,
   return out;
 }
 
+double expected_misses_single_set(std::span<const Addr> projected,
+                                  std::uint32_t ways, std::uint64_t seed,
+                                  std::uint32_t trials) {
+  if (projected.empty() || trials == 0) return 0.0;
+  double total = 0.0;
+  for (std::uint32_t t = 0; t < trials; ++t) {
+    RandomCache set(CacheConfig{1, ways}, 0, mix64(t + 1, seed));
+    for (const Addr line : projected) set.access_line(line);
+    total += static_cast<double>(set.misses());
+  }
+  return total / static_cast<double>(trials);
+}
+
 double group_extra_misses(const ReuseProfile& profile,
                           std::span<const std::size_t> line_indices,
                           std::uint32_t ways, std::uint64_t seed,
@@ -34,76 +47,35 @@ double group_extra_misses(const ReuseProfile& profile,
   const std::size_t k = line_indices.size();
   if (k == 0 || trials == 0) return 0.0;
   // Scratch is per thread: impacts are estimated on the campaign pool.
-  thread_local std::vector<std::pair<std::uint32_t, std::uint32_t>> spans;
-  spans.clear();
+  // The group's positions in first-use order, as `walk_misses` takes them.
+  thread_local std::vector<std::span<const std::uint32_t>> lines;
+  lines.clear();
   for (const std::size_t idx : line_indices) {
-    const std::vector<std::uint32_t>& pos = profile.lines[idx].positions;
-    spans.emplace_back(pos.front(), pos.back());
+    lines.emplace_back(profile.lines[idx].positions);
   }
+  std::sort(lines.begin(), lines.end(), [](const auto& a, const auto& b) {
+    return a.front() < b.front();
+  });
   // One run per line (no line's accesses come between another's first and
   // last): every trial misses exactly once per line, which is the
   // conflict-free baseline below.
-  std::sort(spans.begin(), spans.end());
   bool disjoint = true;
   for (std::size_t i = 1; i < k && disjoint; ++i) {
-    disjoint = spans[i - 1].second < spans[i].first;
+    disjoint = lines[i - 1].back() < lines[i].front();
   }
   if (disjoint) return 0.0;
 
-  // Random replacement keeps no recency state: a hit changes nothing and
-  // draws nothing. So the next miss is the earliest next access of a line
-  // absent from the set, and a trial jumps from miss to miss. `absent`
-  // holds `next access position << 32 | group index` for every absent
-  // line that is accessed again, so its smallest key is the next miss. A
-  // draw may land on a still-empty way, so more than k - W lines can be
-  // absent.
-  constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
-  const auto key = [](std::uint32_t position, std::size_t i) {
-    return (std::uint64_t{position} << 32) | i;
-  };
-  thread_local std::vector<const std::vector<std::uint32_t>*> positions;
-  thread_local std::vector<std::uint64_t> absent;
-  // Per line: the index of its next access while absent, of the access
-  // that loaded it while present.
-  thread_local std::vector<std::size_t> cursor;
-  thread_local std::vector<std::uint32_t> owner;  // group index per way
-  positions.clear();
-  for (const std::size_t idx : line_indices) {
-    positions.push_back(&profile.lines[idx].positions);
-  }
+  thread_local MissWalkScratch scratch;
+  const std::span<const std::uint32_t>* const spans = lines.data();
+  const auto positions = [spans](std::uint32_t i) { return spans[i]; };
+  const auto one_set = [](std::uint32_t) { return 0u; };
+  const auto count_only = [](std::uint32_t, std::uint32_t) {};
   double total = 0.0;
   for (std::uint32_t t = 0; t < trials; ++t) {
-    absent.clear();
-    for (std::size_t i = 0; i < k; ++i) {
-      absent.push_back(key(positions[i]->front(), i));
-    }
-    cursor.assign(k, 0);
-    owner.assign(ways, kEmpty);
     Xoshiro256 rng(mix64(t + 1, seed));
-    std::uint64_t misses = 0;
-    while (!absent.empty()) {
-      std::size_t slot = 0;
-      for (std::size_t j = 1; j < absent.size(); ++j) {
-        if (absent[j] < absent[slot]) slot = j;
-      }
-      const auto now = static_cast<std::uint32_t>(absent[slot] >> 32);
-      const auto line = static_cast<std::uint32_t>(absent[slot]);
-      ++misses;
-      const std::uint32_t way = rng.uniform(ways);
-      const std::uint32_t victim = owner[way];
-      owner[way] = line;
-      if (victim != kEmpty) {
-        const std::vector<std::uint32_t>& pos = *positions[victim];
-        cursor[victim] = next_after(pos, cursor[victim], now);
-        if (cursor[victim] < pos.size()) {
-          absent[slot] = key(pos[cursor[victim]], victim);
-          continue;
-        }
-      }
-      absent[slot] = absent.back();
-      absent.pop_back();
-    }
-    total += static_cast<double>(misses);
+    total += static_cast<double>(
+        walk_misses(static_cast<std::uint32_t>(k), positions, one_set, 1,
+                    ways, rng, scratch, count_only));
   }
   const double conflicted = total / static_cast<double>(trials);
   // Conflict-free baseline: each line in its own (otherwise idle) set

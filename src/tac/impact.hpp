@@ -1,18 +1,15 @@
 // Impact estimation: how many extra misses does a line group cause if
 // random placement maps all of its lines into one set?
 //
-// The estimate replays the group's accesses through one W-way
-// random-replacement set, but never visits a hit. Random replacement
-// keeps no recency state, so a hit changes nothing and draws nothing;
-// between two misses every access is to a line already in the set. The
-// next miss is therefore the earliest next access of any line *absent*
-// from the set, and each trial jumps from miss to miss: take that
-// minimum, draw the victim way, and move the victim's cursor past the
-// current position in its own `LineStats::positions`. A draw may land on
-// a still-empty way, so more than k - W lines can be absent. When the
-// lines' [first, last] position intervals are pairwise disjoint (the
-// projection is one run per line), each line misses exactly once per
-// trial and the impact is 0 without a trial.
+// The estimate walks the group's accesses through one W-way
+// random-replacement set from miss to miss (`walk_misses`,
+// cache/miss_walk.hpp), never visiting a hit: the group's lines, sorted by
+// first use, all share slot 0. When the lines' [first, last] position
+// intervals are pairwise disjoint (the projection is one run per line),
+// each line misses exactly once per trial and the impact is 0 without a
+// trial. The reference is a one-set `RandomCache` replaying the group's
+// projection (`expected_misses_single_set` over `project_group`): the
+// same cache model that checks the L1 replay.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +28,14 @@ namespace mbcr::tac {
 /// against.
 std::vector<Addr> project_group(const ReuseProfile& profile,
                                 std::span<const std::size_t> line_indices);
+
+/// Expected miss count when replaying `projected` (a sequence of line ids,
+/// all competing for one set) through a one-set W-way `RandomCache`,
+/// averaged over `trials` replacement streams (trial t seeds
+/// `mix64(t + 1, seed)`).
+double expected_misses_single_set(std::span<const Addr> projected,
+                                  std::uint32_t ways, std::uint64_t seed,
+                                  std::uint32_t trials = 8);
 
 /// Expected *extra* misses when the group shares one W-way
 /// random-replacement set, relative to the conflict-free baseline (one

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "obs/metrics.hpp"
 
@@ -133,14 +135,14 @@ std::vector<Addr> unified_line_sequence(const MemTrace& trace,
 /// True iff a deterministic LRU L2 provably retains every line of `useq`
 /// once loaded: under modulo placement each set's unified working set
 /// fits its ways, so no line is ever evicted and every L1 re-fetch is an
-/// L2 hit.
+/// L2 hit. Lines are counted per set in a table keyed on the sets they
+/// land in, so nothing here grows with the number of sets.
 bool lru_l2_covers(const std::vector<Addr>& useq, const CacheConfig& l2) {
-  std::vector<std::vector<Addr>> per_set(l2.sets);
+  std::unordered_set<Addr> seen;
+  std::unordered_map<Addr, std::uint32_t> lines_per_set;
   for (const Addr line : useq) {
-    std::vector<Addr>& set = per_set[line % l2.sets];
-    if (std::find(set.begin(), set.end(), line) == set.end()) {
-      set.push_back(line);
-      if (set.size() > l2.ways) return false;
+    if (seen.insert(line).second && ++lines_per_set[line % l2.sets] > l2.ways) {
+      return false;
     }
   }
   return true;

@@ -1,6 +1,6 @@
-// The one search that both miss-to-miss replays share (`tac::
-// group_extra_misses` on one set, `Machine::run_once` on every set of an
-// L1 side): when a line is evicted, where is its next access?
+// The victim search of the miss-to-miss walk (`walk_misses`,
+// cache/miss_walk.hpp, its one caller): when a line is evicted, where is
+// its next access?
 #pragma once
 
 #include <algorithm>

@@ -174,10 +174,10 @@ TEST(Machine, HugeSetCountsReplayInBoundedMemory) {
     EXPECT_LE(ws.set_table.capacity(),
               level == 0 ? 4 * std::max(ni, nd) : 4 * std::max({ni, nd, nu}))
         << "level " << level;
-    EXPECT_LE(ws.shared_tags.capacity(), l1_lines * huge.ways)
+    EXPECT_LE(ws.walk.tags.capacity(), l1_lines * huge.ways)
         << "level " << level;
-    EXPECT_LE(ws.line_cursor.capacity(), l1_lines) << "level " << level;
-    EXPECT_LE(ws.absent.capacity(), l1_lines) << "level " << level;
+    EXPECT_LE(ws.walk.cursor.capacity(), l1_lines) << "level " << level;
+    EXPECT_LE(ws.walk.absent.capacity(), l1_lines) << "level " << level;
     // Behind an L2, at most one miss per side entry.
     EXPECT_LE(ws.imisses.capacity(), level == 0 ? 0 : compact.iseq.size())
         << "level " << level;

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/single_set.hpp"
 #include "ir/interp.hpp"
 #include "suite/malardalen.hpp"
 #include "util/rng.hpp"
@@ -47,6 +46,59 @@ std::vector<std::size_t> random_group(std::size_t n, std::size_t count,
   }
   all.resize(count);
   return all;
+}
+
+TEST(ExpectedMisses, WithinCapacityIsNearColdOnly) {
+  // 4 lines in 4 ways: cold misses plus a short random-eviction transient;
+  // far below the thrashing regime.
+  std::vector<Addr> seq;
+  for (int r = 0; r < 100; ++r) {
+    for (Addr l = 0; l < 4; ++l) seq.push_back(l);
+  }
+  const double m = expected_misses_single_set(seq, 4, 42);
+  EXPECT_GE(m, 4.0);
+  EXPECT_LT(m, 40.0);
+}
+
+TEST(ExpectedMisses, OverCapacityRoundRobinThrashes) {
+  // 5 lines round-robin in a 4-way random-replacement set: every cycle of
+  // 5 accesses has at least one absent line => >= ~1000 misses over 1000
+  // cycles (the paper's Sec. 3.1.1 reasoning).
+  std::vector<Addr> seq;
+  for (int r = 0; r < 1000; ++r) {
+    for (Addr l = 0; l < 5; ++l) seq.push_back(l);
+  }
+  const double m = expected_misses_single_set(seq, 4, 7);
+  EXPECT_GT(m, 1000.0);
+  EXPECT_LT(m, 5000.0);
+}
+
+TEST(ExpectedMisses, EmptyOrNoTrials) {
+  EXPECT_DOUBLE_EQ(expected_misses_single_set({}, 4, 1), 0.0);
+  std::vector<Addr> seq{1, 2};
+  EXPECT_DOUBLE_EQ(expected_misses_single_set(seq, 4, 1, 0), 0.0);
+}
+
+TEST(ExpectedMisses, DeterministicInSeed) {
+  std::vector<Addr> seq;
+  for (int r = 0; r < 50; ++r) {
+    for (Addr l = 0; l < 3; ++l) seq.push_back(l);
+  }
+  EXPECT_DOUBLE_EQ(expected_misses_single_set(seq, 2, 9),
+                   expected_misses_single_set(seq, 2, 9));
+}
+
+TEST(ExpectedMisses, MoreWaysNeverWorse) {
+  std::vector<Addr> seq;
+  for (int r = 0; r < 200; ++r) {
+    for (Addr l = 0; l < 6; ++l) seq.push_back(l);
+  }
+  const double w2 = expected_misses_single_set(seq, 2, 5, 16);
+  const double w4 = expected_misses_single_set(seq, 4, 5, 16);
+  const double w8 = expected_misses_single_set(seq, 8, 5, 16);
+  EXPECT_GT(w2, w4);
+  EXPECT_GT(w4, w8);
+  EXPECT_LT(w8, 60.0);  // fits entirely after a short transient
 }
 
 TEST(GroupExtraMisses, BitEqualToTheFullProjectionOnEverySuiteKernel) {

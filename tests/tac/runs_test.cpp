@@ -296,6 +296,46 @@ TEST(AnalyzeTrace, CoveringLruL2CapsTheL1MissPenalty) {
   }
 }
 
+TEST(AnalyzeTrace, HugeLruL2CoversInBoundedMemory) {
+  // 2^31 modulo sets give every line a set of its own, so the LRU L2
+  // covers the working set: the result is the single-level analysis with
+  // an L1 miss costing only the probe latency. The coverage check counts
+  // lines per set they land in; a per-set table would need 2^31 entries.
+  MemTrace trace;
+  for (int r = 0; r < 1000; ++r) {
+    trace.emit(0x1000, AccessKind::kIFetch);
+    for (Addr l = 0; l < 5; ++l) {
+      trace.emit(0x8000 + l * 32, AccessKind::kLoad);
+    }
+  }
+  HierarchyConfig huge;
+  huge.enabled = true;
+  huge.policy = L2Policy::kLru;
+  huge.l2 = CacheConfig{1u << 31, 8, 32};
+  const TacTraceResult two_level =
+      analyze_trace(trace, CacheConfig::example_s8w4(),
+                    CacheConfig::example_s8w4(), 1e4, 100.0, {}, huge);
+  const TacTraceResult single =
+      analyze_trace(trace, CacheConfig::example_s8w4(),
+                    CacheConfig::example_s8w4(), 1e4,
+                    static_cast<double>(huge.latency));
+  ASSERT_FALSE(single.dl1.events.empty());
+  EXPECT_EQ(two_level.required_runs, single.required_runs);
+  EXPECT_TRUE(two_level.l2.events.empty());
+  for (const auto& [two, one] : {std::pair{&two_level.il1, &single.il1},
+                                 std::pair{&two_level.dl1, &single.dl1}}) {
+    EXPECT_EQ(two->required_runs, one->required_runs);
+    EXPECT_EQ(two->groups_considered, one->groups_considered);
+    ASSERT_EQ(two->events.size(), one->events.size());
+    for (std::size_t i = 0; i < one->events.size(); ++i) {
+      EXPECT_EQ(two->events[i].extra_misses, one->events[i].extra_misses);
+      EXPECT_EQ(two->events[i].probability, one->events[i].probability);
+      EXPECT_EQ(two->events[i].required_runs, one->events[i].required_runs);
+      EXPECT_EQ(two->events[i].example_lines, one->events[i].example_lines);
+    }
+  }
+}
+
 TEST(AnalyzeSequence, MorePessimisticTargetNeedsMoreRuns) {
   const auto seq = round_robin(5, 1000);
   TacConfig loose;
